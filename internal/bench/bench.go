@@ -333,11 +333,6 @@ func (r *Runner) simulate(k string, spec runSpec) *ndp.Result {
 	sys := r.newSystem(spec)
 	res := sys.Run(a)
 	r.noteRunStat(k, time.Since(start).Seconds(), res.Events)
-	if r.store != nil {
-		// Checkpoint path: recycle the tag arrays so the sweep's next
-		// System skips the dominant construction allocation.
-		sys.Recycle()
-	}
 	return res
 }
 

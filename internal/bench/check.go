@@ -91,9 +91,6 @@ func (r *Runner) checkedSimulate(k string, spec runSpec) *ndp.Result {
 	start := time.Now()
 	res := sys.Run(newApp())
 	r.noteRunStat(k, time.Since(start).Seconds(), res.Events)
-	if r.store != nil {
-		sys.Recycle() // checkpoint path: tag arrays feed the next audited run
-	}
 	plain := ndp.NewSystem(spec.cfg, spec.d).Run(newApp())
 
 	atomic.AddInt64(&r.checkedRuns, 1)

@@ -8,7 +8,6 @@ import (
 	"abndp/internal/ckpt"
 	"abndp/internal/config"
 	"abndp/internal/ndp"
-	"abndp/internal/traveller"
 )
 
 // WarmSweepMetrics is the outcome of RunWarmSweep: the same scheduler-knob
@@ -70,10 +69,8 @@ func (r *Runner) RunWarmSweep() *WarmSweepMetrics {
 
 	m := &WarmSweepMetrics{App: warmSweepApp, Design: d.String(), Points: len(cfgs), HashesMatch: true}
 
-	// Cold baseline: no store, no input cache, and an empty tag-array pool
-	// (earlier checkpoint runs could have stocked it) — the pre-checkpoint
-	// engine pays full System construction cost every point.
-	traveller.DrainPool()
+	// Cold baseline: no store and no input cache — the pre-checkpoint
+	// engine regenerates inputs and recomputes placement every point.
 	apps.EnableInputCache(false)
 	coldHashes := make([]uint64, len(cfgs))
 	for i, cfg := range cfgs {
@@ -96,7 +93,6 @@ func (r *Runner) RunWarmSweep() *WarmSweepMetrics {
 		}
 		start := time.Now()
 		res := sys.Run(newApp())
-		sys.Recycle() // the next point reuses these tag arrays
 		wall := time.Since(start).Seconds()
 		if i == 0 {
 			m.PrimeSeconds = wall

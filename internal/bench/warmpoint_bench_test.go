@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkWarmPoint measures one warm sweep point: checkpoint store
-// primed, input cache warm, tag arrays recycled — the steady state the
-// warm-sweep acceptance ratio divides by. Profile this to find what the
+// primed and input cache warm — the steady state the warm-sweep acceptance
+// ratio divides by. Profile this to find what the
 // checkpoint path still pays for.
 func BenchmarkWarmPoint(b *testing.B) {
 	r := NewRunner(io.Discard)
@@ -35,7 +35,6 @@ func BenchmarkWarmPoint(b *testing.B) {
 		sys := ndp.NewSystem(c, d)
 		sys.SetCheckpoint(store.Shard(warmSweepApp + "|" + d.String() + "|" + c.PrefixKey()))
 		sys.Run(newApp())
-		sys.Recycle()
 	}
 	prime(cfg)
 	b.ResetTimer()

@@ -67,21 +67,24 @@ func TestL1SetInvariant(t *testing.T) {
 		for _, a := range accesses {
 			c.Access(mem.Line(a))
 		}
-		for s := 0; s < c.Sets(); s++ {
-			seen := map[mem.Line]bool{}
-			for w := 0; w < c.Ways(); w++ {
-				i := s*c.Ways() + w
-				if !c.valid[i] {
-					continue
+		for pi, p := range c.pages {
+			if p == nil {
+				continue
+			}
+			for i := 0; i <= c.pageMask; i++ {
+				if int(p.fill[i]) > c.Ways() {
+					return false // overfull set
 				}
-				l := c.lines[i]
-				if int(uint64(l)&c.setMask) != s {
-					return false // line in wrong set
+				seen := map[mem.Line]bool{}
+				for _, l := range p.lines[i*c.ways : i*c.ways+int(p.fill[i])] {
+					if int(uint64(l)&c.setMask) != pi<<c.pageShift|i {
+						return false // line in wrong set
+					}
+					if seen[l] {
+						return false // duplicate
+					}
+					seen[l] = true
 				}
-				if seen[l] {
-					return false // duplicate
-				}
-				seen[l] = true
 			}
 		}
 		return true

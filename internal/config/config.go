@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"abndp/internal/fault"
+	"abndp/internal/mem"
 )
 
 // CacheKind selects the data/tag placement of the per-unit remote-data
@@ -154,9 +155,10 @@ type Config struct {
 	Faults fault.Plan
 }
 
-// MaxCacheWays bounds Config.CacheWays. The Traveller Cache stores per-way
-// LRU recency ranks as int8, so an associativity past 127 would silently
-// corrupt replacement order; Validate rejects it instead. (Realistic
+// MaxCacheWays bounds Config.CacheWays and Config.L1DWays. The Traveller
+// Cache stores per-way LRU recency ranks as int8, so an associativity past
+// 127 would silently corrupt replacement order; Validate rejects it
+// instead. Both caches also keep per-set fill counts as uint8. (Realistic
 // configurations use 2-16 ways.)
 const MaxCacheWays = 127
 
@@ -258,6 +260,12 @@ func (c *Config) Validate() error {
 	case c.CacheEnabled && c.CacheWays > MaxCacheWays:
 		return fmt.Errorf("config: CacheWays = %d exceeds MaxCacheWays = %d (int8 LRU ranks)",
 			c.CacheWays, MaxCacheWays)
+	case c.L1DWays < 1 || c.L1DWays > MaxCacheWays:
+		// The L1 keeps a per-set fill count of at most MaxCacheWays, and
+		// an unbounded associativity would size its pages from any integer.
+		return fmt.Errorf("config: L1DWays = %d out of [1,%d]", c.L1DWays, MaxCacheWays)
+	case c.L1DBytes < mem.LineSize:
+		return fmt.Errorf("config: L1DBytes = %d is less than one %d-byte line", c.L1DBytes, mem.LineSize)
 	case c.CampCount < 1:
 		return fmt.Errorf("config: CampCount = %d must be >= 1", c.CampCount)
 	case c.BypassProb < 0 || c.BypassProb >= 1 || math.IsNaN(c.BypassProb):

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"abndp/internal/fault"
+	"abndp/internal/mem"
 )
 
 func TestDefaultMatchesTable1(t *testing.T) {
@@ -71,10 +72,29 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		mod(func(c *Config) { c.BypassProb = 1.0 }),
 		mod(func(c *Config) { c.BypassProb = -0.1 }),
 		mod(func(c *Config) { c.ExchangeInterval = 0 }),
+		// L1 geometry: a hypothesis spec can set any integer field, and
+		// NewL1 would size its set directory from whatever it gets.
+		mod(func(c *Config) { c.L1DWays = 0 }),
+		mod(func(c *Config) { c.L1DWays = -4 }),
+		mod(func(c *Config) { c.L1DWays = MaxCacheWays + 1 }),
+		mod(func(c *Config) { c.L1DWays = 1e9 }),
+		mod(func(c *Config) { c.L1DBytes = -1 }),
+		mod(func(c *Config) { c.L1DBytes = 0 }),
+		mod(func(c *Config) { c.L1DBytes = mem.LineSize - 1 }),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d: Validate() accepted invalid config", i)
+		}
+	}
+	// The edges of the L1 ranges stay valid: one line, one way, and the
+	// widest associativity.
+	for _, c := range []Config{
+		mod(func(c *Config) { c.L1DBytes = mem.LineSize; c.L1DWays = 1 }),
+		mod(func(c *Config) { c.L1DWays = MaxCacheWays }),
+	} {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("L1 %d B x %d ways rejected: %v", c.L1DBytes, c.L1DWays, err)
 		}
 	}
 }

@@ -103,6 +103,10 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		"unknown policy":     `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","config":{"SchedPolicy":"nope"}}],"seeds":[1]}`,
 		"param out of range": `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","config":{"SchedPolicy":"loadonly","PolicyParams":{"floor":-5}}}],"seeds":[1]}`,
 		"invalid cell cfg":   `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","grid":{"CoresPerUnit":[0]}}],"seeds":[1]}`,
+		// Regression: any L1 geometry used to load, and NewL1 sized its
+		// tag storage from it (about 9 GB for a billion ways).
+		"huge L1 ways":     `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"O","config":{"L1DWays":1e9}}],"seeds":[1]}`,
+		"negative L1 size": `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","grid":{"L1DBytes":[65536,-1]}}],"seeds":[1]}`,
 	}
 	for name, js := range cases {
 		if _, err := Load(strings.NewReader(js)); err == nil {

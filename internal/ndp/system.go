@@ -212,21 +212,6 @@ func NewSystem(cfg config.Config, design config.Design) *System {
 	return s
 }
 
-// Recycle returns every unit's traveller tag arrays to the traveller
-// package's geometry pool, where the next same-shaped System reuses them
-// without re-allocating (or re-zeroing) — the dominant construction cost
-// at full scale. The System must not be used after Recycle; call it only
-// once the Result has been extracted. Only the checkpoint/delta
-// re-simulation path recycles between sweep points; cold runs never call
-// it, so their allocation behavior is unchanged.
-func (s *System) Recycle() {
-	for _, u := range s.units {
-		if u.cache != nil {
-			u.cache.Release()
-		}
-	}
-}
-
 // Units returns the number of NDP units.
 func (s *System) Units() int { return len(s.units) }
 

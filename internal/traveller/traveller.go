@@ -15,17 +15,49 @@ import (
 	"abndp/internal/mem"
 )
 
+// pageSets is the number of consecutive sets in one tag page. A cache keeps
+// its tags in a directory of pages allocated on the first fill into them,
+// so building a cache costs one pointer per page rather than sets x ways
+// zeroed tags, and a run pays only for the part of the slice it touches.
+const pageSets = 64
+
+// page holds the tags of pageSets consecutive sets (all of them when the
+// cache has fewer). Ways are only ever invalidated in bulk, and Insert
+// always fills the lowest invalid way, so a set's valid ways are always the
+// prefix [0, fill): the fill count is the set's whole validity state.
+type page struct {
+	lines []mem.Line      // [set][way] within the page
+	lru   []int8          // per-way recency rank (0 = MRU), only under LRU
+	fill  [pageSets]uint8 // valid ways per set (ways <= config.MaxCacheWays)
+	used  int             // valid lines in the page; > 0 iff listed in Cache.live
+}
+
+// find returns the way of set i that holds l, or -1. A nil page (never
+// filled) holds nothing.
+func (p *page) find(i, ways int, l mem.Line) int {
+	if p == nil {
+		return -1
+	}
+	set := p.lines[i*ways : i*ways+int(p.fill[i])]
+	for w, x := range set {
+		if x == l {
+			return w
+		}
+	}
+	return -1
+}
+
 // Cache is the DRAM cache of one NDP unit. Tags live in SRAM (checked in a
 // couple of cycles); data lives in the reserved DRAM cache region (accessed
 // through the unit's normal DRAM channel).
 type Cache struct {
-	ways    int
-	sets    int
-	setMask uint64
-	lines   []mem.Line // flattened [set][way]
-	epoch   []uint32   // per-entry validity stamp: entry i is valid iff epoch[i] == cur
-	cur     uint32     // current validity epoch; bumping it is the bulk invalidation
-	lru     []int8     // per-entry recency rank (0 = MRU), only under LRU
+	ways      int
+	sets      int
+	setMask   uint64
+	pageShift uint    // set index >> pageShift is its page in the directory
+	pageMask  int     // set index & pageMask is its offset within the page
+	pages     []*page // directory; an entry stays nil until its first fill
+	live      []*page // pages holding valid lines, reset by InvalidateAll
 
 	bypassProb float64
 	useLRU     bool
@@ -43,7 +75,8 @@ type Cache struct {
 }
 
 // New builds the cache for one unit from the system configuration. seed
-// decorrelates the random replacement streams of different units.
+// decorrelates the random replacement streams of different units. No tag
+// storage is allocated until the first Insert into each page.
 func New(cfg *config.Config, seed uint64) *Cache {
 	bytes := cfg.CacheBytes()
 	ways := cfg.CacheWays
@@ -54,17 +87,18 @@ func New(cfg *config.Config, seed uint64) *Cache {
 	// Power-of-two sets so the set index is a bit slice of the line
 	// address, as in the paper's metadata scheme.
 	sets = 1 << (bits.Len(uint(sets)) - 1)
-	c := &Cache{
+	per := min(sets, pageSets)
+	return &Cache{
 		ways:       ways,
 		sets:       sets,
 		setMask:    uint64(sets - 1),
+		pageShift:  uint(bits.TrailingZeros(uint(per))),
+		pageMask:   per - 1,
+		pages:      make([]*page, sets/per),
 		bypassProb: cfg.BypassProb,
 		useLRU:     cfg.Replacement == config.ReplaceLRU,
 		rng:        seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 	}
-	t := acquire(sets, ways, c.useLRU)
-	c.lines, c.epoch, c.lru, c.cur = t.lines, t.epoch, t.lru, t.cur
-	return c
 }
 
 // Sets returns the number of cache sets in this unit's cache.
@@ -84,6 +118,13 @@ func (c *Cache) next() uint64 {
 	return x ^ (x >> 31)
 }
 
+// locate returns line l's set index, the page holding that set (nil if the
+// page was never filled), and the set's offset within the page.
+func (c *Cache) locate(l mem.Line) (s int, p *page, i int) {
+	s = int(uint64(l) & c.setMask)
+	return s, c.pages[s>>c.pageShift], s & c.pageMask
+}
+
 // Probe checks the SRAM tags for line l, recording a hit or miss. Under
 // LRU replacement a hit refreshes the line's recency.
 //
@@ -95,44 +136,40 @@ func (c *Cache) Probe(l mem.Line) bool {
 		c.deadProbes++
 		return false
 	}
-	base := int(uint64(l)&c.setMask) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.epoch[base+w] == c.cur && c.lines[base+w] == l {
-			c.hits++
-			if c.useLRU {
-				c.promote(base, w, c.lru[base+w])
-			}
-			if c.Audit != nil {
-				c.auditSet(base)
-			}
-			return true
-		}
+	s, p, i := c.locate(l)
+	w := p.find(i, c.ways, l)
+	if w < 0 {
+		c.misses++
+		return false
 	}
-	c.misses++
-	return false
+	c.hits++
+	if c.useLRU {
+		base := i * c.ways
+		promote(p.lru[base:base+int(p.fill[i])], w, p.lru[base+w])
+	}
+	if c.Audit != nil {
+		c.auditSet(s)
+	}
+	return true
 }
 
-// promote makes way w of the set at base the most-recently-used entry:
-// every way younger than rank `old` ages by one. Hits pass the way's own
-// rank; insertions pass ways-1 (the new line replaces the oldest).
-func (c *Cache) promote(base, w int, old int8) {
-	for i := 0; i < c.ways; i++ {
-		if c.lru[base+i] < old {
-			c.lru[base+i]++
+// promote makes way w the most-recently-used of a set, given the recency
+// ranks of its valid ways: every way younger than rank old ages by one.
+// Hits pass the way's own rank; insertions pass ways-1 (the new line
+// replaces the oldest, or takes a way whose stale rank means nothing).
+func promote(ranks []int8, w int, old int8) {
+	for i, r := range ranks {
+		if r < old {
+			ranks[i]++
 		}
 	}
-	c.lru[base+w] = 0
+	ranks[w] = 0
 }
 
 // Contains reports residency without affecting statistics.
 func (c *Cache) Contains(l mem.Line) bool {
-	base := int(uint64(l)&c.setMask) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.epoch[base+w] == c.cur && c.lines[base+w] == l {
-			return true
-		}
-	}
-	return false
+	_, p, i := c.locate(l)
+	return p.find(i, c.ways, l) >= 0
 }
 
 // Insert tries to cache line l after a miss, applying the probabilistic
@@ -144,7 +181,8 @@ func (c *Cache) Insert(l mem.Line) bool {
 	if c.disabled {
 		return false
 	}
-	if c.Contains(l) {
+	s, p, i := c.locate(l)
+	if p.find(i, c.ways, l) >= 0 {
 		return false
 	}
 	if c.bypassProb > 0 {
@@ -154,18 +192,22 @@ func (c *Cache) Insert(l mem.Line) bool {
 			return false
 		}
 	}
-	base := int(uint64(l)&c.setMask) * c.ways
-	way := -1
-	for w := 0; w < c.ways; w++ {
-		if c.epoch[base+w] != c.cur {
-			way = w
-			break
-		}
+	if p == nil {
+		p = c.newPage(s)
 	}
-	if way < 0 {
+	base := i * c.ways
+	way := int(p.fill[i])
+	if way < c.ways {
+		p.fill[i]++
+		if p.used == 0 {
+			c.live = append(c.live, p)
+		}
+		p.used++
+	} else {
+		way = -1
 		if c.useLRU {
 			for w := 0; w < c.ways; w++ {
-				if int(c.lru[base+w]) == c.ways-1 {
+				if int(p.lru[base+w]) == c.ways-1 {
 					way = w
 					break
 				}
@@ -175,32 +217,40 @@ func (c *Cache) Insert(l mem.Line) bool {
 			way = int(c.next() % uint64(c.ways))
 		}
 	}
-	c.lines[base+way] = l
-	c.epoch[base+way] = c.cur
+	p.lines[base+way] = l
 	if c.useLRU {
-		c.promote(base, way, int8(c.ways-1))
+		promote(p.lru[base:base+int(p.fill[i])], way, int8(c.ways-1))
 	}
 	c.inserts++
 	if c.Audit != nil {
-		c.auditSet(base)
+		c.auditSet(s)
 	}
 	return true
 }
 
-// auditSet validates the invariants of the set at base after a tag update.
+// newPage allocates the directory page that holds set s.
+func (c *Cache) newPage(s int) *page {
+	n := (c.pageMask + 1) * c.ways
+	p := &page{lines: make([]mem.Line, n)}
+	if c.useLRU {
+		p.lru = make([]int8, n)
+	}
+	c.pages[s>>c.pageShift] = p
+	return p
+}
+
+// auditSet validates the invariants of set s after a tag update.
 // Violations carry cycle -1: the cache does not track simulation time.
-func (c *Cache) auditSet(base int) {
+func (c *Cache) auditSet(s int) {
 	c.Audit.Tick()
-	valid := 0
-	for w := 0; w < c.ways; w++ {
-		if c.epoch[base+w] != c.cur {
-			continue
-		}
-		valid++
-		for x := w + 1; x < c.ways; x++ {
-			if c.epoch[base+x] == c.cur && c.lines[base+x] == c.lines[base+w] {
+	p, i := c.pages[s>>c.pageShift], s&c.pageMask
+	base, valid := i*c.ways, int(p.fill[i])
+	lines := p.lines[base : base+valid]
+	for w := range lines {
+		for x := w + 1; x < valid; x++ {
+			if lines[x] == lines[w] {
 				c.Audit.Violationf("traveller.dup", -1,
-					"set %d holds line %d in ways %d and %d", base/c.ways, c.lines[base+w], w, x)
+					"set %d holds line %d in ways %d and %d", s, lines[w], w, x)
 				return
 			}
 		}
@@ -211,19 +261,16 @@ func (c *Cache) auditSet(base int) {
 	// Valid ways' recency ranks must be exactly the permutation prefix
 	// {0..valid-1}; a corrupt rank (e.g. from an int8 overflow) breaks this.
 	var seen [2]uint64 // rank bitset; ways <= config.MaxCacheWays = 127
-	for w := 0; w < c.ways; w++ {
-		r := int(c.lru[base+w])
+	for w, r8 := range p.lru[base : base+valid] {
+		r := int(r8)
 		if r < 0 || r >= c.ways {
 			c.Audit.Violationf("traveller.lru.range", -1,
-				"set %d way %d recency rank %d outside [0,%d)", base/c.ways, w, r, c.ways)
+				"set %d way %d recency rank %d outside [0,%d)", s, w, r, c.ways)
 			return
-		}
-		if c.epoch[base+w] != c.cur {
-			continue
 		}
 		if seen[r>>6]&(1<<uint(r&63)) != 0 {
 			c.Audit.Violationf("traveller.lru.perm", -1,
-				"set %d has duplicate recency rank %d among valid ways", base/c.ways, r)
+				"set %d has duplicate recency rank %d among valid ways", s, r)
 			return
 		}
 		seen[r>>6] |= 1 << uint(r&63)
@@ -231,7 +278,7 @@ func (c *Cache) auditSet(base int) {
 	for r := 0; r < valid; r++ {
 		if seen[r>>6]&(1<<uint(r&63)) == 0 {
 			c.Audit.Violationf("traveller.lru.prefix", -1,
-				"set %d valid ranks are not {0..%d}", base/c.ways, valid-1)
+				"set %d valid ranks are not {0..%d}", s, valid-1)
 			return
 		}
 	}
@@ -239,19 +286,16 @@ func (c *Cache) auditSet(base int) {
 
 // InvalidateAll clears every tag — the bulk invalidation at the end of each
 // timestamp. Because the cache only ever holds read-only primary data, no
-// writeback is needed. It is O(1): bumping the validity epoch orphans every
-// entry at once (the hardware analogue of a flash-clear valid column), so
-// the stale tags and recency ranks left behind are exactly the state the
-// rest of the code already tolerates — which is what lets recycled tag
-// arrays (see Release) skip zeroing entirely.
+// writeback is needed. Zeroing the fill counts of the pages that hold valid
+// lines is the whole job (the hardware analogue of a flash-clear valid
+// column), so it costs O(touched pages); the pages stay allocated for the
+// next timestamp, and the stale tags and ranks they keep are never read.
 func (c *Cache) InvalidateAll() {
-	c.cur++
-	if c.cur == 0 { // epoch wrapped: only now do stale stamps need clearing
-		for i := range c.epoch {
-			c.epoch[i] = 0
-		}
-		c.cur = 1
+	for _, p := range c.live {
+		p.fill = [pageSets]uint8{}
+		p.used = 0
 	}
+	c.live = c.live[:0]
 }
 
 // Disable invalidates the cache and makes it permanently inert: every
@@ -269,10 +313,8 @@ func (c *Cache) Disabled() bool { return c.disabled }
 // Occupancy returns the number of valid lines (for tests and debugging).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, e := range c.epoch {
-		if e == c.cur {
-			n++
-		}
+	for _, p := range c.live {
+		n += p.used
 	}
 	return n
 }

@@ -1,6 +1,8 @@
 package traveller
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -183,11 +185,17 @@ func TestOccupancyInvariant(t *testing.T) {
 			return false
 		}
 		seen := map[mem.Line]int{}
-		for i, e := range c.epoch {
-			if e == c.cur {
-				seen[c.lines[i]]++
-				if int(uint64(c.lines[i])&c.setMask) != i/c.ways {
-					return false
+		for pi, p := range c.pages {
+			if p == nil {
+				continue
+			}
+			for i := 0; i <= c.pageMask; i++ {
+				set := pi<<c.pageShift | i
+				for _, l := range p.lines[i*c.ways : i*c.ways+int(p.fill[i])] {
+					seen[l]++
+					if int(uint64(l)&c.setMask) != set {
+						return false
+					}
 				}
 			}
 		}
@@ -282,23 +290,35 @@ func TestLRUAuditCleanUnderRandomTraffic(t *testing.T) {
 	}
 }
 
-// The audit actually detects corruption: clobber a rank and re-touch the set.
+// The audit actually detects corruption: clobber a rank and re-touch the
+// set. The set sits past the first tag page, so the violation must name
+// its cache-wide index, not its offset within the page.
 func TestLRUAuditDetectsCorruptRank(t *testing.T) {
-	c := newLRUCache()
+	cfg := config.Default()
+	cfg.BypassProb = 0
+	cfg.Replacement = config.ReplaceLRU
+	cfg.UnitBytes = 1 << 22 // 64 KiB cache: 256 sets, 4 tag pages
+	c := New(&cfg, 1)
 	c.Audit = check.New()
+	const set = 2*pageSets + 3
 	sets := uint64(c.Sets())
-	mk := func(i int) mem.Line { return mem.Line(uint64(i)*sets + 3) }
+	mk := func(i int) mem.Line { return mem.Line(uint64(i)*sets + set) }
 	for i := 0; i < c.Ways(); i++ {
 		c.Insert(mk(i))
 	}
 	if !c.Audit.Ok() {
 		t.Fatalf("clean fills flagged: %v", c.Audit.Violations())
 	}
-	base := int(uint64(mk(0))&c.setMask) * c.ways
-	c.lru[base] = c.lru[base+1] // duplicate rank = invalid permutation
+	_, p, i := c.locate(mk(0))
+	base := i * c.ways
+	p.lru[base] = p.lru[base+1] // duplicate rank = invalid permutation
 	c.Probe(mk(2))              // hit re-audits the set
-	if c.Audit.Ok() {
+	vs := c.Audit.Violations()
+	if len(vs) == 0 {
 		t.Fatal("audit missed a corrupted LRU rank")
+	}
+	if want := fmt.Sprintf("set %d ", set); !strings.Contains(vs[0].Detail, want) {
+		t.Fatalf("violation %q does not name %q", vs[0].Detail, want)
 	}
 }
 
