@@ -45,6 +45,13 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	if _, err := Run("pr", DesignB, cfg, smallParams()); err == nil {
 		t.Fatal("Run must reject invalid configs")
 	}
+	// Three groups cannot tile the 4x4 mesh: an error, not a panic in
+	// topology construction.
+	cfg = smallConfig()
+	cfg.CampCount = 2
+	if _, err := Run("pr", DesignO, cfg, smallParams()); err == nil {
+		t.Fatal("Run must reject a camp count whose groups cannot tile the mesh")
+	}
 }
 
 func TestRunHost(t *testing.T) {

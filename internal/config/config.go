@@ -8,6 +8,7 @@ import (
 
 	"abndp/internal/fault"
 	"abndp/internal/mem"
+	"abndp/internal/topology"
 )
 
 // CacheKind selects the data/tag placement of the per-unit remote-data
@@ -162,6 +163,13 @@ type Config struct {
 // configurations use 2-16 ways.)
 const MaxCacheWays = 127
 
+// MaxUnits bounds the machine size, MeshX*MeshY*UnitsPerStack. The NoC
+// latency and energy tables and the scheduler's per-origin load deltas
+// grow with units squared, so an unbounded mesh from a request or a spec
+// could ask for gigabytes; the largest shape the repository runs is 8x8
+// stacks of 8 units (512).
+const MaxUnits = 1024
+
 // Default returns the Table 1 configuration.
 func Default() Config {
 	return Config{
@@ -248,6 +256,12 @@ func (c *Config) Validate() error {
 	switch {
 	case c.MeshX <= 0 || c.MeshY <= 0 || c.UnitsPerStack <= 0:
 		return fmt.Errorf("config: bad topology %dx%dx%d", c.MeshX, c.MeshY, c.UnitsPerStack)
+	case c.MeshX > MaxUnits || c.MeshY > MaxUnits || c.UnitsPerStack > MaxUnits:
+		// Each dimension first, so the product below cannot overflow.
+		return fmt.Errorf("config: topology %dx%dx%d exceeds MaxUnits = %d",
+			c.MeshX, c.MeshY, c.UnitsPerStack, MaxUnits)
+	case c.Units() > MaxUnits:
+		return fmt.Errorf("config: %d units exceed MaxUnits = %d", c.Units(), MaxUnits)
 	case c.CoresPerUnit <= 0:
 		return fmt.Errorf("config: CoresPerUnit = %d", c.CoresPerUnit)
 	case c.UnitBytes == 0:
@@ -278,6 +292,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: SchedulingPeriod = %d with a scheduling window", c.SchedulingPeriod)
 	case c.SRAMHitCycles < 0:
 		return fmt.Errorf("config: SRAMHitCycles = %d", c.SRAMHitCycles)
+	}
+	// The C+1 localized groups must tile the stack mesh (topology.New
+	// panics otherwise).
+	if _, _, ok := topology.TileFactors(c.Groups(), c.MeshX, c.MeshY); !ok {
+		return fmt.Errorf("config: CampCount = %d: %d groups cannot tile a %dx%d mesh",
+			c.CampCount, c.Groups(), c.MeshX, c.MeshY)
 	}
 	// Strictly positive rates: zero would divide-by-zero or stall the clock.
 	for _, f := range []struct {

@@ -81,6 +81,21 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		mod(func(c *Config) { c.L1DBytes = -1 }),
 		mod(func(c *Config) { c.L1DBytes = 0 }),
 		mod(func(c *Config) { c.L1DBytes = mem.LineSize - 1 }),
+		// The C+1 groups must tile the mesh: topology.New panicked on
+		// these instead of the run failing with an error.
+		mod(func(c *Config) { c.CampCount = 2 }),
+		mod(func(c *Config) { c.CampCount = 31 }),
+		mod(func(c *Config) { c.MeshX, c.MeshY = 3, 3 }),
+		mod(func(c *Config) { c.MeshX, c.MeshY, c.CampCount = 2, 2, 7 }),
+		mod(func(c *Config) { c.CampCount = math.MaxInt }),
+		// Machine size: every NoC table grows with units squared.
+		mod(func(c *Config) { c.MeshX, c.MeshY = 64, 64 }),
+		mod(func(c *Config) { c.MeshX, c.MeshY = 16, 16 }),
+		mod(func(c *Config) { c.UnitsPerStack = MaxUnits/16 + 1 }),
+		mod(func(c *Config) { c.MeshX = MaxUnits + 1; c.MeshY = 1; c.CampCount = 1 }),
+		// Each dimension is checked before multiplying: this product
+		// wraps to 0 in int64.
+		mod(func(c *Config) { c.MeshX, c.MeshY, c.UnitsPerStack = 1<<22, 1<<22, 1<<22 }),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -95,6 +110,19 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	} {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("L1 %d B x %d ways rejected: %v", c.L1DBytes, c.L1DWays, err)
+		}
+	}
+	// The topology edges stay valid: one group per stack, the largest
+	// shape the repository runs, and exactly MaxUnits units.
+	for _, c := range []Config{
+		mod(func(c *Config) { c.CampCount = 15 }),
+		mod(func(c *Config) { c.MeshX, c.MeshY, c.CampCount = 2, 2, 3 }),
+		mod(func(c *Config) { c.MeshX, c.MeshY = 8, 8 }),
+		mod(func(c *Config) { c.UnitsPerStack = MaxUnits / 16 }),
+	} {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%dx%dx%d with %d camps rejected: %v",
+				c.MeshX, c.MeshY, c.UnitsPerStack, c.CampCount, err)
 		}
 	}
 }

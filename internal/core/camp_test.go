@@ -18,14 +18,19 @@ type env struct {
 }
 
 func newEnv(skewed bool) (*env, *CampMap) {
-	cfg := config.Default()
+	e := newEnvFor(config.Default())
+	return e, NewCampMap(e.topo, e.space, skewed)
+}
+
+// newEnvFor builds the machine cfg describes: its topology, address space
+// and interconnect.
+func newEnvFor(cfg config.Config) *env {
 	topo := topology.New(topology.Config{
 		MeshX: cfg.MeshX, MeshY: cfg.MeshY,
-		UnitsPerStack: cfg.UnitsPerStack, Groups: cfg.Groups(),
+		UnitsPerStack: cfg.UnitsPerStack, Groups: cfg.Groups(), Torus: cfg.Torus,
 	})
 	space := mem.NewSpace(topo.Units(), cfg.UnitBytes)
-	e := &env{cfg: cfg, topo: topo, space: space, noc: noc.New(topo, &cfg)}
-	return e, NewCampMap(topo, space, skewed)
+	return &env{cfg: cfg, topo: topo, space: space, noc: noc.New(topo, &cfg)}
 }
 
 func TestCampDeterminism(t *testing.T) {

@@ -29,6 +29,14 @@ type CostModel struct {
 	// hold data; costmem must not credit them as data locations. Homes stay
 	// valid — a dead unit's memory stack still serves its channel.
 	dead []bool
+
+	// stackLat[t*stacks+s] is the latency from a unit in stack s to a
+	// different unit in stack t: between distinct units, noc latency
+	// depends only on their stacks. MemCostVecInto reads one row per data
+	// location instead of one entry per unit.
+	stackLat []int64
+	stacks   int
+	perStack int
 }
 
 // SetDeadMask installs the fault layer's dead-unit mask (aliased, updated
@@ -39,12 +47,27 @@ func (c *CostModel) SetDeadMask(dead []bool) { c.dead = dead }
 // place data at camp locations (designs C-series caching is present *and*
 // the policy knows it — design O) or only at homes (B, Sm, Sl, Sh).
 func NewCostModel(n *noc.Model, camps *CampMap, campAware bool) *CostModel {
-	return &CostModel{
+	topo := n.Topology()
+	c := &CostModel{
 		noc:         n,
 		camps:       camps,
 		campAware:   campAware,
 		campPenalty: n.InterHopCycles() / 2,
+		stacks:      topo.Stacks(),
+		perStack:    topo.Config().UnitsPerStack,
 	}
+	c.stackLat = make([]int64, c.stacks*c.stacks)
+	for t := 0; t < c.stacks; t++ {
+		to := topology.UnitID(t * c.perStack)
+		for s := 0; s < c.stacks; s++ {
+			from := topology.UnitID(s * c.perStack)
+			if s == t && c.perStack > 1 {
+				from++ // a different unit of the same stack
+			}
+			c.stackLat[t*c.stacks+s] = n.Latency(from, to)
+		}
+	}
+	return c
 }
 
 // CampAware reports whether camp locations participate in costmem.
@@ -104,45 +127,131 @@ func (c *CostModel) MemCostLines(lines []mem.Line, u topology.UnitID) float64 {
 // or precomputing MemCostVec results.
 func (c *CostModel) DeadFree() bool { return c.dead == nil }
 
-// MemCostVec returns costmem(t, u) for every unit u at once, bit-identical
-// to calling Candidates+MemCost per unit: the per-line minimum is exact
-// integer arithmetic, lines accumulate into an int64 sum in hint order,
-// and the float division happens once per unit at the end — the same
-// operations in the same order as MemCost.
-//
-// It must only be called when DeadFree() holds (it performs no dead-camp
-// filtering); callers fall back to MemCost under fault masks.
-func (c *CostModel) MemCostVec(lines []mem.Line) []float64 {
-	units := c.noc.Topology().Units()
-	vec := make([]float64, units)
-	if len(lines) == 0 {
-		return vec
+// VecScratch is the working memory of MemCostVecInto, sized for one
+// topology. Reuse it across calls; it must not be shared between
+// goroutines.
+type VecScratch struct {
+	stackSum []int64 // per stack: Σ over lines of the stack-level minimum
+	best     []int64 // per stack: the current line's minimum
+	corr     []int64 // per unit: exact correction of location units, zero between calls
+	locs     []topology.UnitID
+}
+
+// NewVecScratch allocates a MemCostVecInto scratch for c's topology.
+func (c *CostModel) NewVecScratch() *VecScratch {
+	return &VecScratch{
+		stackSum: make([]int64, c.stacks),
+		best:     make([]int64, c.stacks),
+		corr:     make([]int64, c.stacks*c.perStack),
 	}
-	sums := make([]int64, units)
-	var locBuf [16]topology.UnitID
+}
+
+// MemCostVec returns costmem(t, u) for every unit u at once, bit-identical
+// to calling Candidates+MemCost per unit (see MemCostVecInto). Under a
+// dead-unit mask the vector depends on the mask, so only a DeadFree
+// model's vectors may be cached.
+func (c *CostModel) MemCostVec(lines []mem.Line) []float64 {
+	vec := make([]float64, c.stacks*c.perStack)
+	c.MemCostVecInto(vec, c.NewVecScratch(), lines)
+	return vec
+}
+
+// MemCostVecInto writes costmem(t, u) for every unit u into vec (one entry
+// per unit), bit-identical to Candidates+MemCost per unit, skipping dead
+// camps the same way. sc comes from NewVecScratch.
+//
+// It factors the scan by stack. Between two distinct units the latency
+// depends only on their stacks, so per line it takes the minimum over the
+// line's locations once per stack from stackLat and adds it to a per-stack
+// int64 sum. Only a location unit itself sees a different latency (zero to
+// itself instead of the same-stack one), so each location unit gets its
+// exact per-unit minimum as a correction. Because a stack's units are
+// numbered consecutively, unit u's value is then
+//
+//	float64(stackSum[stack(u)] + corr[u]) / float64(len(lines))
+//
+// — the same exact integer sum and single division as MemCost. Per line
+// that is stacks x (C+1) table reads plus (C+1)^2 for the corrections,
+// instead of units x (C+1).
+func (c *CostModel) MemCostVecInto(vec []float64, sc *VecScratch, lines []mem.Line) {
+	if len(lines) == 0 {
+		clear(vec)
+		return
+	}
+	stacks, per, pen := c.stacks, c.perStack, c.campPenalty
+	sum, best, corr := sc.stackSum, sc.best, sc.corr
+	clear(sum)
 	for _, l := range lines {
-		locs := locBuf[:0]
-		if c.campAware {
-			locs = c.camps.AppendLocations(locs, l)
-		} else {
-			locs = append(locs, c.camps.Home(l))
+		locs := c.liveLocations(sc.locs[:0], l)
+		sc.locs = locs
+		home := locs[0]
+		if len(locs) == 1 {
+			// Homes only: the home's row is the per-stack minimum, and
+			// the home itself is at distance zero.
+			hs := int(home) / per
+			row := c.stackLat[hs*stacks:][:stacks]
+			for s, lat := range row {
+				sum[s] += lat
+			}
+			corr[home] -= row[hs]
+			continue
 		}
-		for u := 0; u < units; u++ {
-			uid := topology.UnitID(u)
-			best := c.noc.Latency(uid, locs[0])
-			for _, loc := range locs[1:] {
-				if lat := c.noc.Latency(uid, loc) + c.campPenalty; lat < best {
-					best = lat
+		copy(best, c.stackLat[int(home)/per*stacks:][:stacks])
+		for _, loc := range locs[1:] {
+			row := c.stackLat[int(loc)/per*stacks:][:stacks]
+			for s, lat := range row {
+				if lat += pen; lat < best[s] {
+					best[s] = lat
 				}
 			}
-			sums[u] += best
+		}
+		for s, b := range best {
+			sum[s] += b
+		}
+		// The locations are distinct units (one per group), so each
+		// correction applies once.
+		for _, u := range locs {
+			exact := c.noc.Latency(u, home)
+			for _, loc := range locs[1:] {
+				if lat := c.noc.Latency(u, loc) + pen; lat < exact {
+					exact = lat
+				}
+			}
+			corr[u] += exact - best[int(u)/per]
 		}
 	}
 	n := float64(len(lines))
-	for u := range vec {
-		vec[u] = float64(sums[u]) / n
+	for s, base := range sum {
+		plain := float64(base) / n // the units without a correction
+		for u := s * per; u < (s+1)*per; u++ {
+			if corr[u] == 0 {
+				vec[u] = plain
+				continue
+			}
+			vec[u] = float64(base+corr[u]) / n
+			corr[u] = 0
+		}
 	}
-	return vec
+}
+
+// liveLocations appends line l's data locations to dst as MemCost sees
+// them: the home first (it stays valid when its unit dies), then, when
+// camp-aware, the camps whose units are alive.
+func (c *CostModel) liveLocations(dst []topology.UnitID, l mem.Line) []topology.UnitID {
+	if !c.campAware {
+		return append(dst, c.camps.Home(l))
+	}
+	dst = c.camps.AppendLocations(dst, l)
+	if c.dead == nil {
+		return dst
+	}
+	live := dst[:1]
+	for _, loc := range dst[1:] {
+		if !c.dead[loc] {
+			live = append(live, loc)
+		}
+	}
+	return live
 }
 
 // LoadCost returns costload(t, u) = W_u/mean(W) - 1 given the load vector

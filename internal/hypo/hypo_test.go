@@ -107,6 +107,10 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		// tag storage from it (about 9 GB for a billion ways).
 		"huge L1 ways":     `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"O","config":{"L1DWays":1e9}}],"seeds":[1]}`,
 		"negative L1 size": `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","grid":{"L1DBytes":[65536,-1]}}],"seeds":[1]}`,
+		// Regression: 3 groups cannot tile the 4x4 mesh, and topology.New
+		// panicked mid-campaign instead of Load rejecting the cell.
+		"camps cannot tile": `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"O","config":{"CampCount":2}}],"seeds":[1]}`,
+		"machine too large": `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","grid":{"MeshX":[4,64]}}],"seeds":[1]}`,
 	}
 	for name, js := range cases {
 		if _, err := Load(strings.NewReader(js)); err == nil {

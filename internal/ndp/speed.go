@@ -24,6 +24,9 @@ func (s *System) SetCheckpoint(sh *ckpt.Shard) {
 		s.Sched.SetCostVecSource(nil)
 		return
 	}
+	if s.ckptScratch == nil {
+		s.ckptScratch = s.Cost.NewVecScratch()
+	}
 	s.Sched.SetCostVecSource(s.costVecFor)
 }
 
@@ -32,15 +35,18 @@ func (s *System) Checkpoint() *ckpt.Shard { return s.ckptShard }
 
 // costVecFor is the scheduler's cost-vector source: store hit, else compute
 // inline and memoize. The scheduler only calls it with no dead mask in
-// force, which is exactly MemCostVec's precondition. The stored copy owns
-// its own line slice — t's hint lines are recycled across barriers.
+// force, so the vector is a pure function of the hint and safe to store.
+// A miss allocates only the stored vector; the kernel's scratch is the
+// System's. The stored copy owns its own line slice — t's hint lines are
+// recycled across barriers.
 func (s *System) costVecFor(t *task.Task) []float64 {
 	lines := t.Hint.Lines
 	h := ckpt.HashLines(lines)
 	if v := s.ckptShard.MemVec(h, lines); v != nil {
 		return v
 	}
-	v := s.Cost.MemCostVec(lines)
+	v := make([]float64, s.Topo.Units())
+	s.Cost.MemCostVecInto(v, s.ckptScratch, lines)
 	s.ckptShard.PutMemVec(h, append([]mem.Line(nil), lines...), v)
 	return v
 }

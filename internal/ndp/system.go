@@ -127,10 +127,11 @@ type System struct {
 	retired   []*task.Task
 
 	// Checkpoint/delta re-simulation (internal/ckpt) and the parallel
-	// precompute pool. Both nil by default: every probe site is a nil check,
+	// precompute pool. All nil by default: every probe site is a nil check,
 	// and a nil-shard run is the golden serial path. See speed.go.
-	ckptShard *ckpt.Shard
-	par       *precompute
+	ckptShard   *ckpt.Shard
+	ckptScratch *core.VecScratch // costVecFor's kernel scratch
+	par         *precompute
 
 	// Cached energy constants (pJ) and latencies (cycles).
 	sramHitCycles int64

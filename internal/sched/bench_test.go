@@ -20,19 +20,31 @@ func BenchmarkPlace(b *testing.B) {
 	for i := range w {
 		w[i] = float64(100 + i%17)
 	}
+	// Every eighth unit is dead in the DeadMask case: the fault layer's
+	// view, where camps on dead units drop out of costmem.
+	dead := make([]bool, e.topo.Units())
+	for u := range dead {
+		dead[u] = u%8 == 5
+	}
 	cases := []struct {
 		name      string
 		kind      string
 		campAware bool
+		dead      []bool
 	}{
-		{"Home", "home", false},
-		{"LowestDistance", "lowestdist", false},
-		{"Hybrid", "hybrid", false},
-		{"HybridCampAware", "hybrid", true},
+		{"Home", "home", false, nil},
+		{"LowestDistance", "lowestdist", false, nil},
+		{"Hybrid", "hybrid", false, nil},
+		{"HybridCampAware", "hybrid", true, nil},
+		{"HybridCampAwareDeadMask", "hybrid", true, dead},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			s := e.scheduler(c.kind, c.campAware)
+			if c.dead != nil {
+				s.SetDeadMask(c.dead)
+				s.cost.SetDeadMask(c.dead)
+			}
 			s.Exchange(w)
 			t := &task.Task{Hint: task.Hint{Lines: lines}}
 			b.ResetTimer()

@@ -49,10 +49,11 @@ type Scheduler struct {
 	snapW []float64
 	delta []float64
 
-	// scratch buffers reused across Place calls.
-	flatBuf []topology.UnitID
-	candBuf [][]topology.UnitID
-	loadBuf []float64
+	// scratch buffers reused across Place calls: the effective load view,
+	// and the costmem vector with its kernel's working memory.
+	loadBuf    []float64
+	vecBuf     []float64
+	vecScratch *core.VecScratch
 
 	// dead, when non-nil, marks failed units (aliased from the fault
 	// injector): they are excluded from every candidate set, and a task
@@ -64,12 +65,11 @@ type Scheduler struct {
 	rates []float64
 
 	// costVec, when non-nil, supplies a precomputed costmem vector for a
-	// task (vec[u] bit-identical to cost.MemCost for every unit u, per
-	// core.MemCostVec) or nil to fall back to inline evaluation. It is the
-	// checkpoint store's entry point into placement (internal/ckpt) and is
-	// consulted only while no dead-unit mask is installed — under faults
-	// costmem stops being a pure function of the hint and every placement
-	// reverts to the inline path.
+	// task (core.MemCostVec, the kernel the inline path runs) or nil to
+	// fall back to inline evaluation. It is the checkpoint store's entry
+	// point into placement (internal/ckpt) and is consulted only while no
+	// dead-unit mask is installed — under faults costmem stops being a pure
+	// function of the hint and every placement computes its vector inline.
 	costVec func(t *task.Task) []float64
 
 	// scoreHook, when non-nil, receives the score breakdown of every
@@ -107,16 +107,18 @@ func New(policy string, cost *core.CostModel, camps *core.CampMap, n *noc.Model,
 	}
 	units := n.Topology().Units()
 	return &Scheduler{
-		policy:  p,
-		params:  params,
-		cost:    cost,
-		camps:   camps,
-		noc:     n,
-		units:   units,
-		hybridB: core.HybridWeight(n, cfg.HybridAlpha),
-		snapW:   make([]float64, units),
-		delta:   make([]float64, units*units),
-		loadBuf: make([]float64, units),
+		policy:     p,
+		params:     params,
+		cost:       cost,
+		camps:      camps,
+		noc:        n,
+		units:      units,
+		hybridB:    core.HybridWeight(n, cfg.HybridAlpha),
+		snapW:      make([]float64, units),
+		delta:      make([]float64, units*units),
+		loadBuf:    make([]float64, units),
+		vecBuf:     make([]float64, units),
+		vecScratch: cost.NewVecScratch(),
 	}
 }
 
@@ -206,13 +208,17 @@ func (s *Scheduler) SetCostVecSource(f func(t *task.Task) []float64) {
 	s.costVec = f
 }
 
-// memVecFor resolves the precomputed cost vector for t, or nil when the
-// inline path must run (no source, source miss, or a dead mask in force).
-func (s *Scheduler) memVecFor(t *task.Task) []float64 {
-	if s.costVec == nil || s.dead != nil {
-		return nil
+// memVec returns t's costmem vector: the source's when it supplies one
+// (never while a dead mask is in force), else the kernel's, written into
+// the scheduler's reusable buffer.
+func (s *Scheduler) memVec(t *task.Task) []float64 {
+	if s.costVec != nil && s.dead == nil {
+		if vec := s.costVec(t); vec != nil {
+			return vec
+		}
 	}
-	return s.costVec(t)
+	s.cost.MemCostVecInto(s.vecBuf, s.vecScratch, t.Hint.Lines)
+	return s.vecBuf
 }
 
 // SetScoreHook installs (or, with nil, removes) the per-decision score
@@ -272,20 +278,6 @@ func (s *Scheduler) Place(t *task.Task, origin topology.UnitID) topology.UnitID 
 }
 
 func (s *Scheduler) placeLowestDistance(t *task.Task) (topology.UnitID, float64) {
-	if vec := s.memVecFor(t); vec != nil {
-		// Precomputed path: same tie-break (main element's home first, then
-		// strict improvement in unit order) over bit-identical costs. No
-		// dead-mask handling — memVecFor returns nil whenever a mask is set.
-		best := s.camps.Home(t.Hint.Lines[0])
-		bestCost := vec[best]
-		for u := 0; u < s.units; u++ {
-			if c := vec[u]; c < bestCost {
-				best, bestCost = topology.UnitID(u), c
-			}
-		}
-		return best, bestCost
-	}
-	s.flatBuf, s.candBuf = s.cost.Candidates(t.Hint.Lines, s.flatBuf, s.candBuf)
 	// Ties break toward the main element's home: with symmetric data many
 	// units score equally, and a fixed lowest-ID tie-break would pile
 	// every such task onto unit 0.
@@ -296,12 +288,10 @@ func (s *Scheduler) placeLowestDistance(t *task.Task) (topology.UnitID, float64)
 			return -1, 0 // every unit is dead
 		}
 	}
-	bestCost := s.cost.MemCost(s.candBuf, best)
-	for u := 0; u < s.units; u++ {
-		if s.dead != nil && s.dead[u] {
-			continue
-		}
-		if c := s.cost.MemCost(s.candBuf, topology.UnitID(u)); c < bestCost {
+	vec := s.memVec(t)
+	bestCost := vec[best]
+	for u, c := range vec {
+		if c < bestCost && s.Alive(topology.UnitID(u)) {
 			best, bestCost = topology.UnitID(u), c
 		}
 	}
@@ -367,10 +357,6 @@ func (s *Scheduler) loadView(origin topology.UnitID, meanFloor float64) (mean fl
 const hybridMeanFloor = 32
 
 func (s *Scheduler) placeHybrid(t *task.Task, origin topology.UnitID) (topology.UnitID, float64, float64) {
-	vec := s.memVecFor(t)
-	if vec == nil {
-		s.flatBuf, s.candBuf = s.cost.Candidates(t.Hint.Lines, s.flatBuf, s.candBuf)
-	}
 	mean, live := s.loadView(origin, hybridMeanFloor)
 	if live == 0 {
 		// Every unit is dead. The old code divided by zero here, poisoning
@@ -388,29 +374,14 @@ func (s *Scheduler) placeHybrid(t *task.Task, origin topology.UnitID) (topology.
 	if s.dead != nil {
 		best = s.NearestLive(best)
 	}
-	if vec != nil {
-		// Precomputed path (only reachable with no dead mask): identical
-		// argmin over bit-identical mem costs and the same load terms.
-		bestMem := vec[best]
-		bestLoad := s.hybridB * (s.loadBuf[best]/mean - 1)
-		bestScore := bestMem + bestLoad
-		for u := 0; u < s.units; u++ {
-			mem := vec[u]
-			load := s.hybridB * (s.loadBuf[u]/mean - 1)
-			if score := mem + load; score < bestScore {
-				best, bestScore, bestMem, bestLoad = topology.UnitID(u), score, mem, load
-			}
-		}
-		return best, bestMem, bestLoad
-	}
-	bestMem := s.cost.MemCost(s.candBuf, best)
+	vec := s.memVec(t)
+	bestMem := vec[best]
 	bestLoad := s.hybridB * (s.loadBuf[best]/mean - 1)
 	bestScore := bestMem + bestLoad
-	for u := 0; u < s.units; u++ {
+	for u, mem := range vec {
 		if s.dead != nil && s.dead[u] {
 			continue
 		}
-		mem := s.cost.MemCost(s.candBuf, topology.UnitID(u))
 		load := s.hybridB * (s.loadBuf[u]/mean - 1)
 		if score := mem + load; score < bestScore {
 			best, bestScore, bestMem, bestLoad = topology.UnitID(u), score, mem, load

@@ -16,7 +16,9 @@ import (
 // origins — one evaluating costmem inline and one through a precomputed
 // MemCostVec source. Every placement must match: this is the sched-layer
 // half of the checkpoint-parity guarantee (the end-to-end half is the
-// result-hash test in the root package).
+// result-hash test in the root package). Both sides run the same kernel;
+// TestPlaceMatchesPerUnitReference compares placement against the
+// per-unit MemCost definition.
 func TestCostVecSourcePlacementIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name      string

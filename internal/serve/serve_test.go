@@ -464,6 +464,12 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown design", `{"app":"pr","design":"Z"}`, "design"},
 		{"negative params", `{"app":"pr","design":"O","params":{"scale":-1}}`, "non-negative"},
 		{"bad fault spec", `{"app":"pr","design":"O","config":{"faults":"bogus"}}`, ""},
+		// These used to be accepted with 202 and then fail as jobs:
+		// topology.New panicked on a group count that cannot tile the
+		// mesh, and nothing bounded the machine size.
+		{"camps cannot tile", `{"app":"pr","design":"O","config":{"campcount":2}}`, "cannot tile"},
+		{"mesh cannot tile", `{"app":"pr","design":"O","config":{"mesh":3}}`, "cannot tile"},
+		{"mesh too large", `{"app":"pr","design":"O","config":{"mesh":64}}`, "MaxUnits"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

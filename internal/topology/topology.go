@@ -56,7 +56,7 @@ func New(cfg Config) *Topology {
 	if cfg.Groups <= 0 {
 		cfg.Groups = 1
 	}
-	gx, gy, ok := tileFactors(cfg.Groups, cfg.MeshX, cfg.MeshY)
+	gx, gy, ok := TileFactors(cfg.Groups, cfg.MeshX, cfg.MeshY)
 	if !ok {
 		panic(fmt.Sprintf("topology: %d groups cannot tile a %dx%d mesh",
 			cfg.Groups, cfg.MeshX, cfg.MeshY))
@@ -124,11 +124,13 @@ func New(cfg Config) *Topology {
 	return t
 }
 
-// tileFactors finds gx, gy with gx*gy == groups that evenly tile a
-// meshX x meshY mesh, preferring the most square tiling.
-func tileFactors(groups, meshX, meshY int) (gx, gy int, ok bool) {
+// TileFactors finds gx, gy with gx*gy == groups that evenly tile a
+// meshX x meshY mesh, preferring the most square tiling. ok is false when
+// no tiling exists; New panics on such a group count and config.Validate
+// rejects it.
+func TileFactors(groups, meshX, meshY int) (gx, gy int, ok bool) {
 	best := -1
-	for cx := 1; cx <= groups; cx++ {
+	for cx := 1; cx <= groups && cx <= meshX; cx++ {
 		if groups%cx != 0 {
 			continue
 		}

@@ -159,15 +159,18 @@ func TestTileFactors(t *testing.T) {
 		{32, 4, 4, false},
 		{4, 2, 2, true},
 		{16, 8, 8, true},
+		{4, 3, 3, false},
+		{0, 4, 4, false},
+		{1 << 30, 4, 4, false}, // rejected without counting to it
 	}
 	for _, c := range cases {
-		gx, gy, ok := tileFactors(c.groups, c.mx, c.my)
+		gx, gy, ok := TileFactors(c.groups, c.mx, c.my)
 		if ok != c.ok {
-			t.Fatalf("tileFactors(%d,%d,%d) ok = %v, want %v",
+			t.Fatalf("TileFactors(%d,%d,%d) ok = %v, want %v",
 				c.groups, c.mx, c.my, ok, c.ok)
 		}
 		if ok && gx*gy != c.groups {
-			t.Fatalf("tileFactors(%d,%d,%d) = %dx%d", c.groups, c.mx, c.my, gx, gy)
+			t.Fatalf("TileFactors(%d,%d,%d) = %dx%d", c.groups, c.mx, c.my, gx, gy)
 		}
 	}
 }
