@@ -25,10 +25,8 @@ package abndp
 import (
 	"fmt"
 	"io"
-	"runtime"
 
 	"abndp/internal/apps"
-	"abndp/internal/ckpt"
 	"abndp/internal/config"
 	"abndp/internal/energy"
 	"abndp/internal/fault"
@@ -235,46 +233,6 @@ func RunAppObserved(app App, d Design, cfg Config, o *Observer, tracer func(Task
 		return nil, err
 	}
 	sys := ndp.NewSystem(cfg, d)
-	if tracer != nil {
-		sys.SetTaskTracer(tracer)
-	}
-	sys.SetObserver(o)
-	return sys.Run(app), nil
-}
-
-// RunAppEngine is RunAppObserved with the simulation speed path selected
-// (docs/PERF.md): engine "" or "serial" is the golden single-goroutine
-// engine; "checkpoint" attaches a fresh checkpoint shard so repeated task
-// hints reuse memoized placement cost vectors; "parallel" additionally runs
-// workers background precompute goroutines warming the shard ahead of
-// placement (workers <= 0 picks half of GOMAXPROCS, at least one). Results
-// are byte-identical across engines — the checkpoint path changes how cost
-// vectors are computed, never their values.
-func RunAppEngine(app App, d Design, cfg Config, o *Observer, tracer func(TaskTrace), engine string, workers int) (*Result, error) {
-	if d == DesignH {
-		return nil, fmt.Errorf("abndp: design H is the host baseline; use RunHost")
-	}
-	applied := d.Apply(cfg)
-	if err := applied.Validate(); err != nil {
-		return nil, err
-	}
-	sys := ndp.NewSystem(cfg, d)
-	switch engine {
-	case "", "serial":
-	case "checkpoint", "parallel":
-		store := ckpt.NewStore(0)
-		sys.SetCheckpoint(store.Shard(app.Name() + "|" + sys.Design.String() + "|" + sys.Cfg.PrefixKey()))
-		if engine == "parallel" {
-			if workers <= 0 {
-				if workers = runtime.GOMAXPROCS(0) / 2; workers < 1 {
-					workers = 1
-				}
-			}
-			sys.SetParallelWorkers(workers)
-		}
-	default:
-		return nil, fmt.Errorf("abndp: unknown engine %q (serial, checkpoint, parallel)", engine)
-	}
 	if tracer != nil {
 		sys.SetTaskTracer(tracer)
 	}

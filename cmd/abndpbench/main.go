@@ -10,13 +10,14 @@
 //	abndpbench -serial         # one run at a time (same output, slower)
 //	abndpbench -benchjson f    # write harness wall-clock metrics to f
 //	abndpbench -check          # audit every run (invariants + dual-run hash)
-//	abndpbench -engine parallel -ckpt  # checkpoint store + precompute pool
 //	abndpbench -warmsweep      # cold-vs-warm re-simulation speedup sweep
 //	abndpbench -remote URL     # render on a running abndpserve instead
 //
 // Simulation runs are planned up front and executed on a worker pool
 // (GOMAXPROCS-wide by default); each run stays single-goroutine, so the
-// tables are byte-identical at any -j.
+// tables are byte-identical at any -j. Every run shares one checkpoint
+// store of placement cost vectors and one workload-input cache
+// (docs/PERF.md); both leave the tables byte-identical.
 package main
 
 import (
@@ -31,7 +32,6 @@ import (
 
 	"abndp/client"
 	"abndp/internal/bench"
-	"abndp/internal/ckpt"
 	"abndp/internal/obs"
 )
 
@@ -50,9 +50,6 @@ func main() {
 		rdl    = flag.Duration("rundeadline", 0, "per-run wall-clock deadline; a run past it is recorded as hung and skipped (0 = the 10m default, negative disables)")
 		chk    = flag.Bool("check", false, "audit every run: invariant checker armed plus a dual-run determinism hash (roughly doubles simulation time; violations print and exit non-zero)")
 		remote = flag.String("remote", "", "fetch the experiments from a running abndpserve at this base URL (e.g. http://localhost:8080) instead of simulating locally")
-		engine = flag.String("engine", "serial", "simulation engine: 'serial' (golden default), 'checkpoint' (prefix-key store reuse), or 'parallel' (store + background precompute workers); results are byte-identical either way")
-		ckptOn = flag.Bool("ckpt", false, "shorthand for -engine checkpoint")
-		engj   = flag.Int("enginejobs", 0, "precompute workers per run for -engine parallel (0 = GOMAXPROCS/2, min 1)")
 		warm   = flag.Bool("warmsweep", false, "also run the cold-vs-warm re-simulation sweep (checkpoint/delta speedup measurement; result lands in -benchjson)")
 	)
 	flag.Parse()
@@ -104,27 +101,6 @@ func main() {
 	}
 	r.SetCheck(*chk)
 
-	if *ckptOn && *engine == "serial" {
-		*engine = "checkpoint"
-	}
-	switch *engine {
-	case "serial":
-	case "checkpoint":
-		r.SetCheckpointStore(ckpt.NewStore(0))
-	case "parallel":
-		r.SetCheckpointStore(ckpt.NewStore(0))
-		n := *engj
-		if n <= 0 {
-			if n = runtime.GOMAXPROCS(0) / 2; n < 1 {
-				n = 1
-			}
-		}
-		r.SetEngineParallel(n)
-	default:
-		fmt.Fprintf(os.Stderr, "abndpbench: unknown -engine %q (serial, checkpoint, parallel)\n", *engine)
-		os.Exit(2)
-	}
-
 	start := time.Now()
 	if *exps == "all" {
 		r.RunAll()
@@ -168,13 +144,11 @@ func main() {
 		f.Close()
 	}
 	m := r.Metrics()
-	fmt.Printf("\ncompleted in %.1fs: %d runs, %.3g engine events, %.3g events/sec (%s engine)\n",
-		time.Since(start).Seconds(), m.Runs, float64(m.EventsTotal), m.EventsPerSec, m.Engine)
-	if m.Checkpoint != nil {
-		fmt.Printf("checkpoint store: %d hits, %d misses, %d inserts, %d shards, %.1f MiB\n",
-			m.Checkpoint.Hits, m.Checkpoint.Misses, m.Checkpoint.Inserts,
-			m.Checkpoint.Shards, float64(m.Checkpoint.Bytes)/(1<<20))
-	}
+	fmt.Printf("\ncompleted in %.1fs: %d runs, %.3g engine events, %.3g events/sec\n",
+		time.Since(start).Seconds(), m.Runs, float64(m.EventsTotal), m.EventsPerSec)
+	fmt.Printf("checkpoint store: %d hits, %d misses, %d inserts, %d shards, %.1f MiB\n",
+		m.Checkpoint.Hits, m.Checkpoint.Misses, m.Checkpoint.Inserts,
+		m.Checkpoint.Shards, float64(m.Checkpoint.Bytes)/(1<<20))
 	if ws := m.WarmSweep; ws != nil {
 		fmt.Printf("warm sweep: %.2fx speedup over %d points (cold %.2fs, prime %.2fs, warm %.2fs)\n",
 			ws.Speedup, ws.Points, ws.ColdSeconds, ws.PrimeSeconds, ws.WarmSeconds)

@@ -1,7 +1,10 @@
 // Command abndpserve is the long-running simulation service: an HTTP/JSON
 // front end over the benchmark harness's warm memo cache and worker pool,
 // serving simulation jobs to many concurrent clients with request dedup,
-// bounded-queue backpressure, and graceful drain on SIGTERM.
+// bounded-queue backpressure, and graceful drain on SIGTERM. Every job
+// shares the harness's checkpoint store and workload-input cache, so jobs
+// that vary only late-binding scheduler knobs reuse earlier jobs' inputs
+// and placement vectors (byte-identical results; docs/PERF.md).
 //
 // Usage:
 //
@@ -54,8 +57,6 @@ func main() {
 		rdl      = flag.Duration("rundeadline", 0, "per-job wall-clock deadline; a job past it fails (0 = the 10m default, negative disables)")
 		drainTO  = flag.Duration("draintimeout", 2*time.Minute, "graceful-drain bound on SIGTERM/SIGINT")
 		bjson    = flag.String("benchjson", "", "write harness metrics to this JSON file on shutdown")
-		ckptOn   = flag.Bool("ckpt", true, "share a checkpoint store across requests: jobs varying only late-binding scheduler knobs reuse earlier jobs' placement vectors (byte-identical results; docs/PERF.md)")
-		engJobs  = flag.Int("enginejobs", 0, "precompute workers per simulation (parallel engine; 0 disables, needs -ckpt)")
 		traceDir = flag.String("trace-dir", "", "write one Perfetto trace per executed job to this directory (serve-tier request spans + engine tracks, keyed by request ID)")
 		logFmt   = flag.String("log", "json", "structured log format on stderr: json or text")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -83,16 +84,14 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{
-		ID:            *id,
-		Workers:       workers,
-		QueueSize:     *queue,
-		RunDeadline:   *rdl,
-		Quick:         *quick,
-		Check:         *chk,
-		Checkpoint:    *ckptOn,
-		EngineWorkers: *engJobs,
-		TraceDir:      *traceDir,
-		Logger:        logger,
+		ID:          *id,
+		Workers:     workers,
+		QueueSize:   *queue,
+		RunDeadline: *rdl,
+		Quick:       *quick,
+		Check:       *chk,
+		TraceDir:    *traceDir,
+		Logger:      logger,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -54,8 +54,6 @@ func main() {
 		perfetto = flag.String("perfetto", "", "write a Perfetto/Chrome trace-event JSON trace to this file")
 		metricsF = flag.String("metrics", "", "write phase-resolved observability metrics as CSV to this file")
 		sample   = flag.Int64("sample-interval", 1024, "counter-sampling interval in cycles for -perfetto")
-		engine   = flag.String("engine", "serial", "simulation engine: 'serial' (golden default), 'checkpoint' (placement-vector memoization), or 'parallel' (plus background precompute workers); results are byte-identical (docs/PERF.md)")
-		engJobs  = flag.Int("enginejobs", 0, "precompute workers for -engine parallel (0 = GOMAXPROCS/2)")
 		pprofSrv = flag.String("pprof", "", "serve pprof+expvar+Prometheus /metrics debug HTTP on this address (e.g. :6060)")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
@@ -202,7 +200,7 @@ func main() {
 	}
 
 	simStart := time.Now()
-	res, err := abndp.RunAppEngine(app, d, cfg, o, tracer, *engine, *engJobs)
+	res, err := abndp.RunAppObserved(app, d, cfg, o, tracer)
 	if err != nil {
 		fatal(err)
 	}
@@ -247,8 +245,8 @@ func main() {
 	}
 	printSummary(res, cfg)
 	if simWall > 0 {
-		fmt.Printf("  engine        %s: %d events in %.2fs host time (%.3g events/sec)\n",
-			*engine, res.Events, simWall, float64(res.Events)/simWall)
+		fmt.Printf("  engine        %d events in %.2fs host time (%.3g events/sec)\n",
+			res.Events, simWall, float64(res.Events)/simWall)
 	}
 	if *hashOut {
 		fmt.Printf("result_hash=%016x\n", abndp.ResultHash(res))

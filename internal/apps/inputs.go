@@ -11,15 +11,17 @@ import (
 // generated workload inputs (R-MAT graphs, weighted matrices, grids, and
 // their derived forms) are pure functions of their generator signature, so
 // sweep points sharing workload parameters can share one immutable instance
-// instead of regenerating per run. Off by default — the cache is opt-in via
-// EnableInputCache because sharing is only sound while every consumer
-// treats the graphs as read-only, which the apps in this package do after
-// Setup (EnsureWeights no-ops on already-weighted graphs; Reverse and
-// symmetrize build fresh derived graphs, cached under their own keys).
+// instead of regenerating per run. Off by default; every bench.Runner
+// switches it on via EnableInputCache. Sharing is only sound while every
+// consumer treats the graphs as read-only, which the apps in this package
+// do after Setup (EnsureWeights no-ops on already-weighted graphs; Reverse
+// and symmetrize build fresh derived graphs, cached under their own keys).
 //
 // Correctness: a cached graph is bit-identical to a regenerated one (same
 // deterministic generator, same signature), so enabling the cache never
-// changes simulation output — enforced by the hash-parity tests.
+// changes simulation output — enforced by the hash-parity tests, and by
+// TestInputCacheAppsLeaveInputsUntouched for apps writing into a shared
+// graph.
 var inputCache struct {
 	mu      sync.Mutex
 	on      bool

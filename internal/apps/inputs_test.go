@@ -1,10 +1,13 @@
 package apps
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"abndp/internal/config"
 	"abndp/internal/graph"
+	"abndp/internal/ndp"
 )
 
 // TestInputCacheBitIdenticalGraphs: a cached graph must be bit-identical
@@ -78,6 +81,80 @@ func TestInputCacheConcurrentSetupSafe(t *testing.T) {
 	for _, g := range got[1:] {
 		if !sameCSR(g, got[0]) {
 			t.Fatal("concurrent lookups returned differing graphs")
+		}
+	}
+}
+
+// TestInputCacheAppsLeaveInputsUntouched: every bench.Runner shares one
+// process-wide input cache across runs, and check mode's plain rerun reads
+// the same cached graphs as the audited run, so it cannot see an app that
+// writes into one. Each app that reads cached inputs runs twice on the
+// cache and must hash like a run with the cache off; afterwards every
+// cached graph, derived rev| and sym| graphs included, must still equal a
+// fresh generation.
+func TestInputCacheAppsLeaveInputsUntouched(t *testing.T) {
+	cachedApps := []string{"pr", "bfs", "sssp", "astar", "gcn", "spmv", "cc"}
+	p := testParams()
+	run := func(name string) uint64 {
+		a, err := New(name, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ndp.ResultHash(ndp.NewSystem(testCfg(), config.DesignO).Run(a))
+	}
+
+	EnableInputCache(false)
+	want := make(map[string]uint64, len(cachedApps))
+	for _, name := range cachedApps {
+		want[name] = run(name)
+	}
+
+	EnableInputCache(true)
+	defer EnableInputCache(false)
+	for pass := 1; pass <= 2; pass++ {
+		for _, name := range cachedApps {
+			if got := run(name); got != want[name] {
+				t.Fatalf("%s pass %d on the input cache: hash %016x, cache off %016x",
+					name, pass, got, want[name])
+			}
+		}
+	}
+
+	sig := fmt.Sprintf("%d|%d|%d", p.Scale, p.Degree, p.Seed)
+	rmat := func() *graph.CSR { return graph.RMAT(p.Scale, p.Degree, p.Seed) }
+	rmatw := func(maxW float32) func() *graph.CSR {
+		return func() *graph.CSR { return graph.RMATWeighted(p.Scale, p.Degree, p.Seed, maxW) }
+	}
+	side := 1<<(p.Scale/2) - 1
+	fresh := map[string]func() *graph.CSR{
+		"rmat|" + sig:         rmat,
+		"rev|rmat|" + sig:     func() *graph.CSR { return graph.Reverse(rmat()) },
+		"sym|rmat|" + sig:     func() *graph.CSR { return symmetrize(rmat()) },
+		"rmatw|" + sig + "|8": rmatw(8), // sssp
+		"rmatw|" + sig + "|4": rmatw(4), // spmv
+		fmt.Sprintf("grid|%d|%d|%d|8", side, side, p.Seed): func() *graph.CSR {
+			return graph.Grid(side, side, p.Seed, 8)
+		},
+	}
+	inputCache.mu.Lock()
+	cached := make(map[string]*graph.CSR, len(inputCache.entries))
+	for k, g := range inputCache.entries {
+		cached[k] = g
+	}
+	inputCache.mu.Unlock()
+	for k := range cached {
+		if fresh[k] == nil {
+			t.Errorf("cached input %q has no fresh generator in this test", k)
+		}
+	}
+	for k, gen := range fresh {
+		g := cached[k]
+		if g == nil {
+			t.Errorf("input %q was never cached", k)
+			continue
+		}
+		if !sameCSR(g, gen()) {
+			t.Errorf("cached input %q differs from a fresh generation: an app wrote into it", k)
 		}
 	}
 }

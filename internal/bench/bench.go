@@ -70,13 +70,10 @@ type Runner struct {
 	planned  map[string]runSpec
 	plannedF map[string]funcSpec
 
-	// Checkpoint/delta engine wiring (speed.go in internal/ndp): with a
-	// store attached, every simulation gets the shard for its prefix key,
-	// so sweep points varying only late-binding knobs share placement
-	// work; engineWorkers > 0 additionally runs the parallel precompute
-	// pool inside each simulation (-engine=parallel).
-	store         *ckpt.Store
-	engineWorkers int
+	// Checkpoint store (speed.go in internal/ndp): every simulation gets
+	// the shard for its prefix key, so sweep points varying only
+	// late-binding knobs share placement work.
+	store *ckpt.Store
 
 	// Per-run wall-clock and engine event counts, keyed by cache key, plus
 	// per-experiment attribution (which runs each experiment referenced) —
@@ -101,45 +98,29 @@ type runStat struct {
 // NewRunner builds a Runner writing its tables to w, using the Table 1
 // configuration as the base. By default runs execute on GOMAXPROCS worker
 // goroutines; see SetWorkers.
+//
+// Every Runner simulates on the one engine path: it owns a checkpoint
+// store of placement cost vectors, and it switches the process-wide
+// workload-input cache on, so sweep points that vary only late-binding
+// knobs skip regenerating inputs and recomputing placement vectors.
+// Results are byte-identical to the bare engine — see docs/PERF.md and the
+// parity tests.
 func NewRunner(w io.Writer) *Runner {
+	apps.EnableInputCache(true)
 	return &Runner{
 		out:   w,
 		base:  config.Default(),
 		cache: newMemo[*ndp.Result](),
 		fcach: newMemo[*ndp.FunctionalResult](),
+		store: ckpt.NewStore(0),
 	}
 }
 
 // SetQuick shrinks workload sizes (for smoke tests of the harness itself).
 func (r *Runner) SetQuick(q bool) { r.quick = q }
 
-// SetCheckpointStore attaches a checkpoint store: every simulation runs
-// with the shard for its prefix key (app|design|config.PrefixKey), and the
-// workload-input cache is enabled process-wide, so sweep points that vary
-// only late-binding knobs skip regenerating inputs and recomputing
-// placement cost vectors. Nil detaches the store (the input cache stays as
-// the caller last set it). Results are byte-identical either way — see
-// docs/PERF.md and the parity tests.
-func (r *Runner) SetCheckpointStore(s *ckpt.Store) {
-	r.store = s
-	if s != nil {
-		apps.EnableInputCache(true)
-	}
-}
-
-// Store returns the attached checkpoint store, or nil.
+// Store returns the Runner's checkpoint store.
 func (r *Runner) Store() *ckpt.Store { return r.store }
-
-// SetEngineParallel selects the parallel engine path for every simulation:
-// n background precompute workers per run (0 restores the golden serial
-// engine). Takes effect only with a checkpoint store attached — the
-// workers' output lives in the store's shards.
-func (r *Runner) SetEngineParallel(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.engineWorkers = n
-}
 
 // SetWorkers fixes the worker-pool size for simulation runs: 1 executes
 // every run inline and serially (the pre-parallel behavior), 0 restores
@@ -303,17 +284,12 @@ func (r *Runner) timeExperiment(name string) func() {
 	}
 }
 
-// newSystem builds the System for one run, applying the Runner's
-// checkpoint/parallel engine settings and the spec's per-run observer
-// (read-only instrumentation; results stay byte-identical either way).
+// newSystem builds the System for one run, attaching the checkpoint shard
+// for the run's prefix key and the spec's per-run observer (read-only
+// instrumentation; results stay byte-identical either way).
 func (r *Runner) newSystem(spec runSpec) *ndp.System {
 	sys := ndp.NewSystem(spec.cfg, spec.d)
-	if r.store != nil {
-		sys.SetCheckpoint(r.store.Shard(spec.app + "|" + sys.Design.String() + "|" + sys.Cfg.PrefixKey()))
-		if r.engineWorkers > 0 {
-			sys.SetParallelWorkers(r.engineWorkers)
-		}
-	}
+	sys.SetCheckpoint(r.store.Shard(spec.app + "|" + sys.Design.String() + "|" + sys.Cfg.PrefixKey()))
 	if spec.obsv != nil {
 		sys.SetObserver(spec.obsv)
 	}

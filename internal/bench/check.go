@@ -72,11 +72,11 @@ func (r *Runner) recordCheckViolations(k string, vs []check.Violation) {
 
 // checkedSimulate is simulate in check mode: the run executes audited, then
 // a plain rerun must hash identically. The audited run carries the Runner's
-// checkpoint/parallel engine settings while the rerun is always the bare
-// golden serial engine, so the meta.determinism hash comparison doubles as
-// the checkpoint-and-parallel parity assertion CI relies on. Like simulate
-// it is safe on worker goroutines — both Systems are private to the call,
-// and the shared violation list is mutex-protected.
+// checkpoint shard while the rerun is the bare golden engine with no store,
+// so the meta.determinism hash comparison doubles as the store-versus-golden
+// parity assertion CI relies on. Like simulate it is safe on worker
+// goroutines — both Systems are private to the call, and the shared
+// violation list is mutex-protected.
 func (r *Runner) checkedSimulate(k string, spec runSpec) *ndp.Result {
 	newApp := func() ndp.App {
 		a, err := apps.New(spec.app, spec.p)

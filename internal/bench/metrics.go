@@ -38,17 +38,17 @@ type Metrics struct {
 	EventsTotal  int64   `json:"events_total"`
 	EventsPerSec float64 `json:"events_per_sec"`
 
-	// Engine names the simulation path: "serial" (the golden default),
-	// "checkpoint" (store attached, no precompute workers), or
-	// "parallel" (store plus background precompute workers).
-	Engine string `json:"engine"`
+	// Engine named the simulation path ("serial", "checkpoint" or
+	// "parallel") when the harness had engine modes. It appears only in
+	// older records; cmd/abndpperf still reads it to label them.
+	Engine string `json:"engine,omitempty"`
 
-	// Checkpoint carries the store's counters when one is attached; the
-	// input-cache counters track workload graph reuse (both are part of the
-	// checkpoint/delta re-simulation path and 0/absent without it).
-	Checkpoint       *ckpt.Stats `json:"checkpoint,omitempty"`
-	InputCacheHits   int64       `json:"input_cache_hits,omitempty"`
-	InputCacheMisses int64       `json:"input_cache_misses,omitempty"`
+	// Checkpoint carries the Runner's store counters; the input-cache
+	// counters track workload graph reuse (both are part of the
+	// checkpoint/delta re-simulation path).
+	Checkpoint       ckpt.Stats `json:"checkpoint"`
+	InputCacheHits   int64      `json:"input_cache_hits,omitempty"`
+	InputCacheMisses int64      `json:"input_cache_misses,omitempty"`
 
 	// WarmSweep is the cold-vs-warm re-simulation experiment's outcome
 	// (RunWarmSweep), present only when that sweep ran.
@@ -101,18 +101,6 @@ type ExperimentTiming struct {
 
 func (m *Metrics) addRun() { atomic.AddInt64(&m.Runs, 1) }
 
-// engineName names the Runner's simulation path for the metrics JSON.
-func (r *Runner) engineName() string {
-	switch {
-	case r.store == nil:
-		return "serial"
-	case r.engineWorkers > 0:
-		return "parallel"
-	default:
-		return "checkpoint"
-	}
-}
-
 // Metrics snapshots the harness timings collected so far.
 func (r *Runner) Metrics() Metrics {
 	m := r.metrics
@@ -137,11 +125,7 @@ func (r *Runner) Metrics() Metrics {
 	if m.SimSeconds > 0 {
 		m.EventsPerSec = float64(m.EventsTotal) / m.SimSeconds
 	}
-	m.Engine = r.engineName()
-	if r.store != nil {
-		st := r.store.Stats()
-		m.Checkpoint = &st
-	}
+	m.Checkpoint = r.store.Stats()
 	m.InputCacheHits, m.InputCacheMisses = apps.InputCacheStats()
 
 	for _, e := range m.Experiments {

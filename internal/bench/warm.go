@@ -39,7 +39,7 @@ type WarmSweepMetrics struct {
 // warmSweepApp and the Figure 17 alpha sweep define the warm-sweep shape: a
 // fig10-style scheduler-knob sweep where every point shares the prefix key
 // (HybridAlpha is late-binding), i.e. the best case the checkpoint store is
-// designed for and the one the ISSUE acceptance measures.
+// designed for and the one docs/PERF.md reports.
 const warmSweepApp = "pr"
 
 // RunWarmSweep measures checkpoint/delta re-simulation on a scheduler-knob
@@ -81,16 +81,13 @@ func (r *Runner) RunWarmSweep() *WarmSweepMetrics {
 		coldHashes[i] = ndp.ResultHash(res)
 	}
 
-	// Warm path: fresh store; point 0 primes the prefix shard (optionally
-	// with the parallel precompute pool), the rest reuse it.
+	// Warm path: fresh store and the input cache back on; point 0 primes
+	// the prefix shard, the rest reuse it.
 	store := ckpt.NewStore(0)
 	apps.EnableInputCache(true)
 	for i, cfg := range cfgs {
 		sys := ndp.NewSystem(cfg, d)
 		sys.SetCheckpoint(store.Shard(warmSweepApp + "|" + d.String() + "|" + cfg.PrefixKey()))
-		if i == 0 && r.engineWorkers > 0 {
-			sys.SetParallelWorkers(r.engineWorkers)
-		}
 		start := time.Now()
 		res := sys.Run(newApp())
 		wall := time.Since(start).Seconds()
@@ -104,10 +101,6 @@ func (r *Runner) RunWarmSweep() *WarmSweepMetrics {
 			m.HashesMatch = false
 		}
 	}
-	if r.store == nil {
-		apps.EnableInputCache(false)
-	}
-
 	if warm := m.PrimeSeconds + m.WarmSeconds; warm > 0 {
 		m.Speedup = m.ColdSeconds / warm
 		m.WarmEventsPerSec = float64(m.EventsWarm) / warm

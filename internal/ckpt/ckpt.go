@@ -4,15 +4,13 @@
 // by the configuration *prefix key* (config.PrefixKey — the config minus
 // late-binding scheduler/steal/fault knobs).
 //
-// Two artifact kinds live here today:
-//
-//   - Static placement-cost vectors: costmem(hint, u) for every unit u,
-//     the hot kernel of hybrid/lowest-distance task placement. A vector is
-//     a pure function of (hint lines, topology, camp mapping) — everything
-//     the prefix key pins — so sweep points that vary only scheduler knobs
-//     reuse it bit-for-bit instead of recomputing it per placement.
-//   - Workload inputs (Inputs): generated graphs/datasets keyed by their
-//     full generator signature, shared read-only across runs.
+// It holds one artifact kind: static placement-cost vectors, costmem(hint,
+// u) for every unit u, the hot kernel of hybrid/lowest-distance task
+// placement. A vector is a pure function of (hint lines, topology, camp
+// mapping) — everything the prefix key pins — so sweep points that vary
+// only scheduler knobs reuse it bit-for-bit instead of recomputing it per
+// placement. Workload inputs are not stored here: the FIFO input cache in
+// internal/apps (inputs.go) shares them.
 //
 // Correctness does not rest on hashing: vector entries store the hint's
 // full line list and every lookup compares it, so a hash collision is a
@@ -30,11 +28,15 @@ import (
 	"abndp/internal/mem"
 )
 
-// DefaultCapBytes bounds the store's approximate memory footprint by
-// default: large enough for a full-size scheduler-knob sweep's vectors
-// (a pr-scale14 8x8-mesh shard is ~100 MB), small enough to stay polite
-// inside a long-lived serving process.
-const DefaultCapBytes = 512 << 20
+// DefaultCapBytes bounds the store's entry payload by default. It is the
+// smallest cap of a full-scale sweep over 16, 32, 64 and 512 MiB
+// (docs/PERF.md, "Sizing the store") at which full-scale fig17, the
+// largest late-binding sweep, rejects no insert (16 MiB rejects 40–47k)
+// and the serve-campaign benchmark's store evicts no shard. The cap counts
+// entry payload only, and peak RSS grows by roughly twice the cap: on a
+// full abndpbench, the median peak RSS is 1.18 GB above the input cache
+// alone at 512 MiB and 77 MB above it at 32 MiB.
+const DefaultCapBytes = 32 << 20
 
 // Store is the top-level checkpoint store: a set of shards, one per
 // prefix-key string, with shard-granularity LRU eviction when the

@@ -50,32 +50,3 @@ func (s *System) costVecFor(t *task.Task) []float64 {
 	s.ckptShard.PutMemVec(h, append([]mem.Line(nil), lines...), v)
 	return v
 }
-
-// SetParallelWorkers enables the partitioned parallel engine path: n
-// background workers precompute placement cost vectors into the attached
-// checkpoint shard while the (still strictly serial, still deterministic)
-// event loop consumes them. The event queue itself is never sharded — the
-// mesh/DRAM backlog coupling gives this model zero safe lookahead, so
-// parallelism lives in the one kernel that is a pure function of the hint
-// (see docs/PERF.md). Output stays byte-identical: workers only ever store
-// values the serial path would compute itself.
-//
-// Requires a checkpoint shard (SetCheckpoint) and no fault plan; otherwise
-// it is a no-op and the run stays fully serial. Call before Run.
-func (s *System) SetParallelWorkers(n int) {
-	if n <= 0 || s.ckptShard == nil || !s.Cost.DeadFree() {
-		return
-	}
-	s.par = newPrecompute(s.ckptShard, s.Cost, n)
-}
-
-// ParallelStats reports the precompute pool's submit counters (zero values
-// when the parallel path is off): hints handed to workers and hints dropped
-// because the queue was full (dropped hints are computed inline instead —
-// a throughput loss, never a correctness one).
-func (s *System) ParallelStats() (submitted, dropped int64) {
-	if s.par == nil {
-		return 0, 0
-	}
-	return s.par.submitted, s.par.dropped
-}

@@ -126,12 +126,10 @@ type System struct {
 	taskPool  task.Pool
 	retired   []*task.Task
 
-	// Checkpoint/delta re-simulation (internal/ckpt) and the parallel
-	// precompute pool. All nil by default: every probe site is a nil check,
-	// and a nil-shard run is the golden serial path. See speed.go.
+	// Checkpoint/delta re-simulation (internal/ckpt). Nil by default: a
+	// nil-shard run is the golden path. See speed.go.
 	ckptShard   *ckpt.Shard
 	ckptScratch *core.VecScratch // costVecFor's kernel scratch
-	par         *precompute
 
 	// Cached energy constants (pJ) and latencies (cycles).
 	sramHitCycles int64

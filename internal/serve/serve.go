@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"abndp/internal/bench"
-	"abndp/internal/ckpt"
 	"abndp/internal/config"
 	"abndp/internal/ndp"
 	"abndp/internal/obs"
@@ -84,14 +83,12 @@ type Config struct {
 	// Base overrides the Table 1 base configuration (nil = config.Default()).
 	// Tests use it to shrink per-unit memory.
 	Base *config.Config
-	// Checkpoint attaches a checkpoint store shared across every request the
-	// server handles: jobs that vary only late-binding scheduler knobs reuse
-	// the placement cost vectors of earlier jobs with the same prefix key
-	// (docs/PERF.md). Results stay byte-identical.
+	// Checkpoint is a no-op, kept so existing callers still compile. Every
+	// server shares one checkpoint store across the requests it handles,
+	// as every bench.Runner does: jobs that vary only late-binding
+	// scheduler knobs reuse the placement cost vectors of earlier jobs with
+	// the same prefix key (docs/PERF.md). Results stay byte-identical.
 	Checkpoint bool
-	// EngineWorkers > 0 additionally runs that many precompute workers
-	// inside each simulation (the parallel engine; needs Checkpoint).
-	EngineWorkers int
 	// TraceDir, when set, writes one Perfetto trace per executed job to
 	// <TraceDir>/<job-id>.trace.json: the serve-tier request spans (submit,
 	// queue wait, run) and the engine's task spans and counter tracks on
@@ -207,10 +204,6 @@ func New(cfg Config) *Server {
 		r.SetRunDeadline(cfg.RunDeadline)
 	}
 	r.SetCheck(cfg.Check)
-	if cfg.Checkpoint {
-		r.SetCheckpointStore(ckpt.NewStore(0))
-		r.SetEngineParallel(cfg.EngineWorkers)
-	}
 
 	logger := cfg.Logger
 	if logger == nil {
@@ -247,14 +240,13 @@ func New(cfg Config) *Server {
 		}
 		return float64(ev) / sec
 	})
-	if st := r.Store(); st != nil {
-		obs.PublishedFunc("serve_ckpt_hits", func() any { return st.Stats().Hits })
-		obs.PublishedFunc("serve_ckpt_misses", func() any { return st.Stats().Misses })
-		obs.PublishedFunc("serve_ckpt_bytes", func() any { return st.Stats().Bytes })
-		obs.PublishedFunc("serve_ckpt_shards", func() any { return st.Stats().Shards })
-		obs.PublishedFunc("serve_ckpt_entries", func() any { return st.Stats().Entries })
-		obs.PublishedFunc("serve_ckpt_evictions", func() any { return st.Stats().Evictions })
-	}
+	st := r.Store()
+	obs.PublishedFunc("serve_ckpt_hits", func() any { return st.Stats().Hits })
+	obs.PublishedFunc("serve_ckpt_misses", func() any { return st.Stats().Misses })
+	obs.PublishedFunc("serve_ckpt_bytes", func() any { return st.Stats().Bytes })
+	obs.PublishedFunc("serve_ckpt_shards", func() any { return st.Stats().Shards })
+	obs.PublishedFunc("serve_ckpt_entries", func() any { return st.Stats().Entries })
+	obs.PublishedFunc("serve_ckpt_evictions", func() any { return st.Stats().Evictions })
 
 	workers := r.Workers()
 	s.wg.Add(workers)

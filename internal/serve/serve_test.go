@@ -580,20 +580,19 @@ func TestWaitParam(t *testing.T) {
 	release.Do(func() { close(gate) })
 }
 
-// TestCheckpointStoreSharedAcrossJobs: with Config.Checkpoint set, jobs
-// that vary only late-binding scheduler knobs (here the hybrid alpha)
-// share one prefix shard — the second job must hit the first job's cost
-// vectors — while every result hash stays identical to a bare direct run.
+// TestCheckpointStoreSharedAcrossJobs: every server shares its checkpoint
+// store across jobs (the Config.Checkpoint field is a no-op and is left
+// unset here). Jobs that vary only late-binding scheduler knobs (here the
+// hybrid alpha) share one prefix shard — the second job must hit the first
+// job's cost vectors — while every result hash stays identical to a bare
+// direct run.
 func TestCheckpointStoreSharedAcrossJobs(t *testing.T) {
 	base := config.Default()
 	base.UnitBytes = 16 << 20
-	s, ts := newTestServer(t, Config{Workers: 1, Base: &base, Checkpoint: true})
+	s, ts := newTestServer(t, Config{Workers: 1, Base: &base})
 	defer apps.EnableInputCache(false)
 
 	store := s.Runner().Store()
-	if store == nil {
-		t.Fatal("checkpoint server has no store")
-	}
 
 	submit := func(alpha float64) *RunStatus {
 		body := fmt.Sprintf(
