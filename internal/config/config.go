@@ -163,11 +163,15 @@ type Config struct {
 // configurations use 2-16 ways.)
 const MaxCacheWays = 127
 
-// MaxUnits bounds the machine size, MeshX*MeshY*UnitsPerStack. The NoC
-// latency and energy tables and the scheduler's per-origin load deltas
-// grow with units squared, so an unbounded mesh from a request or a spec
-// could ask for gigabytes; the largest shape the repository runs is 8x8
-// stacks of 8 units (512).
+// MaxPrefetchBufBytes bounds Config.PrefetchBufBytes at 16x Table 1's 4 kB.
+// Every L1 miss scans the resident lines of the unit's prefetch buffer, so
+// its size sets the cost of the miss path as well as the per-unit memory.
+const MaxPrefetchBufBytes = 64 << 10
+
+// MaxUnits bounds the machine size, MeshX*MeshY*UnitsPerStack. The
+// scheduler's per-origin load deltas grow with units squared, so an
+// unbounded mesh from a request or a spec could ask for gigabytes; the
+// largest shape the repository runs is 8x8 stacks of 8 units (512).
 const MaxUnits = 1024
 
 // Default returns the Table 1 configuration.
@@ -280,6 +284,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: L1DWays = %d out of [1,%d]", c.L1DWays, MaxCacheWays)
 	case c.L1DBytes < mem.LineSize:
 		return fmt.Errorf("config: L1DBytes = %d is less than one %d-byte line", c.L1DBytes, mem.LineSize)
+	case c.PrefetchBufBytes < mem.LineSize || c.PrefetchBufBytes > MaxPrefetchBufBytes:
+		return fmt.Errorf("config: PrefetchBufBytes = %d out of [%d,%d]",
+			c.PrefetchBufBytes, mem.LineSize, MaxPrefetchBufBytes)
 	case c.CampCount < 1:
 		return fmt.Errorf("config: CampCount = %d must be >= 1", c.CampCount)
 	case c.BypassProb < 0 || c.BypassProb >= 1 || math.IsNaN(c.BypassProb):

@@ -81,6 +81,13 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		mod(func(c *Config) { c.L1DBytes = -1 }),
 		mod(func(c *Config) { c.L1DBytes = 0 }),
 		mod(func(c *Config) { c.L1DBytes = mem.LineSize - 1 }),
+		// Prefetch buffer: below one line it silently became a one-line
+		// buffer, and every L1 miss scans it.
+		mod(func(c *Config) { c.PrefetchBufBytes = 0 }),
+		mod(func(c *Config) { c.PrefetchBufBytes = -1 }),
+		mod(func(c *Config) { c.PrefetchBufBytes = mem.LineSize - 1 }),
+		mod(func(c *Config) { c.PrefetchBufBytes = MaxPrefetchBufBytes + 1 }),
+		mod(func(c *Config) { c.PrefetchBufBytes = math.MaxInt }),
 		// The C+1 groups must tile the mesh: topology.New panicked on
 		// these instead of the run failing with an error.
 		mod(func(c *Config) { c.CampCount = 2 }),
@@ -88,7 +95,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		mod(func(c *Config) { c.MeshX, c.MeshY = 3, 3 }),
 		mod(func(c *Config) { c.MeshX, c.MeshY, c.CampCount = 2, 2, 7 }),
 		mod(func(c *Config) { c.CampCount = math.MaxInt }),
-		// Machine size: every NoC table grows with units squared.
+		// Machine size: the scheduler's load deltas grow with units squared.
 		mod(func(c *Config) { c.MeshX, c.MeshY = 64, 64 }),
 		mod(func(c *Config) { c.MeshX, c.MeshY = 16, 16 }),
 		mod(func(c *Config) { c.UnitsPerStack = MaxUnits/16 + 1 }),
@@ -102,14 +109,17 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 			t.Fatalf("case %d: Validate() accepted invalid config", i)
 		}
 	}
-	// The edges of the L1 ranges stay valid: one line, one way, and the
-	// widest associativity.
+	// The edges of the L1 and prefetch-buffer ranges stay valid: one line,
+	// one way, the widest associativity, and the largest buffer.
 	for _, c := range []Config{
 		mod(func(c *Config) { c.L1DBytes = mem.LineSize; c.L1DWays = 1 }),
 		mod(func(c *Config) { c.L1DWays = MaxCacheWays }),
+		mod(func(c *Config) { c.PrefetchBufBytes = mem.LineSize }),
+		mod(func(c *Config) { c.PrefetchBufBytes = MaxPrefetchBufBytes }),
 	} {
 		if err := c.Validate(); err != nil {
-			t.Fatalf("L1 %d B x %d ways rejected: %v", c.L1DBytes, c.L1DWays, err)
+			t.Fatalf("L1 %d B x %d ways, prefetch buffer %d B rejected: %v",
+				c.L1DBytes, c.L1DWays, c.PrefetchBufBytes, err)
 		}
 	}
 	// The topology edges stay valid: one group per stack, the largest

@@ -30,9 +30,9 @@ type CostModel struct {
 	// valid — a dead unit's memory stack still serves its channel.
 	dead []bool
 
-	// stackLat[t*stacks+s] is the latency from a unit in stack s to a
-	// different unit in stack t: between distinct units, noc latency
-	// depends only on their stacks. MemCostVecInto reads one row per data
+	// stackLat is noc's stack-pair latency table: stackLat[t*stacks+s] is
+	// the latency between a unit in stack t and a different unit in stack
+	// s (the table is symmetric). MemCostVecInto reads one row per data
 	// location instead of one entry per unit.
 	stackLat []int64
 	stacks   int
@@ -48,26 +48,15 @@ func (c *CostModel) SetDeadMask(dead []bool) { c.dead = dead }
 // the policy knows it — design O) or only at homes (B, Sm, Sl, Sh).
 func NewCostModel(n *noc.Model, camps *CampMap, campAware bool) *CostModel {
 	topo := n.Topology()
-	c := &CostModel{
+	return &CostModel{
 		noc:         n,
 		camps:       camps,
 		campAware:   campAware,
 		campPenalty: n.InterHopCycles() / 2,
+		stackLat:    n.StackLatencies(),
 		stacks:      topo.Stacks(),
 		perStack:    topo.Config().UnitsPerStack,
 	}
-	c.stackLat = make([]int64, c.stacks*c.stacks)
-	for t := 0; t < c.stacks; t++ {
-		to := topology.UnitID(t * c.perStack)
-		for s := 0; s < c.stacks; s++ {
-			from := topology.UnitID(s * c.perStack)
-			if s == t && c.perStack > 1 {
-				from++ // a different unit of the same stack
-			}
-			c.stackLat[t*c.stacks+s] = n.Latency(from, to)
-		}
-	}
-	return c
 }
 
 // CampAware reports whether camp locations participate in costmem.

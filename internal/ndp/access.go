@@ -118,7 +118,6 @@ func (s *System) fetchLine(u topology.UnitID, l mem.Line, now int64) int64 {
 		s.sramTouch(u)
 		return now + s.sramHitCycles
 	}
-	st.L1Misses++
 
 	if ready, ok := un.pfbuf.Lookup(l); ok {
 		st.PFHits++
@@ -129,6 +128,7 @@ func (s *System) fetchLine(u topology.UnitID, l mem.Line, now int64) int64 {
 		return ready + s.sramHitCycles
 	}
 
+	st.L1Misses++
 	finish := s.transfer(u, l, now)
 	un.pfbuf.Insert(l, finish)
 	un.l1.Access(l)

@@ -94,10 +94,18 @@ func TestFetchLinePrefetchBufferReuse(t *testing.T) {
 	// only. Directly exercise the pfbuf path by invalidating L1.
 	l := lineHomedOn(s, 20)
 	s.fetchLine(from, l, 0)
+	if s.Stats.Units[from].L1Misses != 1 {
+		t.Fatalf("L1Misses = %d after the first fetch, want 1", s.Stats.Units[from].L1Misses)
+	}
 	s.units[from].l1.Invalidate()
 	finish := s.fetchLine(from, l, 10)
 	if s.Stats.Units[from].PFHits != 1 {
 		t.Fatalf("PFHits = %d, want 1", s.Stats.Units[from].PFHits)
+	}
+	// A buffer hit is an L1 miss the buffer served: L1Misses counts only
+	// the misses that transfer a line.
+	if s.Stats.Units[from].L1Misses != 1 {
+		t.Fatalf("L1Misses = %d after a buffer hit, want 1", s.Stats.Units[from].L1Misses)
 	}
 	// Reuse waits for the original transfer, never re-transfers.
 	if s.Stats.Units[20].DRAMReads != 1 {

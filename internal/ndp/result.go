@@ -45,9 +45,6 @@ func (s *System) finalize() *Result {
 		for ci, c := range s.units[i].cores {
 			st.ActiveCycles[ci] = c.activeCycles
 		}
-		if h, m := s.units[i].l1.Stats(); true {
-			st.L1Hits, st.L1Misses = h, m
-		}
 		if c := s.units[i].cache; c != nil {
 			st.CacheHits, st.CacheMisses, st.CacheInserts, st.CacheBypasses, st.CacheDeadProbes = c.Stats()
 		}

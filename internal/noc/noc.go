@@ -22,42 +22,53 @@ const (
 // Model computes latency, hop counts, and energy for unit-to-unit messages.
 type Model struct {
 	topo        *topology.Topology
-	units       int
+	stacks      int
 	intraCycles int64
 	interCycles int64 // per mesh hop
 	intraPJBit  float64
 	interPJBit  float64 // per mesh hop
-	// latTable is the precomputed unit-to-unit one-way latency, flattened
-	// [from*units + to]. Task scoring evaluates it units x lines x camps
-	// times per task, so it must be a single indexed load.
-	latTable []int32
-	// pjTable is the per-bit energy factor of each unit pair, same layout.
-	// Energy is charged on every message, so the topology walk (same-stack
-	// test, Manhattan hops) is paid once here instead of per message. The
-	// factor is the exact parenthesized subexpression the direct formula
-	// multiplies by bits, so table lookups are bit-identical to it.
-	pjTable []float64
+	// stackLat and stackPJ are the one-way latency and the per-bit energy
+	// factor of a message between two distinct units, flattened
+	// [stack(from)*stacks + stack(to)]. Between distinct units both depend
+	// only on the two stacks, so each entry is the latency or pjPerBit
+	// formula evaluated on one pair of distinct units of its stacks, and a
+	// lookup is bit-identical to the formula. A message to self costs
+	// nothing and reads neither table; a stack of one unit has no distinct
+	// pair, and its diagonal entries hold that self cost, zero.
+	stackLat []int64
+	stackPJ  []float64
 }
 
 // New builds the interconnect model for a topology and configuration.
 func New(topo *topology.Topology, cfg *config.Config) *Model {
 	m := &Model{
 		topo:        topo,
-		units:       topo.Units(),
+		stacks:      topo.Stacks(),
 		intraCycles: cfg.Cycles(cfg.IntraHopNS),
 		interCycles: cfg.Cycles(cfg.InterHopNS),
 		intraPJBit:  cfg.IntraPJPerBit,
 		interPJBit:  cfg.InterPJPerBit,
 	}
-	m.latTable = make([]int32, m.units*m.units)
-	m.pjTable = make([]float64, m.units*m.units)
-	for a := 0; a < m.units; a++ {
-		for b := 0; b < m.units; b++ {
-			m.latTable[a*m.units+b] = int32(m.latency(topology.UnitID(a), topology.UnitID(b)))
-			m.pjTable[a*m.units+b] = m.pjPerBit(topology.UnitID(a), topology.UnitID(b))
+	per := topo.Config().UnitsPerStack
+	m.stackLat = make([]int64, m.stacks*m.stacks)
+	m.stackPJ = make([]float64, m.stacks*m.stacks)
+	for a := 0; a < m.stacks; a++ {
+		for b := 0; b < m.stacks; b++ {
+			// Units are numbered consecutively within each stack.
+			from, to := topology.UnitID(a*per), topology.UnitID(b*per)
+			if a == b && per > 1 {
+				to++ // a different unit of the same stack
+			}
+			m.stackLat[a*m.stacks+b] = m.latency(from, to)
+			m.stackPJ[a*m.stacks+b] = m.pjPerBit(from, to)
 		}
 	}
 	return m
+}
+
+// pair returns the stack-table index of a message from one unit to another.
+func (m *Model) pair(from, to topology.UnitID) int {
+	return int(m.topo.StackOf(from))*m.stacks + int(m.topo.StackOf(to))
 }
 
 // Hops returns the inter-stack mesh hops between the stacks of two units —
@@ -70,7 +81,10 @@ func (m *Model) Hops(from, to topology.UnitID) int {
 // to; one crossbar traversal within a stack; crossbar at each end plus mesh
 // hops across stacks.
 func (m *Model) Latency(from, to topology.UnitID) int64 {
-	return int64(m.latTable[int(from)*m.units+int(to)])
+	if from == to {
+		return 0
+	}
+	return m.stackLat[m.pair(from, to)]
 }
 
 func (m *Model) latency(from, to topology.UnitID) int64 {
@@ -84,10 +98,24 @@ func (m *Model) latency(from, to topology.UnitID) int64 {
 	return 2*m.intraCycles + hops*m.interCycles
 }
 
+// StackLatencies returns the stack-pair latency table, flattened
+// [a*Stacks()+b]: the one-way latency between two distinct units in stacks
+// a and b. The table is symmetric. The slice is shared and must not be
+// modified.
+func (m *Model) StackLatencies() []int64 { return m.stackLat }
+
 // Energy returns the energy in picojoules of moving a message of the given
 // size from one unit to another.
 func (m *Model) Energy(from, to topology.UnitID, bytes int) float64 {
-	return float64(bytes*8) * m.pjTable[int(from)*m.units+int(to)]
+	return float64(bytes*8) * m.pj(from, to)
+}
+
+// pj is the tabled per-bit energy factor of a message, zero to self.
+func (m *Model) pj(from, to topology.UnitID) float64 {
+	if from == to {
+		return 0
+	}
+	return m.stackPJ[m.pair(from, to)]
 }
 
 // pjPerBit is the per-bit energy factor Energy multiplies by the message's
@@ -104,25 +132,28 @@ func (m *Model) pjPerBit(from, to topology.UnitID) float64 {
 	return 2*m.intraPJBit + hops*m.interPJBit
 }
 
-// AuditTable evaluates the structural invariants of the precomputed
-// latency table: every entry survived the int32 narrowing in New (a huge
-// mesh with slow hops would silently truncate), the table is symmetric (a
-// message costs the same in both directions on an X-Y-routed mesh), the
-// diagonal is zero, and every cross-stack latency is bounded below by its
-// mesh hops. The model is immutable after New, so one pass when the
-// checker is installed audits every lookup the run will make.
+// AuditTable evaluates the structural invariants of the stack-pair tables
+// over every unit pair: each latency and energy lookup equals its formula
+// recomputed from the topology (the tables hold one pair of units per
+// stack pair, so this checks that the cost of every other pair is the
+// same), latency is symmetric (a message costs the same in both directions
+// on an X-Y-routed mesh), the diagonal is zero, and every cross-stack
+// latency is bounded below by its mesh hops. The model is immutable after
+// New, so one pass when the checker is installed audits every lookup the
+// run will make.
 func (m *Model) AuditTable(c *check.Checker) {
 	c.Tick()
-	for a := 0; a < m.units; a++ {
-		for b := 0; b < m.units; b++ {
-			got := int64(m.latTable[a*m.units+b])
+	units := m.topo.Units()
+	for a := 0; a < units; a++ {
+		for b := 0; b < units; b++ {
 			ua, ub := topology.UnitID(a), topology.UnitID(b)
+			got := m.Latency(ua, ub)
 			if want := m.latency(ua, ub); got != want {
 				c.Violationf("noc.lattable", -1,
-					"latency table [%d->%d] = %d, recomputed %d (int32 truncation?)", a, b, got, want)
+					"latency table [%d->%d] = %d, recomputed %d", a, b, got, want)
 				return
 			}
-			if back := int64(m.latTable[b*m.units+a]); got != back {
+			if back := m.Latency(ub, ua); got != back {
 				c.Violationf("noc.symmetry", -1,
 					"latency %d->%d = %d but %d->%d = %d", a, b, got, b, a, back)
 				return
@@ -136,7 +167,7 @@ func (m *Model) AuditTable(c *check.Checker) {
 					"latency %d->%d = %d below its %d mesh-hop floor %d", a, b, got, m.Hops(ua, ub), floor)
 				return
 			}
-			if e := m.pjTable[a*m.units+b]; e != m.pjPerBit(ua, ub) {
+			if e := m.pj(ua, ub); e != m.pjPerBit(ua, ub) {
 				c.Violationf("noc.pjtable", -1,
 					"energy table [%d->%d] = %g, recomputed %g", a, b, e, m.pjPerBit(ua, ub))
 				return

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"testing"
 
 	"abndp/internal/check"
@@ -117,16 +118,60 @@ func TestNocAuditTableClean(t *testing.T) {
 	}
 }
 
-// ...and a corrupted entry (the int32-truncation failure mode) is caught.
+// ...and a corrupted entry in either stack table is caught by its rule.
 func TestNocAuditTableDetectsCorruption(t *testing.T) {
-	m := newModel()
-	m.latTable[1] -= 1 // unit 0 -> 1, off by one cycle
-	c := check.New()
-	m.AuditTable(c)
-	if c.Ok() {
-		t.Fatal("audit missed the corrupted latency entry")
+	for _, tc := range []struct {
+		rule    string
+		corrupt func(m *Model)
+	}{
+		// stack 0 -> stack 1, off by one cycle
+		{"noc.lattable", func(m *Model) { m.stackLat[1]-- }},
+		{"noc.pjtable", func(m *Model) { m.stackPJ[1] *= 1.5 }},
+	} {
+		m := newModel()
+		tc.corrupt(m)
+		c := check.New()
+		m.AuditTable(c)
+		if c.Ok() {
+			t.Fatalf("audit missed the corrupted %s entry", tc.rule)
+		}
+		if vs := c.Violations(); vs[0].Rule != tc.rule {
+			t.Fatalf("corrupted %s entry: unexpected rule: %v", tc.rule, vs)
+		}
 	}
-	if vs := c.Violations(); vs[0].Rule != "noc.lattable" {
-		t.Fatalf("unexpected rule: %v", vs)
+}
+
+// The stack-pair tables must reproduce the latency and energy formulas bit
+// for bit on every unit pair, including the same-stack pairs the tables
+// hold one representative of, on meshes with one, two and eight units per
+// stack, with and without the torus.
+func TestNocTablesMatchFormulas(t *testing.T) {
+	for _, mesh := range []int{2, 3, 4, 8} {
+		for _, per := range []int{1, 2, 8} {
+			for _, torus := range []bool{false, true} {
+				cfg := config.Default()
+				topo := topology.New(topology.Config{
+					MeshX: mesh, MeshY: mesh, UnitsPerStack: per, Groups: 1, Torus: torus,
+				})
+				m := New(topo, &cfg)
+				n := topology.UnitID(topo.Units())
+				for a := topology.UnitID(0); a < n; a++ {
+					for b := topology.UnitID(0); b < n; b++ {
+						if got, want := m.Latency(a, b), m.latency(a, b); got != want {
+							t.Fatalf("mesh %d, %d/stack, torus %v: Latency(%d, %d) = %d, formula %d",
+								mesh, per, torus, a, b, got, want)
+						}
+						for _, bytes := range []int{CtrlBytes, DataBytes} {
+							got := m.Energy(a, b, bytes)
+							want := float64(bytes*8) * m.pjPerBit(a, b)
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("mesh %d, %d/stack, torus %v: Energy(%d, %d, %d) = %v, formula %v",
+									mesh, per, torus, a, b, bytes, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -25,7 +25,8 @@ type Unit struct {
 
 	CacheHits, CacheMisses, CacheInserts, CacheBypasses int64
 	CacheDeadProbes                                     int64 // probes after the cache was disabled by a fault
-	L1Hits, L1Misses                                    int64
+	L1Hits                                              int64
+	L1Misses                                            int64 // L1 misses the prefetch buffer did not serve: one transfer each
 	PFHits                                              int64 // prefetch-buffer reuse hits
 
 	TasksStolenIn, TasksStolenOut int64

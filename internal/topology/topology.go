@@ -40,6 +40,7 @@ type Topology struct {
 	stacks     int
 	units      int
 	perGroup   int        // units per group
+	unitStack  []StackID  // unit -> stack
 	stackCoord [][2]int   // stack -> (x, y) mesh coordinate
 	stackAt    []StackID  // y*MeshX + x -> stack
 	hops       [][]int    // [stackA][stackB] Manhattan distance
@@ -68,6 +69,10 @@ func New(cfg Config) *Topology {
 	}
 	t.units = t.stacks * cfg.UnitsPerStack
 	t.perGroup = t.units / cfg.Groups
+	t.unitStack = make([]StackID, t.units)
+	for u := range t.unitStack {
+		t.unitStack[u] = StackID(u / cfg.UnitsPerStack)
+	}
 
 	// Enumerate stacks group-tile by group-tile (row-major over tiles,
 	// row-major within each tile) so that consecutive stack IDs stay in
@@ -173,10 +178,10 @@ func (t *Topology) UnitsPerGroup() int { return t.perGroup }
 // Diameter returns the maximum inter-stack hop distance in the mesh.
 func (t *Topology) Diameter() int { return t.diameter }
 
-// StackOf returns the stack containing unit u.
-func (t *Topology) StackOf(u UnitID) StackID {
-	return StackID(int(u) / t.cfg.UnitsPerStack)
-}
+// StackOf returns the stack containing unit u. Units are numbered
+// consecutively within each stack; the table makes every per-message stack
+// lookup a load instead of a division.
+func (t *Topology) StackOf(u UnitID) StackID { return t.unitStack[u] }
 
 // GroupOf returns the localized group containing unit u.
 func (t *Topology) GroupOf(u UnitID) int { return int(u) / t.perGroup }
