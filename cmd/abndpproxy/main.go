@@ -1,27 +1,25 @@
 // Command abndpproxy is the serving-fleet coordinator: a reverse proxy
 // that fronts N abndpserve backends behind the same HTTP/JSON API one
 // backend exposes. Submissions are routed by consistent hash on the
-// canonical request key (so dedup works fleet-wide), overridden by
-// per-backend health probes, a circuit breaker, and observed load;
-// mid-flight failures re-dispatch to the next healthy backend with
-// jittered backoff, and re-dispatched results are cross-checked against
-// the dead owner's result_hash.
+// canonical request key (so dedup works fleet-wide), skipping backends
+// that health probes or a circuit breaker mark unhealthy or that are
+// draining; mid-flight failures re-dispatch to the next healthy backend
+// with jittered backoff, and re-dispatched results are cross-checked
+// against the dead owner's result_hash. A job whose second owner dies
+// with it is failed as poisoned instead of being dispatched again.
 //
 // Completed results are additionally memoized in a fleet-wide shared
 // result store: after a failover (or a resubmission whose terminal job
 // aged out), the proxy answers from the store — hash-verified — and
 // replicates the memo to a live backend via POST /v1/runs/{id}/adopt
-// instead of recomputing. When a probe observes a backend draining, the
-// proxy proactively migrates that backend's still-queued jobs to the
-// rest of the fleet.
+// instead of recomputing. A draining backend finishes its queued jobs
+// itself; the proxy only stops routing new work to it.
 //
 // Usage:
 //
 //	abndpproxy -backends http://127.0.0.1:8081,http://127.0.0.1:8082
 //	abndpproxy -addr :8080 -backends ... -attempts 4
-//	abndpproxy -hedge 2s                  # hedge long ?wait polls
 //	abndpproxy -store-size 4096           # shared result store capacity
-//	abndpproxy -migrate=false             # disable drain-time migration
 //	abndpproxy -log text                  # human-readable logs
 //
 // Quick start (docs/SERVING.md, "Serving fleets"):
@@ -59,10 +57,8 @@ func main() {
 		probeIv  = flag.Duration("probe", 500*time.Millisecond, "readiness-probe interval")
 		failThr  = flag.Int("failthreshold", 3, "consecutive failures that open a backend's circuit breaker")
 		halfOpen = flag.Duration("halfopen", 3*time.Second, "open-breaker cool-down before the half-open recovery trial")
-		hedge    = flag.Duration("hedge", 0, "race a long ?wait poll against a second completed-result holder after this delay (0 disables)")
 		storeSz  = flag.Int("store-size", 1024, "shared result store capacity in completed results (0 disables)")
 		jobCap   = flag.Int("job-cap", 1024, "terminal fleet jobs retained before LRU eviction (0 disables the cap)")
-		migrate  = flag.Bool("migrate", true, "re-dispatch a draining backend's queued jobs to the rest of the fleet")
 		logFmt   = flag.String("log", "json", "structured log format on stderr: json or text")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	)
@@ -92,17 +88,15 @@ func main() {
 		jobs = -1
 	}
 	coord, err := fleet.New(fleet.Config{
-		Backends:         urls,
-		ProbeInterval:    *probeIv,
-		FailThreshold:    *failThr,
-		HalfOpenAfter:    *halfOpen,
-		MaxAttempts:      *attempts,
-		AttemptTimeout:   *attemptT,
-		HedgeDelay:       *hedge,
-		StoreSize:        storeSize,
-		JobCap:           jobs,
-		DisableMigration: !*migrate,
-		Logger:           logger,
+		Backends:       urls,
+		ProbeInterval:  *probeIv,
+		FailThreshold:  *failThr,
+		HalfOpenAfter:  *halfOpen,
+		MaxAttempts:    *attempts,
+		AttemptTimeout: *attemptT,
+		StoreSize:      storeSize,
+		JobCap:         jobs,
+		Logger:         logger,
 	})
 	if err != nil {
 		fatal(err)
@@ -115,8 +109,7 @@ func main() {
 	}
 	httpSrv := &http.Server{Handler: coord.Handler()}
 	logger.Info("proxying", "addr", ln.Addr().String(), "backends", urls,
-		"attempts", *attempts, "hedge", hedge.String(),
-		"store_size", storeSize, "job_cap", jobs, "migrate", *migrate)
+		"attempts", *attempts, "store_size", storeSize, "job_cap", jobs)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

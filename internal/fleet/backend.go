@@ -25,8 +25,8 @@ const (
 )
 
 // Backend is one abndpserve process the coordinator routes to. Identity
-// (URL) is fixed at construction; everything observed — readiness, load
-// factors, breaker state — is refreshed by probes and request outcomes.
+// (URL) is fixed at construction; everything observed — readiness, queue
+// geometry, breaker state — is refreshed by probes and request outcomes.
 type Backend struct {
 	// URL is the backend's base URL, its stable identity on the ring.
 	URL string
@@ -41,10 +41,10 @@ type Backend struct {
 	openedAt time.Time
 	ready    bool // last probe: pool up, not draining
 	draining bool // last probe: 503 draining (alive, but finishing out)
-	probed   bool // at least one conclusive probe answered
 	lastErr  string
 
-	// Load factors from the last successful /readyz probe.
+	// Queue geometry from the last successful /readyz probe, reported in
+	// the proxy's /healthz (not used for routing).
 	queueDepth, queueCap, workers int
 	meanRunSeconds                float64
 	completed                     int64
@@ -119,31 +119,10 @@ func (b *Backend) OK() {
 	b.state = BreakerClosed
 }
 
-// ExpectedWait estimates the queueing delay a new job would see: the
-// queued backlog (plus itself) served at the observed per-worker rate.
-// Zero until the backend has completed a run (no rate observation).
-func (b *Backend) ExpectedWait() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	w := b.workers
-	if w < 1 {
-		w = 1
-	}
-	return b.meanRunSeconds * float64(b.queueDepth+1) / float64(w)
-}
-
-// Saturated reports a full (or unprobed-capacity) queue — routed work
-// would bounce with 429, so prefer a sibling when one has room.
-func (b *Backend) Saturated() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.queueCap > 0 && b.queueDepth >= b.queueCap
-}
-
 // Probe performs one readiness probe against /readyz and feeds the result
-// into the breaker and load factors. A 503 "draining" answer is a live
-// process refusing new work: it clears the failure count (the process
-// answers) but marks the backend unroutable.
+// into the breaker and the /healthz queue fields. A 503 "draining" answer
+// is a live process refusing new work: it clears the failure count (the
+// process answers) but marks the backend unroutable.
 func (b *Backend) Probe(ctx context.Context, hc *http.Client) error {
 	fleetProbes.Add(1)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/readyz", nil)
@@ -174,7 +153,6 @@ func (b *Backend) Probe(ctx context.Context, hc *http.Client) error {
 
 	b.OK() // the process answered conclusively — liveness is not in doubt
 	b.mu.Lock()
-	b.probed = true
 	b.ready = rd.Status == "ready"
 	b.draining = rd.Status == "draining"
 	if rd.BackendID != "" {

@@ -4,33 +4,31 @@
 // engine — crashed, hung, and draining backends.
 //
 // The design dogfoods the paper's thesis. ABNDP routes a task to the unit
-// whose caches are warm for its data unless the load-imbalance cost
-// outweighs the locality win; the fleet routes a submission to the
-// backend whose memo and checkpoint caches are warm for its canonical
-// key unless that backend's observed load (or health) says otherwise:
+// whose caches are warm for its data; the fleet routes a submission to
+// the backend whose memo and checkpoint caches are warm for its canonical
+// key unless that backend's health says otherwise:
 //
 //   - consistent-hash routing on serve.RouteKey — identical submissions
 //     from different clients land on one backend and join one job, so
 //     dedup works fleet-wide, not just per-process;
-//   - multi-factor overrides in the TiProxy style: per-backend readiness
-//     probes (/readyz), a consecutive-failure circuit breaker with
-//     half-open recovery, observed queue depth and service rate, and
-//     drain detection — a sick backend is routed around before it times
-//     out;
+//   - admission in the TiProxy style: per-backend readiness probes
+//     (/readyz), a consecutive-failure circuit breaker with half-open
+//     recovery, and drain detection — a sick backend is routed around
+//     before it times out;
 //   - failure handling: submissions that fail mid-flight (connection
-//     refused, 5xx, per-attempt deadline) re-dispatch to the next healthy
-//     ring successor with capped exponential backoff plus jitter
-//     (client.Backoff), honoring 429/503 Retry-After; jobs whose owner
-//     dies mid-run re-dispatch transparently during the client's poll;
+//     refused, 5xx, per-attempt deadline) or are rejected (429/503) move
+//     to the next ring successor, and whole rounds retry with capped
+//     exponential backoff plus jitter (client.Backoff), honoring
+//     Retry-After; jobs whose owner dies mid-run re-dispatch transparently
+//     during the client's poll, at most until a second owner has died
+//     with the job (then it is poisoned: failed, never dispatched again);
 //   - integrity: when a job is re-dispatched after a backend death, the
 //     proxy cross-checks the new result_hash against any hash the dead
 //     owner already reported — the engine's FNV-1a determinism hash
-//     doubles as a fleet-level integrity check;
-//   - hedged reads: a long-tail ?wait poll optionally races a second
-//     backend known to hold the same completed result.
+//     doubles as a fleet-level integrity check.
 //
-// See docs/SERVING.md ("Serving fleets") for the topology, routing
-// factors, and failure matrix.
+// See docs/SERVING.md ("Serving fleets") for the topology, admission
+// checks, and failure matrix.
 package fleet
 
 import (
@@ -76,38 +74,18 @@ type Config struct {
 	// client.Backoff's defaults. Server Retry-After hints floor the delay.
 	Retry client.Backoff
 
-	// BalanceRatio and BalanceSlack tune the load override: the key's
-	// ring owner is skipped for the least-loaded admissible backend when
-	// owner.ExpectedWait > BalanceRatio·best.ExpectedWait + BalanceSlack
-	// seconds (defaults 4 and 1). The slack keeps sub-second imbalances
-	// from defeating cache affinity — the same remote-cost-vs-balance
-	// tradeoff the paper's hybrid scheduler makes, applied to serving.
-	BalanceRatio float64
-	BalanceSlack float64
-
-	// HedgeDelay, when positive, races a ?wait poll against a second
-	// backend known to hold the same completed result once the primary
-	// has been silent this long. Zero disables hedging.
-	HedgeDelay time.Duration
-
 	// StoreSize bounds the shared result store — completed results kept
 	// proxy-side by route key so a warm result anywhere in the fleet
 	// serves failovers and re-submissions with zero recomputation.
 	// 0 means the default 1024; negative disables the store.
 	StoreSize int
 
-	// JobCap bounds the terminal fleet jobs (and their holder records)
-	// the proxy retains for polling; beyond it the least recently touched
-	// terminal job is evicted (its result stays reachable through the
-	// result store by route key). In-flight jobs are never evicted.
+	// JobCap bounds the terminal fleet jobs the proxy retains for
+	// polling; beyond it the least recently touched terminal job is
+	// evicted (its result stays reachable through the result store by
+	// route key). In-flight jobs are never evicted.
 	// 0 means the default 1024; negative disables eviction.
 	JobCap int
-
-	// DisableMigration turns off proactive job migration: by default,
-	// when a probe observes a backend entering "draining", the proxy
-	// re-dispatches that backend's queued (not-yet-running) jobs to the
-	// ring's next-best backend instead of waiting for the process to die.
-	DisableMigration bool
 
 	// Logger receives routing and failover logs; nil discards them.
 	Logger *slog.Logger
@@ -132,12 +110,6 @@ func (c *Config) fillDefaults() {
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 15 * time.Second
 	}
-	if c.BalanceRatio <= 0 {
-		c.BalanceRatio = 4
-	}
-	if c.BalanceSlack <= 0 {
-		c.BalanceSlack = 1
-	}
 	if c.StoreSize == 0 {
 		c.StoreSize = 1024
 	}
@@ -154,16 +126,13 @@ var (
 	fleetDispatches     = obs.Published("fleet_dispatches_total")
 	fleetRetryRounds    = obs.Published("fleet_dispatch_retry_rounds_total")
 	fleetFailovers      = obs.Published("fleet_failovers_total")
-	fleetLoadReroutes   = obs.Published("fleet_load_reroutes_total")
+	fleetPoisoned       = obs.Published("fleet_jobs_poisoned_total")
 	fleetHashMismatches = obs.Published("fleet_hash_mismatches_total")
-	fleetHedgedReads    = obs.Published("fleet_hedged_reads_total")
-	fleetHedgeWins      = obs.Published("fleet_hedge_wins_total")
 	fleetBreakerOpens   = obs.Published("fleet_breaker_opens_total")
 	fleetProbes         = obs.Published("fleet_probes_total")
 	fleetProbeFailures  = obs.Published("fleet_probe_failures_total")
 	fleetStoreHits      = obs.Published("fleet_store_hits_total")
 	fleetStoreEvictions = obs.Published("fleet_store_evictions_total")
-	fleetMigrations     = obs.Published("fleet_migrations_total")
 	fleetAdoptions      = obs.Published("fleet_adoptions_total")
 	fleetJobEvictions   = obs.Published("fleet_job_evictions_total")
 )
@@ -184,27 +153,15 @@ type Coordinator struct {
 	store *resultStore // fleet-wide shared result store (nil-safe when disabled)
 
 	mu       sync.Mutex
-	jobs     map[string]*pjob // by fleet job ID
-	byKey    map[string]*pjob // fleet-wide dedup: route key -> job
-	holders  map[string]map[*Backend]holder
+	jobs     map[string]*pjob        // by fleet job ID
+	byKey    map[string]*pjob        // fleet-wide dedup: route key -> job
 	termLRU  *list.List              // terminal jobs, front = most recently touched
 	termElem map[*pjob]*list.Element // terminal job -> its LRU element
 	nextID   int64
 
-	closeCtx  context.Context // canceled by Close; bounds background migrations
 	probeStop context.CancelFunc
 	probeWG   sync.WaitGroup
-	bgWG      sync.WaitGroup // background migration sweeps
 	closeOnce sync.Once
-}
-
-// holder records one backend's copy of a job: the backend-local run ID
-// and, once terminal, the reported result hash. Holders power failover
-// (the proxy knows where else the key lives) and hedged reads.
-type holder struct {
-	runID string
-	done  bool
-	hash  string
 }
 
 // New builds a Coordinator, performs one synchronous probe round so
@@ -222,7 +179,6 @@ func New(cfg Config) (*Coordinator, error) {
 		log:      logger,
 		jobs:     make(map[string]*pjob),
 		byKey:    make(map[string]*pjob),
-		holders:  make(map[string]map[*Backend]holder),
 		termLRU:  list.New(),
 		termElem: make(map[*pjob]*list.Element),
 		store:    newResultStore(cfg.StoreSize),
@@ -239,7 +195,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c.ring = newRing(urls, cfg.Replicas)
 
 	ctx, stop := context.WithCancel(context.Background())
-	c.closeCtx = ctx
 	c.probeStop = stop
 	c.probeAll() // synchronous first round: route on real health from request one
 	c.probeWG.Add(1)
@@ -261,15 +216,14 @@ func (c *Coordinator) Handler() http.Handler { return c.mux }
 // Backends exposes the fleet's backend states (tests, health).
 func (c *Coordinator) Backends() []*Backend { return c.backends }
 
-// Close tears the coordinator down: it stops the background prober,
-// cancels and waits out in-flight migration sweeps, and closes the HTTP
-// clients' idle connections so their transport goroutines exit. A closed
-// coordinator leaks no goroutines (pinned by TestCloseStopsGoroutines).
+// Close tears the coordinator down: it stops the background prober and
+// closes the HTTP clients' idle connections so their transport goroutines
+// exit. A closed coordinator leaks no goroutines (pinned by
+// TestCloseStopsGoroutines).
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		c.probeStop()
 		c.probeWG.Wait()
-		c.bgWG.Wait()
 		c.hc.CloseIdleConnections()
 		c.probeHC.CloseIdleConnections()
 	})
@@ -307,68 +261,28 @@ func (c *Coordinator) probeAll() {
 					"state", after.State, "ready", after.Ready, "draining", after.Draining,
 					"err", errStr(err))
 			}
-			// Drain transition: migrate the backend's queued jobs off it
-			// proactively instead of waiting for the process to die. The
-			// sweep runs in the background (dispatch can back off and
-			// retry); Close waits it out.
-			if !c.cfg.DisableMigration && after.Draining && !before.Draining {
-				c.bgWG.Add(1)
-				go func() {
-					defer c.bgWG.Done()
-					c.migrateFrom(c.closeCtx, b)
-				}()
-			}
 		}(b)
 	}
 	wg.Wait()
 }
 
-// pick chooses the backend for key: the ring owner for cache affinity,
-// overridden by health (breaker, readiness, drain), saturation, and the
-// load-balance factor. exclude removes backends from consideration (e.g.
-// the owner that just died during failover). Returns nil when no backend
-// is admissible.
+// pick returns the first admitted backend (breaker, readiness, drain) in
+// key's ring order: the ring owner for cache affinity unless it is
+// unhealthy. exclude removes backends from consideration (e.g. the owner
+// that just died during failover). Returns nil when no backend is
+// admissible.
 func (c *Coordinator) pick(key string, exclude func(*Backend) bool) *Backend {
 	now := time.Now()
-	var admissible []*Backend // in ring order
 	for _, idx := range c.ring.order(key) {
 		b := c.backends[idx]
 		if exclude != nil && exclude(b) {
 			continue
 		}
-		if !b.Admitted(now) {
-			continue
-		}
-		admissible = append(admissible, b)
-	}
-	if len(admissible) == 0 {
-		return nil
-	}
-	// Prefer unsaturated backends; fall back to saturated ones only when
-	// every candidate is full (the backend's own 429 then sets the pace).
-	unsat := admissible[:0:0]
-	for _, b := range admissible {
-		if !b.Saturated() {
-			unsat = append(unsat, b)
+		if b.Admitted(now) {
+			return b
 		}
 	}
-	if len(unsat) > 0 {
-		admissible = unsat
-	}
-	primary, best := admissible[0], admissible[0]
-	bestWait := best.ExpectedWait()
-	for _, b := range admissible[1:] {
-		if w := b.ExpectedWait(); w < bestWait {
-			best, bestWait = b, w
-		}
-	}
-	if best != primary && primary.ExpectedWait() > c.cfg.BalanceRatio*bestWait+c.cfg.BalanceSlack {
-		fleetLoadReroutes.Add(1)
-		c.log.Info("load reroute", "key", key, "owner", primary.ID(), "to", best.ID(),
-			"owner_wait", primary.ExpectedWait(), "best_wait", bestWait)
-		return best
-	}
-	return primary
+	return nil
 }
 
 func errStr(err error) string {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -335,55 +336,202 @@ func TestFailoverHashMismatch(t *testing.T) {
 	}
 }
 
-// TestHedgedRead races a hung owner against a second backend that holds
-// the completed result: the hedge must win well before the owner's stall
-// ends, and the hedge counters must move.
-func TestHedgedRead(t *testing.T) {
-	stall := make(chan struct{})
-	defer close(stall)
-	owner := newStub(t, "slow")
-	owner.getFn = func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-stall:
-		case <-r.Context().Done():
-		}
-		_ = json.NewEncoder(w).Encode(serve.RunStatus{ID: "run-1", Status: serve.StateRunning})
-	}
-	alt := newStub(t, "holder")
-	alt.getFn = func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(serve.RunStatus{ID: "run-2", Status: serve.StateDone, ResultHash: "feed", Backend: "holder"})
-	}
-
-	cfg := fastCfg(owner.srv.URL, alt.srv.URL)
-	cfg.HedgeDelay = 30 * time.Millisecond
-	c, _ := newTestCoord(t, cfg)
-	var ob, ab *Backend
-	for _, b := range c.Backends() {
-		switch b.URL {
-		case owner.srv.URL:
-			ob = b
-		case alt.srv.URL:
-			ab = b
+// TestRejectionMovesToRingSuccessor: a submission its ring owner answers
+// with 429 lands on the ring successor in the same dispatch round — no
+// retry round, and no wait for the rejection's Retry-After.
+func TestRejectionMovesToRingSuccessor(t *testing.T) {
+	var submits atomic.Int32
+	var rejectedBy atomic.Value
+	b1, b2 := newStub(t, "b1"), newStub(t, "b2")
+	for _, s := range []*stubBackend{b1, b2} {
+		s.submitFn = func(n int32, w http.ResponseWriter, r *http.Request) {
+			if submits.Add(1) == 1 {
+				rejectedBy.Store(s.id)
+				w.Header().Set("Retry-After", "1")
+				w.WriteHeader(http.StatusTooManyRequests)
+				_, _ = w.Write([]byte(`{"error":"job queue full (8 pending); retry later"}`))
+				return
+			}
+			w.WriteHeader(http.StatusAccepted)
+			_ = json.NewEncoder(w).Encode(serve.RunStatus{ID: "run-000001", Status: serve.StateQueued, Backend: s.id})
 		}
 	}
-	j := newPJob("job-000001", "k", nil)
-	j.setOwner(ob, "run-1")
-	c.recordHolder("k", ab, "run-2", true, "feed")
 
-	wins := fleetHedgeWins.Value()
+	roundsBefore := fleetRetryRounds.Value()
+	_, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
 	start := time.Now()
-	st, err := c.pollOwner(context.Background(), j, ob, "run-1", 5*time.Second)
-	if err != nil {
-		t.Fatalf("pollOwner: %v", err)
+	st, resp := proxyPost(t, ts, `{"app":"pr","design":"O"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%s)", resp.StatusCode, st.Error)
 	}
-	if st.Status != serve.StateDone || st.ResultHash != "feed" {
-		t.Fatalf("hedged poll returned %+v, want the holder's done result", st)
+	if st.Backend == "" || st.Backend == rejectedBy.Load() {
+		t.Fatalf("job landed on %q; want the successor of %v, which answered 429", st.Backend, rejectedBy.Load())
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("hedge took %v; it should beat the hung owner by seconds", elapsed)
+	if b1.submits.Load() != 1 || b2.submits.Load() != 1 {
+		t.Fatalf("submits b1=%d b2=%d, want one each", b1.submits.Load(), b2.submits.Load())
 	}
-	if got := fleetHedgeWins.Value() - wins; got < 1 {
-		t.Fatalf("fleet_hedge_wins_total delta = %d, want >= 1", got)
+	if got := fleetRetryRounds.Value() - roundsBefore; got != 0 {
+		t.Fatalf("fleet_dispatch_retry_rounds_total delta = %d, want 0", got)
+	}
+	if elapsed := time.Since(start); elapsed >= time.Second {
+		t.Fatalf("dispatch took %v; the successor should answer without waiting out Retry-After", elapsed)
+	}
+}
+
+// TestClientHangupIsNotOwnerDeath: clients that hang up mid-?wait on a
+// healthy owner must not fail the job over. The owner keeps the job, sees
+// no second submit, and a later poll reports zero failovers. A dispatch
+// whose caller is gone fails no backend either.
+func TestClientHangupIsNotOwnerDeath(t *testing.T) {
+	owner := newStub(t, "owner")
+	owner.submitFn = func(n int32, w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		_ = json.NewEncoder(w).Encode(serve.RunStatus{ID: "run-000001", Status: serve.StateQueued, Backend: "owner"})
+	}
+	parked := make(chan struct{})
+	owner.getFn = func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("wait") != "" {
+			// A long-poll that outlasts the client: park until the proxy
+			// cancels the forwarded request.
+			select {
+			case parked <- struct{}{}:
+			case <-r.Context().Done():
+			}
+			<-r.Context().Done()
+			return
+		}
+		_ = json.NewEncoder(w).Encode(serve.RunStatus{ID: "run-000001", Status: serve.StateRunning, Backend: "owner"})
+	}
+
+	cfg := fastCfg(owner.srv.URL)
+	cfg.ProbeInterval = time.Hour // only forwarded requests move the breaker
+	c, _ := newTestCoord(t, cfg)
+	var handled atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer handled.Add(1)
+		c.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	failoversBefore := fleetFailovers.Value()
+	st, resp := proxyPost(t, ts, `{"app":"pr","design":"O"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%s)", resp.StatusCode, st.Error)
+	}
+	for i := 1; i <= 3; i++ {
+		waitFor(t, "the previous request to finish", func() bool { return handled.Load() == int32(i) })
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/runs/"+st.ID+"?wait=30s", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		select {
+		case <-parked:
+		case <-done:
+			cancel()
+			t.Fatalf("hang-up %d: the poll returned before reaching the owner", i)
+		case <-time.After(5 * time.Second):
+			cancel()
+			t.Fatalf("hang-up %d: the poll never reached the owner", i)
+		}
+		cancel()
+		<-done
+	}
+	waitFor(t, "the last hung-up poll to finish", func() bool { return handled.Load() == 4 })
+
+	if got := fleetFailovers.Value() - failoversBefore; got != 0 {
+		t.Errorf("fleet_failovers_total delta = %d after 3 hang-ups, want 0", got)
+	}
+	if got := owner.submits.Load(); got != 1 {
+		t.Errorf("owner saw %d submits, want 1", got)
+	}
+	final, resp := proxyGet(t, ts, st.ID, "")
+	if resp.StatusCode != http.StatusOK || final.Status != serve.StateRunning || final.Failovers != 0 {
+		t.Fatalf("final poll: status %d %+v, want running with 0 failovers", resp.StatusCode, final)
+	}
+
+	// A poll that re-dispatches a job runs dispatch on the poll's context;
+	// once that caller is gone, dispatch returns at once.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := c.dispatch(ctx, newPJob("job-gone", "k", nil), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dispatch for a gone caller: %v, want context.Canceled", err)
+	}
+	if h := c.Backends()[0].Health(); h.State != BreakerClosed || h.ConsecutiveFailures != 0 {
+		t.Fatalf("owner's breaker after hang-ups: %+v, want closed with no failures", h)
+	}
+}
+
+// TestFailoverBudgetPoisonsJob: a job whose owners keep dying is tried on
+// at most maxOwnerDeaths backends. After the second death (and a store
+// miss) it ends failed as poisoned, naming both backends, and later polls
+// return the same status without dispatching it again.
+func TestFailoverBudgetPoisonsJob(t *testing.T) {
+	b1, b2 := newStub(t, "b1"), newStub(t, "b2")
+	for _, s := range []*stubBackend{b1, b2} {
+		s.submitFn = func(n int32, w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusAccepted)
+			_ = json.NewEncoder(w).Encode(serve.RunStatus{ID: "run-000001", Status: serve.StateQueued, Backend: s.id})
+		}
+		s.getFn = func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "worker crashed", http.StatusInternalServerError)
+		}
+	}
+
+	poisonedBefore := fleetPoisoned.Value()
+	_, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
+	st, resp := proxyPost(t, ts, `{"app":"pr","design":"O"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%s)", resp.StatusCode, st.Error)
+	}
+	// Bounded: without a budget the poll re-dispatches until it gives up.
+	hc := &http.Client{Timeout: 10 * time.Second}
+	poll := func() *serve.RunStatus {
+		t.Helper()
+		resp, err := hc.Get(ts.URL + "/v1/runs/" + st.ID + "?wait=5s")
+		if err != nil {
+			t.Fatalf("poll: %v", err)
+		}
+		defer resp.Body.Close()
+		var out serve.RunStatus
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("poll: status %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("decode poll: %v", err)
+		}
+		return &out
+	}
+
+	first := poll()
+	if first.Status != serve.StateFailed || first.Failovers != 2 ||
+		!strings.Contains(first.Error, "poisoned") ||
+		!strings.Contains(first.Error, "b1") || !strings.Contains(first.Error, "b2") {
+		t.Fatalf("poll after two owner deaths: %+v, want failed/poisoned naming b1 and b2 after 2 failovers", first)
+	}
+	if got := b1.submits.Load() + b2.submits.Load(); got != 2 {
+		t.Fatalf("backends saw %d submits, want 2", got)
+	}
+	if got := fleetPoisoned.Value() - poisonedBefore; got != 1 {
+		t.Fatalf("fleet_jobs_poisoned_total delta = %d, want 1", got)
+	}
+
+	again := poll()
+	if again.Status != first.Status || again.Error != first.Error || again.Failovers != first.Failovers {
+		t.Fatalf("later poll %+v differs from the poisoned status %+v", again, first)
+	}
+	if got := b1.submits.Load() + b2.submits.Load(); got != 2 {
+		t.Fatalf("a later poll re-dispatched the poisoned job: %d submits, want 2", got)
+	}
+	if got := fleetPoisoned.Value() - poisonedBefore; got != 1 {
+		t.Fatalf("fleet_jobs_poisoned_total delta = %d after a later poll, want 1", got)
 	}
 }
 

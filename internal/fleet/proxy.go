@@ -9,11 +9,19 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"abndp/internal/serve"
 )
+
+// maxOwnerDeaths is the failover budget: once this many owners have died
+// holding a job and the result store has no answer for it, the job is
+// poisoned — ended failed and never dispatched again — so a request that
+// crashes its backend cannot walk the ring taking every backend down.
+const maxOwnerDeaths = 2
 
 // pjob is one fleet-tracked job: the canonical submission body (kept for
 // re-dispatch), the current owning backend, and the integrity record.
@@ -22,65 +30,74 @@ type pjob struct {
 	key  string // serve.RouteKey — fleet dedup identity
 	body []byte // canonical re-marshalled RunRequest, replayed on failover
 
-	muJ          chan struct{} // 1-buffered mutex token (select-able; see lock/unlock)
-	owner        *Backend
-	ownerRunID   string
-	failovers    int
-	lastHash     string // first result_hash seen; later completions must match
-	hashMismatch bool
-	submitted    time.Time
+	mu         sync.Mutex
+	owner      *Backend
+	ownerRunID string
+	dead       []string // IDs of the owners that died holding the job; len is its failover count
+	lastHash   string   // first result_hash seen; later completions must match
 }
 
 func newPJob(id, key string, body []byte) *pjob {
-	j := &pjob{id: id, key: key, body: body, muJ: make(chan struct{}, 1), submitted: time.Now()}
-	return j
+	return &pjob{id: id, key: key, body: body}
 }
 
-func (j *pjob) lock()   { j.muJ <- struct{}{} }
-func (j *pjob) unlock() { <-j.muJ }
-
 func (j *pjob) ownerInfo() (*Backend, string) {
-	j.lock()
-	defer j.unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	return j.owner, j.ownerRunID
 }
 
 func (j *pjob) setOwner(b *Backend, runID string) {
-	j.lock()
-	defer j.unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.owner, j.ownerRunID = b, runID
 }
 
 // dropOwner clears the owner if it is still dead — a concurrent poll may
-// already have re-dispatched. Reports whether this call did the clearing
-// (and so owns the failover accounting).
+// already have re-dispatched — and records the death. Reports whether
+// this call did the clearing (and so owns the failover accounting).
 func (j *pjob) dropOwner(dead *Backend) bool {
-	j.lock()
-	defer j.unlock()
+	id := dead.ID()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.owner != dead {
 		return false
 	}
 	j.owner, j.ownerRunID = nil, ""
-	j.failovers++
+	j.dead = append(j.dead, id)
 	return true
 }
 
+// poisoned returns j's terminal failed status once maxOwnerDeaths owners
+// have died holding it, nil while it has failover budget left. The status
+// is rebuilt from the death record, so every later poll sees the same one.
+func (j *pjob) poisoned() *serve.RunStatus {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if len(j.dead) < maxOwnerDeaths {
+		return nil
+	}
+	return &serve.RunStatus{Status: serve.StateFailed, Error: fmt.Sprintf(
+		"job poisoned: its owners %s died holding it; it will not be dispatched again",
+		strings.Join(j.dead, " and "))}
+}
+
 func (j *pjob) recordHash(hash string) {
-	j.lock()
-	defer j.unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.lastHash = hash
 }
 
 func (j *pjob) hashSnapshot() string {
-	j.lock()
-	defer j.unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	return j.lastHash
 }
 
 func (j *pjob) snapshotFailovers() int {
-	j.lock()
-	defer j.unlock()
-	return j.failovers
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.dead)
 }
 
 // errLostRun marks a live backend that no longer knows the run (it
@@ -189,9 +206,11 @@ func retryAfterOf(resp *http.Response) time.Duration {
 // failures and explicit rejections.
 
 // dispatch places j on a backend: ring-order candidates per round,
-// failures feed the breaker, explicit 429/503 rejections set the backoff
-// floor between rounds. exclude removes a just-died owner from the first
-// re-dispatch so failover cannot bounce straight back.
+// failures feed the breaker, explicit 429/503 rejections move on to the
+// next candidate and set the backoff floor between rounds. A caller that
+// hangs up ends it with ctx.Err() and feeds no breaker. exclude removes a
+// just-died owner from the first re-dispatch so failover cannot bounce
+// straight back.
 func (c *Coordinator) dispatch(ctx context.Context, j *pjob, exclude *Backend) (*Backend, *serve.RunStatus, error) {
 	var hint time.Duration
 	for round := 0; round < c.cfg.MaxAttempts; round++ {
@@ -211,6 +230,9 @@ func (c *Coordinator) dispatch(ctx context.Context, j *pjob, exclude *Backend) (
 			tried[b] = true
 			st, rej, err := c.forwardSubmit(ctx, b, j)
 			if err != nil {
+				if ctx.Err() != nil {
+					return nil, nil, ctx.Err() // the caller hung up; b did nothing wrong
+				}
 				var pe *proxyError
 				if errors.As(err, &pe) {
 					return nil, nil, err // client error: pass through, don't retry
@@ -230,7 +252,6 @@ func (c *Coordinator) dispatch(ctx context.Context, j *pjob, exclude *Backend) (
 			b.OK()
 			fleetDispatches.Add(1)
 			j.setOwner(b, st.ID)
-			c.recordHolder(j.key, b, st.ID, st.Status == serve.StateDone, st.ResultHash)
 			c.log.Info("dispatched", "job", j.id, "key", j.key, "backend", b.ID(),
 				"backend_run", st.ID, "dedup", st.Dedup)
 			return b, st, nil
@@ -253,7 +274,7 @@ func (c *Coordinator) dispatch(ctx context.Context, j *pjob, exclude *Backend) (
 
 // ---------------------------------------------------------------------------
 // Await: poll the owner to (or past) a wait budget, failing over when the
-// owner dies and hedging long tails against a second result holder.
+// owner dies.
 
 func isTerminal(status string) bool {
 	return status == serve.StateDone || status == serve.StateFailed
@@ -261,8 +282,9 @@ func isTerminal(status string) bool {
 
 // await returns j's status, long-polling up to wait. The loop re-dispatches
 // around dead owners — serving straight from the shared result store when
-// it already holds the key's completed result — and every terminal "done"
-// passes the hash cross-check.
+// it already holds the key's completed result, and giving up on a
+// poisoned job — and every terminal "done" passes the hash cross-check.
+// A caller that hangs up gets ctx.Err(): its owner is not failed over.
 func (c *Coordinator) await(ctx context.Context, j *pjob, wait time.Duration) (*serve.RunStatus, error) {
 	deadline := time.Now().Add(wait)
 	for {
@@ -270,6 +292,9 @@ func (c *Coordinator) await(ctx context.Context, j *pjob, wait time.Duration) (*
 		if owner == nil {
 			if st, err := c.serveFromStore(ctx, j, nil); err != nil || st != nil {
 				return st, err
+			}
+			if st := j.poisoned(); st != nil {
+				return st, nil
 			}
 			b, st, err := c.dispatch(ctx, j, nil)
 			if err != nil {
@@ -284,14 +309,14 @@ func (c *Coordinator) await(ctx context.Context, j *pjob, wait time.Duration) (*
 		if remaining < 0 {
 			remaining = 0
 		}
-		st, err := c.pollOwner(ctx, j, owner, runID, remaining)
+		st, err := c.forwardGet(ctx, owner, runID, remaining)
 		if err != nil {
-			fst, ferr := c.failover(ctx, j, owner, err)
-			if ferr != nil {
-				return nil, ferr
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
-			if fst != nil {
-				return fst, nil // answered from the result store
+			fst, ferr := c.failover(ctx, j, owner, err)
+			if fst != nil || ferr != nil {
+				return fst, ferr
 			}
 			continue
 		}
@@ -304,50 +329,12 @@ func (c *Coordinator) await(ctx context.Context, j *pjob, wait time.Duration) (*
 	}
 }
 
-// pollOwner forwards one poll to the owner, racing a hedged read against
-// an alternate completed-result holder when the owner is slow.
-func (c *Coordinator) pollOwner(ctx context.Context, j *pjob, owner *Backend, runID string, wait time.Duration) (*serve.RunStatus, error) {
-	alt, altRunID := c.altHolder(j.key, owner)
-	if c.cfg.HedgeDelay <= 0 || alt == nil || wait <= c.cfg.HedgeDelay {
-		return c.forwardGet(ctx, owner, runID, wait)
-	}
-
-	type res struct {
-		st  *serve.RunStatus
-		err error
-	}
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	primary := make(chan res, 1)
-	go func() {
-		st, err := c.forwardGet(pctx, owner, runID, wait)
-		primary <- res{st, err}
-	}()
-	hedge := time.NewTimer(c.cfg.HedgeDelay)
-	defer hedge.Stop()
-	select {
-	case r := <-primary:
-		return r.st, r.err
-	case <-hedge.C:
-		fleetHedgedReads.Add(1)
-		c.hedged.Add(1)
-		if st, err := c.forwardGet(ctx, alt, altRunID, 0); err == nil && isTerminal(st.Status) {
-			fleetHedgeWins.Add(1)
-			c.log.Info("hedged read won", "job", j.id, "owner", owner.ID(), "alt", alt.ID())
-			cancel() // release the primary poll
-			<-primary
-			return st, nil
-		}
-		r := <-primary
-		return r.st, r.err
-	}
-}
-
 // failover handles a dead or amnesiac owner: feed the breaker (unless the
 // backend merely lost the run), clear ownership, then answer from the
 // shared result store when it already holds the key's completed result —
-// zero recomputation — or re-dispatch elsewhere. A non-nil status means
-// the store answered and the caller is done.
+// zero recomputation — or else poison the job if its failover budget is
+// spent, or re-dispatch it elsewhere. A non-nil status is terminal and
+// the caller is done.
 func (c *Coordinator) failover(ctx context.Context, j *pjob, owner *Backend, cause error) (*serve.RunStatus, error) {
 	if !errors.Is(cause, errLostRun) {
 		owner.Fail(cause.Error())
@@ -361,8 +348,18 @@ func (c *Coordinator) failover(ctx context.Context, j *pjob, owner *Backend, cau
 	if st, err := c.serveFromStore(ctx, j, owner); err != nil || st != nil {
 		return st, err
 	}
-	if _, _, err := c.dispatch(ctx, j, owner); err != nil {
+	if st := j.poisoned(); st != nil {
+		fleetPoisoned.Add(1)
+		c.log.Error("job poisoned", "job", j.id, "key", j.key, "err", st.Error)
+		c.markTerminal(j)
+		return st, nil
+	}
+	b, st, err := c.dispatch(ctx, j, owner)
+	if err != nil {
 		return nil, err
+	}
+	if isTerminal(st.Status) {
+		return c.finish(j, b, st)
 	}
 	return nil, nil
 }
@@ -370,20 +367,15 @@ func (c *Coordinator) failover(ctx context.Context, j *pjob, owner *Backend, cau
 // serveFromStore answers j from the shared result store when it holds the
 // key's completed result: the warm memo that makes a failover or ring
 // rebalance free. The entry is hash-verified against the job's recorded
-// integrity hash and the holder records, then replicated to a live
-// backend (excluding a just-dead owner) through POST /v1/runs/{id}/adopt
-// so the new owner serves future polls itself. Returns (nil, nil) on a
-// store miss.
+// integrity hash, then replicated to a live backend (excluding a
+// just-dead owner) through POST /v1/runs/{id}/adopt so the new owner
+// serves future polls itself. Returns (nil, nil) on a store miss.
 func (c *Coordinator) serveFromStore(ctx context.Context, j *pjob, exclude *Backend) (*serve.RunStatus, error) {
 	st, hash, computedBy, ok := c.store.Get(j.key)
 	if !ok {
 		return nil, nil
 	}
-	recorded := j.hashSnapshot()
-	if recorded == "" {
-		recorded = c.holderHash(j.key)
-	}
-	if recorded != "" && recorded != hash {
+	if recorded := j.hashSnapshot(); recorded != "" && recorded != hash {
 		fleetHashMismatches.Add(1)
 		c.mismatchN.Add(1)
 		c.log.Error("fleet integrity violation (store)", "job", j.id, "key", j.key,
@@ -402,13 +394,12 @@ func (c *Coordinator) serveFromStore(ctx context.Context, j *pjob, exclude *Back
 		st.Backend = computedBy
 	}
 	// Re-warm the fleet: replicate the memo onto a live backend so it
-	// owns the key again (polls, hedges, and fleet-wide dedup all keep a
-	// live holder). Failure to adopt is not failure to answer — the
-	// store's copy is authoritative either way.
+	// owns the key again (polls and fleet-wide dedup keep a live owner).
+	// Failure to adopt is not failure to answer — the store's copy is
+	// authoritative either way.
 	if b := c.pick(j.key, func(x *Backend) bool { return x == exclude }); b != nil {
 		if runID, err := c.adopt(ctx, b, j, hash, st.Result); err == nil {
 			j.setOwner(b, runID)
-			c.recordHolder(j.key, b, runID, true, hash)
 			st.Backend = b.ID()
 			fleetAdoptions.Add(1)
 			c.adoptionsN.Add(1)
@@ -461,20 +452,19 @@ func (c *Coordinator) adopt(ctx context.Context, b *Backend, j *pjob, hash strin
 
 // finish applies the fleet integrity check to a terminal status: once any
 // backend has reported a result_hash for this job, every later completion
-// — a re-dispatch after a backend death, a hedged read, a dedup join —
-// must report the byte-identical hash. The engine's deterministic FNV-1a
-// result hash makes equality the correct invariant: same spec, same
-// hash, on any healthy backend.
+// — a re-dispatch after a backend death, a dedup join — must report the
+// byte-identical hash. The engine's deterministic FNV-1a result hash
+// makes equality the correct invariant: same spec, same hash, on any
+// healthy backend.
 func (c *Coordinator) finish(j *pjob, b *Backend, st *serve.RunStatus) (*serve.RunStatus, error) {
 	if st.Status != serve.StateDone {
 		c.markTerminal(j) // failed: terminal too, so it ages out of the maps
 		return st, nil
 	}
-	j.lock()
+	j.mu.Lock()
 	prev := j.lastHash
 	if prev != "" && st.ResultHash != prev {
-		j.hashMismatch = true
-		j.unlock()
+		j.mu.Unlock()
 		fleetHashMismatches.Add(1)
 		c.mismatchN.Add(1)
 		c.log.Error("fleet integrity violation", "job", j.id, "key", j.key,
@@ -486,8 +476,7 @@ func (c *Coordinator) finish(j *pjob, b *Backend, st *serve.RunStatus) (*serve.R
 		}
 	}
 	j.lastHash = st.ResultHash
-	j.unlock()
-	c.recordHolder(j.key, b, st.ID, true, st.ResultHash)
+	j.mu.Unlock()
 	// Every completion the proxy observes lands in the shared result
 	// store: from here on, this key's result survives its backend.
 	c.store.Put(j.key, st, b.ID())
@@ -495,50 +484,9 @@ func (c *Coordinator) finish(j *pjob, b *Backend, st *serve.RunStatus) (*serve.R
 	return st, nil
 }
 
-// ---------------------------------------------------------------------------
-// Holder bookkeeping (who has which key, for failover and hedging).
-
-func (c *Coordinator) recordHolder(key string, b *Backend, runID string, done bool, hash string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.holders[key]
-	if m == nil {
-		m = make(map[*Backend]holder)
-		c.holders[key] = m
-	}
-	m[b] = holder{runID: runID, done: done, hash: hash}
-}
-
-// altHolder returns a backend other than owner known to hold key's
-// completed result, if any.
-func (c *Coordinator) altHolder(key string, owner *Backend) (*Backend, string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for b, h := range c.holders[key] {
-		if b != owner && h.done {
-			return b, h.runID
-		}
-	}
-	return nil, ""
-}
-
-// holderHash returns any completed holder's recorded result hash for
-// key ("" when none) — the integrity record the store is checked
-// against.
-func (c *Coordinator) holderHash(key string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, h := range c.holders[key] {
-		if h.done && h.hash != "" {
-			return h.hash
-		}
-	}
-	return ""
-}
-
 // markTerminal registers j in the terminal-job LRU and evicts beyond
-// JobCap: a long-running proxy must not grow its jobs/byKey/holders maps
-// without bound as jobs complete. An evicted job's result stays
+// JobCap: a long-running proxy must not grow its jobs/byKey maps without
+// bound as jobs complete. An evicted job's result stays
 // reachable — by route key — through the shared result store; only the
 // fleet job ID forgets. In-flight jobs are never evicted.
 func (c *Coordinator) markTerminal(j *pjob) {
@@ -561,83 +509,8 @@ func (c *Coordinator) markTerminal(j *pjob) {
 		if c.byKey[old.key] == old {
 			delete(c.byKey, old.key)
 		}
-		delete(c.holders, old.key)
 		fleetJobEvictions.Add(1)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Proactive migration off draining backends.
-
-// migrateFrom re-dispatches a draining backend's queued (not-yet-running)
-// jobs to the ring's next-best backend instead of waiting for the
-// process to die: the drain finishes its *running* work locally, but
-// everything still in its queue completes faster elsewhere — and
-// survives if the drain is a prelude to a kill. Triggered by the probe
-// loop on the not-draining → draining transition. The usual result-hash
-// integrity cross-check applies when both copies complete.
-func (c *Coordinator) migrateFrom(ctx context.Context, b *Backend) {
-	queued, err := c.queuedRuns(ctx, b)
-	if err != nil {
-		c.log.Warn("migration: queued-job listing failed", "backend", b.ID(), "err", err.Error())
-		return
-	}
-	if len(queued) == 0 {
-		return
-	}
-	c.mu.Lock()
-	cands := make([]*pjob, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		cands = append(cands, j)
-	}
-	c.mu.Unlock()
-	for _, j := range cands {
-		owner, runID := j.ownerInfo()
-		if owner != b || !queued[runID] {
-			continue
-		}
-		// dispatch sets the new owner atomically on success; on failure
-		// the draining owner is kept — its drain still runs the queued
-		// job, so nothing is lost, only the head start.
-		nb, st, err := c.dispatch(ctx, j, b)
-		if err != nil {
-			c.log.Warn("migration dispatch failed; job stays on draining backend",
-				"job", j.id, "from", b.ID(), "err", err.Error())
-			continue
-		}
-		fleetMigrations.Add(1)
-		c.migrationsN.Add(1)
-		c.log.Info("migrated queued job off draining backend",
-			"job", j.id, "key", j.key, "from", b.ID(), "to", nb.ID(), "backend_run", st.ID)
-	}
-}
-
-// queuedRuns lists the backend-local run IDs still queued on b via its
-// /v1/jobs listing.
-func (c *Coordinator) queuedRuns(ctx context.Context, b *Backend) (map[string]bool, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/v1/jobs?state="+serve.StateQueued, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("jobs listing: HTTP %d from %s", resp.StatusCode, b.ID())
-	}
-	var ls serve.JobsList
-	if err := json.NewDecoder(resp.Body).Decode(&ls); err != nil {
-		return nil, err
-	}
-	out := make(map[string]bool, len(ls.Jobs))
-	for _, row := range ls.Jobs {
-		out[row.ID] = true
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -776,6 +649,9 @@ func (c *Coordinator) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
+			if r.Context().Err() != nil {
+				return // the caller hung up; b did nothing wrong
+			}
 			b.Fail(err.Error())
 			c.log.Warn("render attempt failed", "experiment", name, "backend", b.ID(), "err", err.Error())
 			continue
@@ -804,13 +680,11 @@ type FleetHealth struct {
 	Deduped        int64 `json:"jobs_deduped"`
 	Failovers      int64 `json:"failovers"`
 	HashMismatches int64 `json:"hash_mismatches"`
-	HedgedReads    int64 `json:"hedged_reads"`
 
-	// Shared result store and proactive migration counters.
+	// Shared result store counters.
 	StoreEntries   int   `json:"store_entries"`
 	StoreHits      int64 `json:"store_hits"`
 	StoreEvictions int64 `json:"store_evictions,omitempty"`
-	Migrations     int64 `json:"migrations"`
 	Adoptions      int64 `json:"adoptions"`
 }
 
@@ -822,11 +696,9 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Deduped:        c.dedupedN.Load(),
 		Failovers:      c.failoversN.Load(),
 		HashMismatches: c.mismatchN.Load(),
-		HedgedReads:    c.hedged.Load(),
 		StoreEntries:   c.store.Len(),
 		StoreHits:      c.storeHitsN.Load(),
 		StoreEvictions: c.store.Evictions(),
-		Migrations:     c.migrationsN.Load(),
 		Adoptions:      c.adoptionsN.Load(),
 	}
 	for _, b := range c.backends {
@@ -880,6 +752,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // Per-coordinator counters for /healthz (the fleet_* expvars are
 // process-global and shared across Coordinators in tests).
 type coordCounters struct {
-	submittedN, dedupedN, failoversN, mismatchN, hedged atomic.Int64
-	storeHitsN, migrationsN, adoptionsN                 atomic.Int64
+	submittedN, dedupedN, failoversN, mismatchN atomic.Int64
+	storeHitsN, adoptionsN                      atomic.Int64
 }

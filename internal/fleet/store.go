@@ -20,9 +20,9 @@ import (
 //
 //   - failover: the owning backend dies after completing a job; the poll
 //     that would have re-dispatched (and recomputed from cycle 0) is
-//     answered from the store instead, hash-verified against the holder
-//     record, and the memo is replicated to a live backend via
-//     POST /v1/runs/{id}/adopt so the fleet re-warms;
+//     answered from the store instead, hash-verified against the job's
+//     recorded result hash, and the memo is replicated to a live backend
+//     via POST /v1/runs/{id}/adopt so the fleet re-warms;
 //   - cold-owner submit: a submission whose terminal fleet job has been
 //     evicted (or that arrives at a fresh proxy ring assignment) hits
 //     the store by route key and is answered — and adopted onto the ring
@@ -37,7 +37,7 @@ type resultStore struct {
 	entries map[string]*list.Element // route key -> element whose Value is *storeEntry
 	lru     *list.List               // front = most recently used
 
-	hits, puts, evictions int64
+	evictions int64
 }
 
 // storeEntry is one completed result: the integrity hash, the backend
@@ -76,7 +76,6 @@ func (s *resultStore) Put(key string, st *serve.RunStatus, backend string) {
 	}
 	e := &storeEntry{key: key, hash: st.ResultHash, backend: backend, status: copyStatus(st)}
 	s.entries[key] = s.lru.PushFront(e)
-	s.puts++
 	for s.lru.Len() > s.cap {
 		oldest := s.lru.Back()
 		s.lru.Remove(oldest)
@@ -99,7 +98,6 @@ func (s *resultStore) Get(key string) (*serve.RunStatus, string, string, bool) {
 		return nil, "", "", false
 	}
 	s.lru.MoveToFront(el)
-	s.hits++
 	e := el.Value.(*storeEntry)
 	st := copyStatus(&e.status)
 	return &st, e.hash, e.backend, true

@@ -196,7 +196,7 @@ func TestColdSubmitServesFromStore(t *testing.T) {
 	}
 }
 
-// TestTerminalJobMapsBounded is the holder-leak regression test: churn
+// TestTerminalJobMapsBounded is the job-map leak regression test: churn
 // many distinct completed jobs through a small JobCap and assert every
 // per-job map stays bounded. Run under -race this also exercises the
 // markTerminal locking against concurrent submissions.
@@ -235,9 +235,9 @@ func TestTerminalJobMapsBounded(t *testing.T) {
 	wg.Wait()
 
 	c.mu.Lock()
-	jobs, byKey, holders, lru := len(c.jobs), len(c.byKey), len(c.holders), c.termLRU.Len()
+	jobs, byKey, lru := len(c.jobs), len(c.byKey), c.termLRU.Len()
 	c.mu.Unlock()
-	for name, n := range map[string]int{"jobs": jobs, "byKey": byKey, "holders": holders, "termLRU": lru} {
+	for name, n := range map[string]int{"jobs": jobs, "byKey": byKey, "termLRU": lru} {
 		if n > cap {
 			t.Errorf("%s grew to %d, want <= %d", name, n, cap)
 		}
@@ -248,8 +248,8 @@ func TestTerminalJobMapsBounded(t *testing.T) {
 }
 
 // TestCloseStopsGoroutines pins Fleet.Close's teardown contract: the
-// probe loop, probe fan-out, and background migration sweeps all exit,
-// and the HTTP transports drop their idle-connection goroutines.
+// probe loop and probe fan-out exit, and the HTTP transports drop their
+// idle-connection goroutines.
 func TestCloseStopsGoroutines(t *testing.T) {
 	b1 := newStub(t, "b1")
 	b2 := newStub(t, "b2")

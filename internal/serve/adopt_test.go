@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -140,77 +139,5 @@ func TestAdoptWhileDraining(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without a Retry-After hint")
-	}
-}
-
-// TestJobsListing pins the migration surface: /v1/jobs enumerates jobs
-// with state filtering, and ?state=queued isolates exactly the
-// not-yet-running work a draining backend's proxy would migrate.
-func TestJobsListing(t *testing.T) {
-	gate := make(chan struct{})
-	var release sync.Once
-	defer func() { release.Do(func() { close(gate) }) }()
-
-	s, ts := newTestServer(t, Config{ID: "lister", Workers: 1})
-	s.Runner().SetSimHook(func(app, design string) { <-gate })
-
-	// First job occupies the only worker (held at the gate); second queues.
-	first, _ := post(t, ts, `{"app":"pr","design":"O","params":{"seed":1}}`)
-	waitForState := func(id, state string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if st, _ := get(t, ts, id, ""); st.Status == state {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("job %s never reached %q", id, state)
-	}
-	waitForState(first.ID, StateRunning)
-	second, _ := post(t, ts, `{"app":"pr","design":"O","params":{"seed":2}}`)
-	waitForState(second.ID, StateQueued)
-
-	var ls JobsList
-	resp, err := http.Get(ts.URL + "/v1/jobs?state=queued")
-	if err != nil {
-		t.Fatalf("GET /v1/jobs: %v", err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&ls); err != nil {
-		t.Fatalf("decode jobs list: %v", err)
-	}
-	if ls.BackendID != "lister" || ls.Draining {
-		t.Fatalf("listing header %+v, want backend lister, not draining", ls)
-	}
-	if len(ls.Jobs) != 1 || ls.Jobs[0].ID != second.ID || ls.Jobs[0].Status != StateQueued {
-		t.Fatalf("queued listing %+v, want exactly the queued job %s", ls.Jobs, second.ID)
-	}
-
-	// The unfiltered view holds both; an invalid filter is a 400.
-	respAll, err := http.Get(ts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatalf("GET /v1/jobs: %v", err)
-	}
-	defer respAll.Body.Close()
-	var all JobsList
-	if err := json.NewDecoder(respAll.Body).Decode(&all); err != nil {
-		t.Fatalf("decode jobs list: %v", err)
-	}
-	if len(all.Jobs) != 2 {
-		t.Fatalf("unfiltered listing has %d jobs, want 2", len(all.Jobs))
-	}
-	if respBad, err := http.Get(ts.URL + "/v1/jobs?state=bogus"); err != nil {
-		t.Fatalf("GET bad filter: %v", err)
-	} else {
-		respBad.Body.Close()
-		if respBad.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad state filter: status %d, want 400", respBad.StatusCode)
-		}
-	}
-
-	release.Do(func() { close(gate) })
-	if fin := await(t, ts, second.ID); fin.Status != StateDone {
-		t.Fatalf("queued job did not finish after gate opened: %+v", fin)
 	}
 }

@@ -159,32 +159,12 @@ type AdoptRequest struct {
 	Result *RunSummary `json:"result"`
 }
 
-// JobsList is the GET /v1/jobs body: every job this backend tracks, in
-// ID order. ?state=queued (or running/done/failed) filters. The fleet
-// proxy uses the queued view to migrate not-yet-running work off a
-// draining backend.
-type JobsList struct {
-	BackendID string       `json:"backend_id,omitempty"`
-	Draining  bool         `json:"draining,omitempty"`
-	Jobs      []JobSummary `json:"jobs"`
-}
-
-// JobSummary is one row of the /v1/jobs listing.
-type JobSummary struct {
-	ID      string `json:"id"`
-	Key     string `json:"key"`
-	Status  string `json:"status"`
-	App     string `json:"app"`
-	Design  string `json:"design"`
-	Adopted bool   `json:"adopted,omitempty"`
-}
-
 // Ready is the GET /readyz body: the readiness half of the health split.
 // /healthz is liveness (the process answers and reports its counters,
 // even while draining); /readyz is willingness to accept new work — 503
-// while the worker pool is starting or the server is draining. The body
-// doubles as the fleet proxy's routing-factor probe: queue pressure and
-// the observed mean service time feed the multi-factor balance decision.
+// while the worker pool is starting or the server is draining. The fleet
+// proxy probes it for admission (ready vs. draining) and shows the queue
+// and service-time fields in its /healthz backend rows.
 type Ready struct {
 	Status     string `json:"status"` // "ready", "starting", or "draining"
 	BackendID  string `json:"backend_id,omitempty"`
@@ -193,8 +173,8 @@ type Ready struct {
 	QueueCap   int    `json:"queue_cap"`
 
 	// MeanRunSeconds is the observed mean job execution time (zero until
-	// the first run completes) — the service-rate factor in fleet routing
-	// and in the server's own Retry-After estimates.
+	// the first run completes) — the service-rate factor in the server's
+	// own Retry-After estimates.
 	MeanRunSeconds float64 `json:"mean_run_seconds,omitempty"`
 	Completed      int64   `json:"jobs_completed"`
 }

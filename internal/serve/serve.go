@@ -38,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -222,7 +221,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleRun)
 	s.mux.HandleFunc("POST /v1/runs/{id}/adopt", s.handleAdopt)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("GET /v1/experiments/{name}", s.handleExperiment)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -572,38 +570,6 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, st)
 	s.log.Info("adopted result", "request_id", rid, "job", j.id, "fleet_job", fleetJob,
 		"key", key, "hash", req.ResultHash)
-}
-
-// handleJobs lists every tracked job in ID order; ?state=queued (or
-// running/done/failed) filters. The queued view is the migration surface:
-// a fleet proxy watching this backend drain re-dispatches exactly the
-// jobs that have not started, since running jobs finish out locally.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	want := r.URL.Query().Get("state")
-	switch want {
-	case "", StateQueued, StateRunning, StateDone, StateFailed:
-	default:
-		httpError(w, http.StatusBadRequest, "invalid state filter %q", want)
-		return
-	}
-	s.mu.Lock()
-	out := JobsList{BackendID: s.cfg.ID, Draining: s.draining, Jobs: []JobSummary{}}
-	for _, j := range s.jobs {
-		if want != "" && j.state != want {
-			continue
-		}
-		out.Jobs = append(out.Jobs, JobSummary{
-			ID:      j.id,
-			Key:     j.key,
-			Status:  j.state,
-			App:     j.spec.App,
-			Design:  j.spec.Design.String(),
-			Adopted: j.adopted,
-		})
-	}
-	s.mu.Unlock()
-	sort.Slice(out.Jobs, func(i, k int) bool { return out.Jobs[i].ID < out.Jobs[k].ID })
-	writeJSON(w, http.StatusOK, out)
 }
 
 // handleExperiment renders one paper table/figure on demand from the warm
