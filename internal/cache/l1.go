@@ -11,8 +11,12 @@ import (
 
 // pageSets is the number of consecutive sets in one L1 page. Pages are
 // allocated on the first fill into them, as in the Traveller Cache's tag
-// directory, so an L1 costs only the sets a run touches.
-const pageSets = 64
+// directory, so an L1 costs only the sets a run touches. Sixteen is the
+// pick of a sweep over 8, 16, 32 and 64 (docs/PERF.md, "Per-unit state
+// sized by use"): 32 and 64 allocated 4-21% more bytes on both benchmark
+// workloads, and 8 saved under 1% there but made 1.8% more allocations on
+// a full abndpbench.
+const pageSets = 16
 
 // l1Page holds pageSets consecutive sets (all of them when the cache has
 // fewer), each ordered MRU-first. Valid ways only ever enter at the MRU

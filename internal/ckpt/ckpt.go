@@ -21,6 +21,7 @@
 package ckpt
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -249,10 +250,12 @@ func (sh *Shard) MemVec(hash uint64, lines []mem.Line) []float64 {
 	return e.vec
 }
 
-// PutMemVec stores a hint's cost vector. The shard takes ownership of both
-// slices; callers pass copies they will not touch again. Duplicate inserts
-// (two workers racing on the same hint) keep the first entry — both hold
-// identical bits, so which one wins is unobservable.
+// PutMemVec stores copies of a hint's line list and cost vector; the
+// caller keeps both slices and may reuse them at once. The copies are made
+// only for an entry the shard stores, so an insert the cap rejects
+// allocates nothing. Duplicate inserts (two workers racing on the same
+// hint) keep the first entry — both hold identical bits, so which one wins
+// is unobservable.
 func (sh *Shard) PutMemVec(hash uint64, lines []mem.Line, vec []float64) {
 	sh.mu.RLock()
 	gone := sh.evicted
@@ -278,7 +281,7 @@ func (sh *Shard) PutMemVec(hash uint64, lines []mem.Line, vec []float64) {
 			return
 		}
 	}
-	sh.vecs[hash] = &vecEntry{lines: lines, vec: vec, next: sh.vecs[hash]}
+	sh.vecs[hash] = &vecEntry{lines: slices.Clone(lines), vec: slices.Clone(vec), next: sh.vecs[hash]}
 	sh.bytes += n
 	sh.mu.Unlock()
 	sh.inserts.Add(1)

@@ -168,6 +168,19 @@ const MaxCacheWays = 127
 // its size sets the cost of the miss path as well as the per-unit memory.
 const MaxPrefetchBufBytes = 64 << 10
 
+// MaxL1DBytes bounds Config.L1DBytes at 16x Table 1's 64 kB. The L1 keeps
+// one page pointer per 16 sets, so an unbounded size would allocate a
+// directory from any integer: 2^40 bytes asked for 2^26 entries per L1.
+const MaxL1DBytes = 1 << 20
+
+// MaxUnitBytes bounds Config.UnitBytes at 1 TiB, 2048x Table 1's 512 MB.
+// Physical addresses are uint64, and with at most MaxUnits (2^10) units
+// the address space Units() x UnitBytes stays below 2^50, so it cannot
+// wrap. The bound also caps a Traveller cache at 2^33 sets (CacheRatio >=
+// 2, 64 B lines), so its tag page numbers fit the cache's int32 directory
+// key.
+const MaxUnitBytes = 1 << 40
+
 // MaxUnits bounds the machine size, MeshX*MeshY*UnitsPerStack. The
 // scheduler's per-origin load deltas grow with units squared, so an
 // unbounded mesh from a request or a spec could ask for gigabytes; the
@@ -268,8 +281,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: %d units exceed MaxUnits = %d", c.Units(), MaxUnits)
 	case c.CoresPerUnit <= 0:
 		return fmt.Errorf("config: CoresPerUnit = %d", c.CoresPerUnit)
-	case c.UnitBytes == 0:
-		return fmt.Errorf("config: UnitBytes = 0")
+	case c.UnitBytes == 0 || c.UnitBytes%mem.LineSize != 0 || c.UnitBytes > MaxUnitBytes:
+		// mem.NewSpace panics on a region that is not whole lines.
+		return fmt.Errorf("config: UnitBytes = %d must be a multiple of %d in (0,%d]",
+			c.UnitBytes, mem.LineSize, uint64(MaxUnitBytes))
 	case c.CacheEnabled && c.CacheRatio <= 1:
 		return fmt.Errorf("config: CacheRatio = %d must be > 1", c.CacheRatio)
 	case c.CacheEnabled && c.CacheWays <= 0:
@@ -282,8 +297,8 @@ func (c *Config) Validate() error {
 		// The L1 keeps a per-set fill count of at most MaxCacheWays, and
 		// an unbounded associativity would size its pages from any integer.
 		return fmt.Errorf("config: L1DWays = %d out of [1,%d]", c.L1DWays, MaxCacheWays)
-	case c.L1DBytes < mem.LineSize:
-		return fmt.Errorf("config: L1DBytes = %d is less than one %d-byte line", c.L1DBytes, mem.LineSize)
+	case c.L1DBytes < mem.LineSize || c.L1DBytes > MaxL1DBytes:
+		return fmt.Errorf("config: L1DBytes = %d out of [%d,%d]", c.L1DBytes, mem.LineSize, MaxL1DBytes)
 	case c.PrefetchBufBytes < mem.LineSize || c.PrefetchBufBytes > MaxPrefetchBufBytes:
 		return fmt.Errorf("config: PrefetchBufBytes = %d out of [%d,%d]",
 			c.PrefetchBufBytes, mem.LineSize, MaxPrefetchBufBytes)

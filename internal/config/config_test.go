@@ -103,23 +103,37 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		// Each dimension is checked before multiplying: this product
 		// wraps to 0 in int64.
 		mod(func(c *Config) { c.MeshX, c.MeshY, c.UnitsPerStack = 1<<22, 1<<22, 1<<22 }),
+		// Memory geometry: mem.NewSpace panicked on a region that is not
+		// whole lines, Units() x UnitBytes wrapped uint64, and a huge L1
+		// sized its page directory from any integer.
+		mod(func(c *Config) { c.UnitBytes = 100 }),
+		mod(func(c *Config) { c.UnitBytes = mem.LineSize + 1 }),
+		mod(func(c *Config) { c.UnitBytes = 1 << 62 }),
+		mod(func(c *Config) { c.UnitBytes = MaxUnitBytes + mem.LineSize }),
+		mod(func(c *Config) { c.CacheEnabled = true; c.CacheRatio = 2; c.UnitBytes = 1 << 60 }),
+		mod(func(c *Config) { c.L1DBytes = 1 << 40 }),
+		mod(func(c *Config) { c.L1DBytes = MaxL1DBytes + 1 }),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d: Validate() accepted invalid config", i)
 		}
 	}
-	// The edges of the L1 and prefetch-buffer ranges stay valid: one line,
-	// one way, the widest associativity, and the largest buffer.
+	// The edges of the memory, L1 and prefetch-buffer ranges stay valid:
+	// one line, one way, the widest associativity, the largest L1 and
+	// buffer, and the largest unit region with a half-DRAM cache.
 	for _, c := range []Config{
 		mod(func(c *Config) { c.L1DBytes = mem.LineSize; c.L1DWays = 1 }),
 		mod(func(c *Config) { c.L1DWays = MaxCacheWays }),
+		mod(func(c *Config) { c.L1DBytes = MaxL1DBytes }),
 		mod(func(c *Config) { c.PrefetchBufBytes = mem.LineSize }),
 		mod(func(c *Config) { c.PrefetchBufBytes = MaxPrefetchBufBytes }),
+		mod(func(c *Config) { c.UnitBytes = mem.LineSize }),
+		mod(func(c *Config) { c.CacheEnabled = true; c.CacheRatio = 2; c.CacheWays = 1; c.UnitBytes = MaxUnitBytes }),
 	} {
 		if err := c.Validate(); err != nil {
-			t.Fatalf("L1 %d B x %d ways, prefetch buffer %d B rejected: %v",
-				c.L1DBytes, c.L1DWays, c.PrefetchBufBytes, err)
+			t.Fatalf("unit %d B, L1 %d B x %d ways, prefetch buffer %d B rejected: %v",
+				c.UnitBytes, c.L1DBytes, c.L1DWays, c.PrefetchBufBytes, err)
 		}
 	}
 	// The topology edges stay valid: one group per stack, the largest

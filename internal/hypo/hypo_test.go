@@ -111,6 +111,11 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		// panicked mid-campaign instead of Load rejecting the cell.
 		"camps cannot tile": `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"O","config":{"CampCount":2}}],"seeds":[1]}`,
 		"machine too large": `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","grid":{"MeshX":[4,64]}}],"seeds":[1]}`,
+		// Regression: these memory geometries loaded, and the first made
+		// ndp.NewSystem panic mid-campaign ("mem: invalid space").
+		"unit bytes not whole lines": `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"O","config":{"UnitBytes":100}}],"seeds":[1]}`,
+		"address space wraps":        `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","grid":{"UnitBytes":[536870912,4611686018427387904]}}],"seeds":[1]}`,
+		"huge L1":                    `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","config":{"L1DBytes":1099511627776}}],"seeds":[1]}`,
 	}
 	for name, js := range cases {
 		if _, err := Load(strings.NewReader(js)); err == nil {

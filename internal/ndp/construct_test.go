@@ -7,30 +7,32 @@ import (
 	"abndp/internal/config"
 )
 
-// Building a System must not pay for tag storage up front: the Traveller
-// and L1 tag directories allocate a page on its first fill, so construction
-// costs the directories and the per-unit models rather than 128 units x
-// 32768 sets x 4 ways of zeroed Traveller tags (about 194 MiB for designs C
-// and O). Nor does it pay for unit-pair tables: the NoC keeps one latency
-// and one energy entry per stack pair. NewSystem(Default) allocates 0.37
-// MiB without a Traveller cache and 0.99 MiB with one on Go 1.24; the
-// 16,384-entry unit-pair latency and energy tables (192 KiB) would exceed
-// either budget.
+// Building a System must not pay for state a run may never use. The
+// Traveller cache allocates its page directory on its first fill and a
+// page on the first fill into it, rather than 128 units x 32768 sets x 4
+// ways of zeroed tags (about 194 MiB for designs C and O) or a directory
+// of 512 page pointers per unit (0.5 MiB). The L1 allocates a 16-set page
+// on its first fill. The NoC keeps one latency and one energy entry per
+// stack pair, and the scheduler's units x units load-delta table (128 KiB)
+// waits for the first placement that reads loads. NewSystem(Default)
+// allocates 0.259 MiB without a Traveller cache and 0.277 MiB with one on
+// Go 1.24; the delta table, the unit-pair NoC tables (192 KiB) or the
+// dense Traveller directories would exceed either budget.
 func TestNewSystemAllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	for _, d := range config.NDPDesigns {
-		budget := 0.5 // MiB
+		budget := 0.285 // MiB
 		if d.UsesCache() {
-			budget = 1.15
+			budget = 0.305
 		}
 		runtime.ReadMemStats(&before)
 		sys := NewSystem(config.Default(), d)
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(sys)
 		got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-		t.Logf("NewSystem(Default, %v) allocated %.2f MiB", d, got)
+		t.Logf("NewSystem(Default, %v) allocated %.3f MiB", d, got)
 		if got > budget {
-			t.Errorf("NewSystem(Default, %v) allocated %.2f MiB, budget %.2f MiB", d, got, budget)
+			t.Errorf("NewSystem(Default, %v) allocated %.3f MiB, budget %.3f MiB", d, got, budget)
 		}
 	}
 }

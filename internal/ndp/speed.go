@@ -2,7 +2,6 @@ package ndp
 
 import (
 	"abndp/internal/ckpt"
-	"abndp/internal/mem"
 	"abndp/internal/task"
 )
 
@@ -26,6 +25,7 @@ func (s *System) SetCheckpoint(sh *ckpt.Shard) {
 	}
 	if s.ckptScratch == nil {
 		s.ckptScratch = s.Cost.NewVecScratch()
+		s.ckptVec = make([]float64, s.Topo.Units())
 	}
 	s.Sched.SetCostVecSource(s.costVecFor)
 }
@@ -36,17 +36,17 @@ func (s *System) Checkpoint() *ckpt.Shard { return s.ckptShard }
 // costVecFor is the scheduler's cost-vector source: store hit, else compute
 // inline and memoize. The scheduler only calls it with no dead mask in
 // force, so the vector is a pure function of the hint and safe to store.
-// A miss allocates only the stored vector; the kernel's scratch is the
-// System's. The stored copy owns its own line slice — t's hint lines are
-// recycled across barriers.
+// A miss scores into the System's vector and kernel scratch, which the
+// scheduler reads only within the Place call that asked; the shard copies
+// the lines and the vector if it stores them, so a miss the store rejects
+// allocates nothing.
 func (s *System) costVecFor(t *task.Task) []float64 {
 	lines := t.Hint.Lines
 	h := ckpt.HashLines(lines)
 	if v := s.ckptShard.MemVec(h, lines); v != nil {
 		return v
 	}
-	v := make([]float64, s.Topo.Units())
-	s.Cost.MemCostVecInto(v, s.ckptScratch, lines)
-	s.ckptShard.PutMemVec(h, append([]mem.Line(nil), lines...), v)
-	return v
+	s.Cost.MemCostVecInto(s.ckptVec, s.ckptScratch, lines)
+	s.ckptShard.PutMemVec(h, lines, s.ckptVec)
+	return s.ckptVec
 }

@@ -130,6 +130,7 @@ type System struct {
 	// nil-shard run is the golden path. See speed.go.
 	ckptShard   *ckpt.Shard
 	ckptScratch *core.VecScratch // costVecFor's kernel scratch
+	ckptVec     []float64        // costVecFor's vector on a miss
 
 	// Cached energy constants (pJ) and latencies (cycles).
 	sramHitCycles int64

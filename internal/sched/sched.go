@@ -45,7 +45,9 @@ type Scheduler struct {
 	degraded int64
 
 	// snapW is the last exchanged workload snapshot; delta[origin*units+u]
-	// is the load origin has forwarded to u since that exchange.
+	// is the load origin has forwarded to u since that exchange. Only the
+	// load-reading policies need delta, so the first loadView allocates
+	// it; until then it is nil and Place and Exchange skip it.
 	snapW []float64
 	delta []float64
 
@@ -115,7 +117,6 @@ func New(policy string, cost *core.CostModel, camps *core.CampMap, n *noc.Model,
 		units:      units,
 		hybridB:    core.HybridWeight(n, cfg.HybridAlpha),
 		snapW:      make([]float64, units),
-		delta:      make([]float64, units*units),
 		loadBuf:    make([]float64, units),
 		vecBuf:     make([]float64, units),
 		vecScratch: cost.NewVecScratch(),
@@ -138,12 +139,10 @@ func (s *Scheduler) DegradedLoads() int64 { return s.degraded }
 func (s *Scheduler) HybridB() float64 { return s.hybridB }
 
 // Exchange installs a fresh workload snapshot (the periodic hierarchical
-// exchange of §5.2) and clears the per-origin deltas.
+// exchange of §5.2) and clears the per-origin deltas, if any exist.
 func (s *Scheduler) Exchange(trueW []float64) {
 	copy(s.snapW, trueW)
-	for i := range s.delta {
-		s.delta[i] = 0
-	}
+	clear(s.delta)
 	if s.audit != nil {
 		s.audit.Tick()
 		for u, w := range s.snapW {
@@ -245,8 +244,11 @@ func (s *Scheduler) auditCycle() int64 {
 }
 
 // Place chooses the execution unit for t, scheduled by origin's scheduler,
-// and records the forwarded load in origin's delta. Ties break toward the
-// lowest unit ID so results are deterministic.
+// and records the forwarded load in origin's delta once a policy has read
+// loads. Every load-reading policy calls loadView before it returns, so
+// the first such Place allocates the table before recording into it and
+// no forwarded load goes unrecorded. Ties break toward the lowest unit ID
+// so results are deterministic.
 func (s *Scheduler) Place(t *task.Task, origin topology.UnitID) topology.UnitID {
 	target, memCost, loadTerm := s.policy.Place(s, t, origin)
 	if target < 0 {
@@ -255,7 +257,9 @@ func (s *Scheduler) Place(t *task.Task, origin topology.UnitID) topology.UnitID 
 		// would have indexed it at -1 — and without invoking the hook.
 		return -1
 	}
-	s.delta[int(origin)*s.units+int(target)] += t.Hint.EstimatedWorkload()
+	if s.delta != nil {
+		s.delta[int(origin)*s.units+int(target)] += t.Hint.EstimatedWorkload()
+	}
 	if s.audit != nil {
 		s.audit.Tick()
 		if s.dead != nil && s.dead[target] {
@@ -311,6 +315,9 @@ func (s *Scheduler) placeLowestDistance(t *task.Task) (topology.UnitID, float64)
 // quantization noise, not imbalance, and must not dominate the other
 // score terms.
 func (s *Scheduler) loadView(origin topology.UnitID, meanFloor float64) (mean float64, live int) {
+	if s.delta == nil {
+		s.delta = make([]float64, s.units*s.units)
+	}
 	d := s.delta[int(origin)*s.units : (int(origin)+1)*s.units]
 	amp := float64(s.units)
 	var sum float64

@@ -17,9 +17,13 @@ import (
 
 // pageSets is the number of consecutive sets in one tag page. A cache keeps
 // its tags in a directory of pages allocated on the first fill into them,
-// so building a cache costs one pointer per page rather than sets x ways
-// zeroed tags, and a run pays only for the part of the slice it touches.
-const pageSets = 64
+// and the directory itself holds only the pages filled so far, so building
+// a cache allocates no tag storage and a run pays only for the part of the
+// slice it touches. Sixteen is the pick of a sweep over 8, 16, 32 and 64
+// (docs/PERF.md, "Per-unit state sized by use"): 32 and 64 allocated 2-11%
+// more bytes on both benchmark workloads, and 8 saved at most 2% there but
+// made 1.2% more allocations on a full abndpbench.
+const pageSets = 16
 
 // page holds the tags of pageSets consecutive sets (all of them when the
 // cache has fewer). Ways are only ever invalidated in bulk, and Insert
@@ -54,10 +58,10 @@ type Cache struct {
 	ways      int
 	sets      int
 	setMask   uint64
-	pageShift uint    // set index >> pageShift is its page in the directory
-	pageMask  int     // set index & pageMask is its offset within the page
-	pages     []*page // directory; an entry stays nil until its first fill
-	live      []*page // pages holding valid lines, reset by InvalidateAll
+	pageShift uint            // set index >> pageShift is its page number
+	pageMask  int             // set index & pageMask is its offset within the page
+	pages     map[int32]*page // filled pages by page number (< 2^31: config.MaxUnitBytes); nil until the first Insert
+	live      []*page         // pages holding valid lines, reset by InvalidateAll
 
 	bypassProb float64
 	useLRU     bool
@@ -76,7 +80,7 @@ type Cache struct {
 
 // New builds the cache for one unit from the system configuration. seed
 // decorrelates the random replacement streams of different units. No tag
-// storage is allocated until the first Insert into each page.
+// storage, and no directory, is allocated until the first Insert.
 func New(cfg *config.Config, seed uint64) *Cache {
 	bytes := cfg.CacheBytes()
 	ways := cfg.CacheWays
@@ -94,7 +98,6 @@ func New(cfg *config.Config, seed uint64) *Cache {
 		setMask:    uint64(sets - 1),
 		pageShift:  uint(bits.TrailingZeros(uint(per))),
 		pageMask:   per - 1,
-		pages:      make([]*page, sets/per),
 		bypassProb: cfg.BypassProb,
 		useLRU:     cfg.Replacement == config.ReplaceLRU,
 		rng:        seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
@@ -119,10 +122,11 @@ func (c *Cache) next() uint64 {
 }
 
 // locate returns line l's set index, the page holding that set (nil if the
-// page was never filled), and the set's offset within the page.
+// page was never filled), and the set's offset within the page. A lookup
+// in the nil directory of a never-filled cache allocates nothing.
 func (c *Cache) locate(l mem.Line) (s int, p *page, i int) {
 	s = int(uint64(l) & c.setMask)
-	return s, c.pages[s>>c.pageShift], s & c.pageMask
+	return s, c.pages[int32(s>>c.pageShift)], s & c.pageMask
 }
 
 // Probe checks the SRAM tags for line l, recording a hit or miss. Under
@@ -228,14 +232,18 @@ func (c *Cache) Insert(l mem.Line) bool {
 	return true
 }
 
-// newPage allocates the directory page that holds set s.
+// newPage allocates the page that holds set s and enters it in the
+// directory, creating the directory on the cache's first fill.
 func (c *Cache) newPage(s int) *page {
 	n := (c.pageMask + 1) * c.ways
 	p := &page{lines: make([]mem.Line, n)}
 	if c.useLRU {
 		p.lru = make([]int8, n)
 	}
-	c.pages[s>>c.pageShift] = p
+	if c.pages == nil {
+		c.pages = make(map[int32]*page)
+	}
+	c.pages[int32(s>>c.pageShift)] = p
 	return p
 }
 
@@ -243,7 +251,7 @@ func (c *Cache) newPage(s int) *page {
 // Violations carry cycle -1: the cache does not track simulation time.
 func (c *Cache) auditSet(s int) {
 	c.Audit.Tick()
-	p, i := c.pages[s>>c.pageShift], s&c.pageMask
+	p, i := c.pages[int32(s>>c.pageShift)], s&c.pageMask
 	base, valid := i*c.ways, int(p.fill[i])
 	lines := p.lines[base : base+valid]
 	for w := range lines {

@@ -186,11 +186,8 @@ func TestOccupancyInvariant(t *testing.T) {
 		}
 		seen := map[mem.Line]int{}
 		for pi, p := range c.pages {
-			if p == nil {
-				continue
-			}
 			for i := 0; i <= c.pageMask; i++ {
-				set := pi<<c.pageShift | i
+				set := int(pi)<<c.pageShift | i
 				for _, l := range p.lines[i*c.ways : i*c.ways+int(p.fill[i])] {
 					seen[l]++
 					if int(uint64(l)&c.setMask) != set {
@@ -297,7 +294,7 @@ func TestLRUAuditDetectsCorruptRank(t *testing.T) {
 	cfg := config.Default()
 	cfg.BypassProb = 0
 	cfg.Replacement = config.ReplaceLRU
-	cfg.UnitBytes = 1 << 22 // 64 KiB cache: 256 sets, 4 tag pages
+	cfg.UnitBytes = 1 << 22 // 64 KiB cache: 256 sets, 256/pageSets tag pages
 	c := New(&cfg, 1)
 	c.Audit = check.New()
 	const set = 2*pageSets + 3
