@@ -296,17 +296,18 @@ func (r *Runner) newSystem(spec runSpec) *ndp.System {
 	return sys
 }
 
-// simulate executes one run. It is the only place experiments build
-// systems, and is safe to call from worker goroutines: every System (and
-// its RNGs, stats, and engine) is private to the call, and the shared
-// checkpoint shard is concurrency-safe by design.
-func (r *Runner) simulate(k string, spec runSpec) *ndp.Result {
+// simulate executes one run, registering its System with h. It is the
+// only place experiments build systems, and is safe to call from worker
+// goroutines: every System (and its RNGs, stats, and engine) is private
+// to the call, and the shared checkpoint shard is concurrency-safe by
+// design.
+func (r *Runner) simulate(k string, spec runSpec, h *halter) *ndp.Result {
 	a, err := apps.New(spec.app, spec.p)
 	if err != nil {
 		panic(err)
 	}
 	start := time.Now()
-	sys := r.newSystem(spec)
+	sys := h.add(r.newSystem(spec))
 	res := sys.Run(a)
 	r.noteRunStat(k, time.Since(start).Seconds(), res.Events)
 	return res

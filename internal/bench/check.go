@@ -76,8 +76,8 @@ func (r *Runner) recordCheckViolations(k string, vs []check.Violation) {
 // so the meta.determinism hash comparison doubles as the store-versus-golden
 // parity assertion CI relies on. Like simulate it is safe on worker
 // goroutines — both Systems are private to the call, and the shared
-// violation list is mutex-protected.
-func (r *Runner) checkedSimulate(k string, spec runSpec) *ndp.Result {
+// violation list is mutex-protected. Both Systems register with h.
+func (r *Runner) checkedSimulate(k string, spec runSpec, h *halter) *ndp.Result {
 	newApp := func() ndp.App {
 		a, err := apps.New(spec.app, spec.p)
 		if err != nil {
@@ -85,13 +85,13 @@ func (r *Runner) checkedSimulate(k string, spec runSpec) *ndp.Result {
 		}
 		return a
 	}
-	sys := r.newSystem(spec)
+	sys := h.add(r.newSystem(spec))
 	c := check.New()
 	sys.SetChecker(c)
 	start := time.Now()
 	res := sys.Run(newApp())
 	r.noteRunStat(k, time.Since(start).Seconds(), res.Events)
-	plain := ndp.NewSystem(spec.cfg, spec.d).Run(newApp())
+	plain := h.add(ndp.NewSystem(spec.cfg, spec.d)).Run(newApp())
 
 	atomic.AddInt64(&r.checkedRuns, 1)
 	atomic.AddInt64(&r.checkEvals, c.Checks())

@@ -70,8 +70,8 @@ func TestCheckedSimulateMatchesPlain(t *testing.T) {
 	r.SetCheck(true)
 	spec := runSpec{app: "bfs", d: config.DesignO, cfg: r.base, p: r.params("bfs")}
 	k := key(spec.app, spec.d, spec.cfg, spec.p)
-	got := r.checkedSimulate(k, spec)
-	want := NewRunner(io.Discard).simulate(k, spec)
+	got := r.checkedSimulate(k, spec, &halter{})
+	want := NewRunner(io.Discard).simulate(k, spec, &halter{})
 	if got.Makespan != want.Makespan || got.Tasks != want.Tasks {
 		t.Fatalf("checked run diverged: makespan %d/%d tasks %d/%d",
 			got.Makespan, want.Makespan, got.Tasks, want.Tasks)

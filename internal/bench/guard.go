@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"abndp/internal/apps"
@@ -86,22 +87,57 @@ type guardOutcome[V any] struct {
 	stack    string
 }
 
+// halter collects the Systems of one guarded run, so that the guard can
+// halt all of them when it abandons the run. A System that registers after
+// the halt (the plain rerun of a checked simulation) is halted as it
+// registers, so no System of an abandoned run simulates on.
+type halter struct {
+	mu      sync.Mutex
+	halted  bool
+	systems []*ndp.System
+}
+
+// add registers sys and returns it.
+func (h *halter) add(sys *ndp.System) *ndp.System {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.halted {
+		sys.Engine.Halt()
+	}
+	h.systems = append(h.systems, sys)
+	return sys
+}
+
+// halt halts every registered System and every later one.
+func (h *halter) halt() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.halted = true
+	for _, sys := range h.systems {
+		sys.Engine.Halt()
+	}
+}
+
 // runGuarded executes fn with crash isolation: fn runs on its own
 // goroutine, a panic becomes a recorded RunFailure instead of unwinding the
 // worker (which would also poison the memo cache's sync.Once), and a run
-// exceeding the deadline is abandoned and recorded as hung. On failure the
-// sentinel is returned and cached, so every later lookup of the same key
-// sees the same failed placeholder and the sweep's remaining rows render
-// unchanged.
-func runGuarded[V any](r *Runner, f RunFailure, sentinel V, fn func() V) V {
+// exceeding the deadline is abandoned and recorded as hung. fn registers
+// the Systems it builds with its halter, and an abandoned run's Systems
+// are halted: each stops at its next event and its goroutine exits, so it
+// does not keep a core. Input generation (an app's Setup) runs before the
+// first event and is not interrupted. On failure the sentinel is returned
+// and cached, so every later lookup of the same key sees the same failed
+// placeholder and the sweep's remaining rows render unchanged.
+func runGuarded[V any](r *Runner, f RunFailure, sentinel V, fn func(*halter) V) V {
 	ch := make(chan guardOutcome[V], 1) // buffered: a timed-out run's late send must not leak its goroutine
+	h := &halter{}
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
 				ch <- guardOutcome[V]{panicked: true, msg: fmt.Sprint(p), stack: string(debug.Stack())}
 			}
 		}()
-		ch <- guardOutcome[V]{val: fn()}
+		ch <- guardOutcome[V]{val: fn(h)}
 	}()
 
 	deadline := r.effectiveDeadline()
@@ -126,6 +162,7 @@ func runGuarded[V any](r *Runner, f RunFailure, sentinel V, fn func() V) V {
 		r.recordFailure(f)
 		return sentinel
 	case <-timer.C:
+		h.halt()
 		f.Err, f.Hung = fmt.Sprintf("exceeded the %s per-run deadline", deadline), true
 		r.recordFailure(f)
 		return sentinel
@@ -136,21 +173,21 @@ func runGuarded[V any](r *Runner, f RunFailure, sentinel V, fn func() V) V {
 // entry point once results flow through the memo caches.
 func (r *Runner) safeSimulate(k string, spec runSpec) *ndp.Result {
 	return runGuarded(r, RunFailure{Key: k, App: spec.app, Design: spec.d.String()},
-		failedResult, func() *ndp.Result {
+		failedResult, func(h *halter) *ndp.Result {
 			if r.simHook != nil {
 				r.simHook(spec)
 			}
 			if r.checkRuns || spec.check {
-				return r.checkedSimulate(k, spec)
+				return r.checkedSimulate(k, spec, h)
 			}
-			return r.simulate(k, spec)
+			return r.simulate(k, spec, h)
 		})
 }
 
 // safeFunctional is the functional characterization with crash isolation.
 func (r *Runner) safeFunctional(k string, spec funcSpec) *ndp.FunctionalResult {
 	return runGuarded(r, RunFailure{Key: k, App: spec.app},
-		failedFunctional, func() *ndp.FunctionalResult {
+		failedFunctional, func(*halter) *ndp.FunctionalResult {
 			if r.simHook != nil {
 				r.simHook(runSpec{app: spec.app, p: spec.p})
 			}

@@ -1,11 +1,17 @@
 package bench
 
 import (
+	"context"
+	"fmt"
+	"io"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
 
+	"abndp/internal/apps"
 	"abndp/internal/config"
+	"abndp/internal/ndp"
 )
 
 // normalizeRows collapses tabwriter padding so row comparisons survive
@@ -161,5 +167,63 @@ func TestDeadlineDisabled(t *testing.T) {
 	}
 	if res == failedResult {
 		t.Fatal("run resolved to the failure placeholder")
+	}
+}
+
+// labelled reports whether a goroutine carrying the pprof label
+// halttest=tag is alive.
+func labelled(tag string) bool {
+	var b strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		panic(err)
+	}
+	return strings.Contains(b.String(), `"halttest":"`+tag+`"`)
+}
+
+// A run past its deadline is halted, not only abandoned: pr at scale 14 on
+// design O, under a 20 ms deadline, records a hung failure, and the
+// goroutine simulating it exits soon after, in plain and in check mode,
+// instead of keeping a core until the run ends. "Soon" is a quarter of
+// the time one whole run takes here, and at most a second, so a run that
+// only gets abandoned fails the test on any host. A System registered
+// after the halt, as a checked simulation's plain rerun can be, is halted
+// as it registers. The whole run goes first and fills the input cache,
+// because Setup is not interruptible.
+func TestDeadlineHaltsAbandonedRun(t *testing.T) {
+	h := &halter{}
+	early := h.add(ndp.NewSystem(config.Default(), config.DesignO))
+	h.halt()
+	late := h.add(ndp.NewSystem(config.Default(), config.DesignO))
+	if !early.Engine.Halted() || !late.Engine.Halted() {
+		t.Fatalf("halted: registered before %v, after %v; want both", early.Engine.Halted(), late.Engine.Halted())
+	}
+
+	r := NewRunner(io.Discard)
+	spec := runSpec{app: "pr", d: config.DesignO, cfg: r.base, p: apps.Params{Scale: 14, Seed: 42}}
+	k := key(spec.app, spec.d, spec.cfg, spec.p)
+	start := time.Now()
+	r.simulate(k, spec, &halter{})
+	bound := min(time.Second, time.Since(start)/4)
+	for _, checked := range []bool{false, true} {
+		r := NewRunner(io.Discard)
+		r.SetCheck(checked)
+		r.SetRunDeadline(20 * time.Millisecond)
+		tag := fmt.Sprint(checked)
+		r.simHook = func(runSpec) { // runs on the guarded goroutine
+			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("halttest", tag)))
+		}
+		if res := r.safeSimulate(k, spec); res != failedResult {
+			t.Fatalf("check %v: the run finished inside 20 ms; the test needs a longer one", checked)
+		}
+		if fails := r.Failures(); len(fails) != 1 || !fails[0].Hung {
+			t.Fatalf("check %v: failures = %+v, want one hung entry", checked, fails)
+		}
+		deadline := time.Now().Add(bound)
+		for labelled(tag) {
+			if time.Now().After(deadline) {
+				t.Fatalf("check %v: the abandoned run still simulates %v after its deadline", checked, bound)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
 	}
 }

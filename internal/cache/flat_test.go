@@ -94,9 +94,11 @@ func occupancy(c *L1) int {
 }
 
 // The paged L1 must be observationally identical to the flat reference:
-// the same return value from every Access and Contains, and the same
-// occupancy after every operation, over seeded random streams with
-// interleaved invalidations. The geometries cover set counts below, at and
+// the same return value from every operation, and the same occupancy after
+// each, over seeded random streams with interleaved invalidations. The
+// paged side replays the line-fetch path's split calls: an access is a
+// Probe followed by a Fill on a miss, and a bare Probe promotes a hit the
+// way the reference's Contains-then-Access does. The geometries cover set counts below, at and
 // above one page, and 1, 4 and 16 ways.
 func TestPagedMatchesFlat(t *testing.T) {
 	const ops = 4000
@@ -116,8 +118,16 @@ func TestPagedMatchesFlat(t *testing.T) {
 				var name string
 				var got, want bool
 				switch r := rng.Intn(100); {
+				case r < 55:
+					name, want = "Access", flat.Access(l)
+					if got = paged.Probe(l); !got {
+						paged.Fill(l)
+					}
 				case r < 70:
-					name, got, want = "Access", paged.Access(l), flat.Access(l)
+					name, got, want = "Probe", paged.Probe(l), flat.Contains(l)
+					if want {
+						flat.Access(l)
+					}
 				case r < 98:
 					name, got, want = "Contains", paged.Contains(l), flat.Contains(l)
 				default:

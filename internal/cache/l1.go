@@ -67,9 +67,30 @@ func (c *L1) Sets() int { return int(c.setMask) + 1 }
 // Ways returns the associativity.
 func (c *L1) Ways() int { return c.ways }
 
-// Access looks up line l, returning true on a hit. On a miss the line is
-// inserted, evicting the LRU way of its set. The hit way is promoted to MRU.
-func (c *L1) Access(l mem.Line) bool {
+// Probe looks up line l, returning true on a hit, and promotes the hit way
+// to MRU. A miss changes nothing; the caller fills the line once it has
+// fetched it.
+func (c *L1) Probe(l mem.Line) bool {
+	s := int(uint64(l) & c.setMask)
+	p, i := c.pages[s>>c.pageShift], s&c.pageMask
+	if p == nil {
+		return false
+	}
+	set := p.lines[i*c.ways : (i+1)*c.ways]
+	for w, x := range set[:p.fill[i]] {
+		if x == l {
+			// Promote to MRU by shifting earlier ways down.
+			copy(set[1:w+1], set[:w])
+			set[0] = l
+			return true
+		}
+	}
+	return false
+}
+
+// Fill inserts line l, which must not be cached, at the MRU end of its set,
+// evicting the LRU way once the set is full.
+func (c *L1) Fill(l mem.Line) {
 	s := int(uint64(l) & c.setMask)
 	p, i := c.pages[s>>c.pageShift], s&c.pageMask
 	if p == nil {
@@ -78,15 +99,6 @@ func (c *L1) Access(l mem.Line) bool {
 	}
 	set := p.lines[i*c.ways : (i+1)*c.ways]
 	n := int(p.fill[i])
-	for w, x := range set[:n] {
-		if x == l {
-			// Promote to MRU by shifting earlier ways down.
-			copy(set[1:w+1], set[:w])
-			set[0] = l
-			return true
-		}
-	}
-	// Miss: insert at MRU, dropping the LRU way once the set is full.
 	if n < c.ways {
 		n++
 		p.fill[i] = uint8(n)
@@ -97,7 +109,6 @@ func (c *L1) Access(l mem.Line) bool {
 	}
 	copy(set[1:n], set[:n-1])
 	set[0] = l
-	return false
 }
 
 // Contains reports whether line l is cached, without touching LRU state.

@@ -60,13 +60,15 @@ func (b *mapPrefetchBuffer) Invalidate() {
 
 // The ring must be observationally identical to the map reference: the
 // same Lookup results and the same Len after every operation, over seeded
-// streams of new-line inserts, re-inserts of resident lines with earlier
-// and later completion times, lookups and invalidations. The capacities
-// cover one slot, the smallest rings that wrap, an odd size and Table 1's
-// 64 slots.
+// streams of inserts, lookups and invalidations. A line is inserted only
+// after its Lookup missed, as the line-fetch path does, so the reference's
+// refresh branch for resident lines never runs. The capacities cover one
+// slot, the smallest rings that wrap, an odd size, rings at and one past
+// the first growth step, and Table 1's 64 slots, so streams cross both
+// growth steps, wrap after them and regrow nothing after Invalidate.
 func TestRingMatchesMap(t *testing.T) {
 	const seeds, ops = 20, 20000
-	for _, slots := range []int{1, 2, 3, 7, 64} {
+	for _, slots := range []int{1, 2, 3, 7, firstSlots, firstSlots + 1, 64} {
 		for seed := int64(1); seed <= seeds; seed++ {
 			ring, ref := NewPrefetchBuffer(slots*mem.LineSize), newMapPrefetchBuffer(slots*mem.LineSize)
 			if ring.Capacity() != slots {
@@ -78,18 +80,13 @@ func TestRingMatchesMap(t *testing.T) {
 				l := mem.Line(rng.Intn(span))
 				var name string
 				switch r := rng.Intn(100); {
-				case r < 40:
+				case r < 50:
 					name = "Insert"
-					at := rng.Int63n(1 << 20)
-					ring.Insert(l, at)
-					ref.Insert(l, at)
-				case r < 55 && ref.Len() > 0:
-					// Re-insert a resident line, finishing earlier or later.
-					name = "Reinsert"
-					l = ref.order[rng.Intn(ref.Len())]
-					at := ref.ready[l] + rng.Int63n(201) - 100
-					ring.Insert(l, at)
-					ref.Insert(l, at)
+					if _, ok := ring.Lookup(l); !ok {
+						at := rng.Int63n(1 << 20)
+						ring.Insert(l, at)
+						ref.Insert(l, at)
+					}
 				case r < 99:
 					name = "Lookup"
 				default:

@@ -182,9 +182,10 @@ const MaxL1DBytes = 1 << 20
 const MaxUnitBytes = 1 << 40
 
 // MaxUnits bounds the machine size, MeshX*MeshY*UnitsPerStack. The
-// scheduler's per-origin load deltas grow with units squared, so an
-// unbounded mesh from a request or a spec could ask for gigabytes; the
-// largest shape the repository runs is 8x8 stacks of 8 units (512).
+// scheduler's per-origin forwarded-load rows can grow with units squared,
+// so an unbounded mesh from a request or a spec could ask for gigabytes;
+// the largest shape the repository runs is 8x8 stacks of 8 units (512).
+// A fault spec's unit ranges are bounded to as many units (internal/fault).
 const MaxUnits = 1024
 
 // Default returns the Table 1 configuration.

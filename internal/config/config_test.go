@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -305,5 +306,17 @@ func TestValidateCacheWaysBounds(t *testing.T) {
 	c.CacheEnabled = false
 	if err := c.Validate(); err != nil {
 		t.Fatalf("disabled cache should not validate CacheWays: %v", err)
+	}
+}
+
+// A fault-spec unit range may name every unit of the largest machine
+// Validate accepts, and no more: Parse bounds ranges so that a request
+// cannot make it expand billions of entries.
+func TestFaultRangeBoundIsMaxUnits(t *testing.T) {
+	if _, err := fault.Parse(fmt.Sprintf("kill:0-%d@1", MaxUnits-1)); err != nil {
+		t.Fatalf("a range over MaxUnits units is rejected: %v", err)
+	}
+	if _, err := fault.Parse(fmt.Sprintf("kill:0-%d@1", MaxUnits)); err == nil {
+		t.Fatal("a range over MaxUnits+1 units parses")
 	}
 }

@@ -27,6 +27,7 @@ func TestParseRoundTrip(t *testing.T) {
 		{"link:0:-y@1", Plan{LinkKills: []LinkKill{{Stack: 0, Dir: DirNegY, Cycle: 1}}}},
 		{"retry:4", Plan{TaskRetryMax: 4}},
 		{"seed:99", Plan{Seed: 99}},
+		{"dram:0:1", Plan{DRAMRetryMax: 1}},
 		{"dram:0.001;slow:0:2;kill:1@5;link:2:+y@6;retry:3;seed:7", Plan{
 			DRAMErrProb:  0.001,
 			Stragglers:   []Straggler{{Unit: 0, CoreFactor: 2, ChanFactor: 1}},
@@ -60,6 +61,7 @@ func TestParseErrors(t *testing.T) {
 		"bogus:1", "dram", "dram:x", "dram:0.1:1:2", "slow:3", "slow:a:2",
 		"slow:3:x", "slow:5-2:2", "kill:3", "kill:x@5", "kill:3@x",
 		"link:1@5", "link:1:z@5", "link:1:+x@x", "retry:x", "seed:x",
+		"kill:0-1024@5", "slow:11-408888888:100", "kill:0-2000000000@1",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted invalid spec", spec)

@@ -74,6 +74,9 @@ func (p *Plan) parseDRAM(rest string) error {
 	if err != nil {
 		return err
 	}
+	if prob == 0 {
+		prob = 0 // "-0" disables the class as "0" does, and keys the same
+	}
 	p.DRAMErrProb = prob
 	if len(parts) == 2 {
 		if p.DRAMRetryMax, err = parseInt(parts[1]); err != nil {
@@ -167,7 +170,15 @@ func (p *Plan) parseLink(rest string) error {
 	return nil
 }
 
-// parseUnitRange parses "7" or "4-11" (inclusive).
+// maxRange bounds the units one "a-b" range names. Parse expands a range
+// into one entry per unit before any machine validates the plan, so an
+// unbounded "kill:0-2000000000@1" from a request would allocate gigabytes
+// here. No valid plan needs a wider range: a machine has at most
+// config.MaxUnits (1024) units.
+const maxRange = 1024
+
+// parseUnitRange parses "7" or "4-11" (inclusive), naming at most maxRange
+// units.
 func parseUnitRange(s string) (lo, hi int, err error) {
 	loS, hiS, isRange := strings.Cut(s, "-")
 	if lo, err = parseInt(loS); err != nil {
@@ -181,6 +192,9 @@ func parseUnitRange(s string) (lo, hi int, err error) {
 	}
 	if hi < lo {
 		return 0, 0, fmt.Errorf("unit range %q is backwards", s)
+	}
+	if hi-lo >= maxRange { // lo >= 0: a leading '-' is the range separator
+		return 0, 0, fmt.Errorf("unit range %q names more than %d units", s, maxRange)
 	}
 	return lo, hi, nil
 }
@@ -208,10 +222,12 @@ func parseInt(s string) (int, error) {
 }
 
 // String renders the plan back in the spec grammar (one clause per fault;
-// ranges are not re-compressed). An empty plan renders as "".
+// ranges are not re-compressed). An empty plan renders as "". The dram
+// clause appears when either of its fields is set, so a retry budget
+// without an error rate ("dram:0:1") survives the round trip.
 func (p *Plan) String() string {
 	var parts []string
-	if p.DRAMErrProb > 0 {
+	if p.DRAMErrProb != 0 || p.DRAMRetryMax != 0 {
 		c := "dram:" + strconv.FormatFloat(p.DRAMErrProb, 'g', -1, 64)
 		if p.DRAMRetryMax > 0 {
 			c += ":" + strconv.Itoa(p.DRAMRetryMax)

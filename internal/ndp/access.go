@@ -107,13 +107,14 @@ func (s *System) portInject(from, to topology.UnitID, t int64) int64 {
 // returning the cycle at which the data is available in u's prefetch
 // buffer. It walks the full §4.4 access flow: L1 → prefetch buffer →
 // nearest camp probe → home DRAM, charging every hop, tag check, and DRAM
-// access along the actual path.
+// access along the actual path. Each structure is probed once: a miss in
+// both leaves the line absent from them, since transfer touches neither
+// of u's, so it fills them without another scan.
 func (s *System) fetchLine(u topology.UnitID, l mem.Line, now int64) int64 {
 	un := s.units[u]
 	st := &s.Stats.Units[u]
 
-	if un.l1.Contains(l) {
-		un.l1.Access(l)
+	if un.l1.Probe(l) {
 		st.L1Hits++
 		s.sramTouch(u)
 		return now + s.sramHitCycles
@@ -130,9 +131,28 @@ func (s *System) fetchLine(u topology.UnitID, l mem.Line, now int64) int64 {
 
 	st.L1Misses++
 	finish := s.transfer(u, l, now)
+	if s.audit != nil {
+		s.auditFill(u, l)
+	}
 	un.pfbuf.Insert(l, finish)
-	un.l1.Access(l)
+	un.l1.Fill(l)
 	return finish
+}
+
+// auditFill checks the preconditions of fetchLine's fills: line l, which
+// missed in unit u's L1 and prefetch buffer before its transfer, is still
+// in neither.
+func (s *System) auditFill(u topology.UnitID, l mem.Line) {
+	un := s.units[u]
+	s.audit.Tick()
+	if un.l1.Contains(l) {
+		s.audit.Violationf("ndp.l1fill", s.Engine.Now(),
+			"unit %d fills line %d into its L1, which already holds it", u, l)
+	}
+	if _, ok := un.pfbuf.Lookup(l); ok {
+		s.audit.Violationf("ndp.pffill", s.Engine.Now(),
+			"unit %d inserts line %d into its prefetch buffer, which already holds it", u, l)
+	}
 }
 
 // transfer moves line l to unit u, returning the arrival cycle.

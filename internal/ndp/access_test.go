@@ -3,6 +3,7 @@ package ndp
 import (
 	"testing"
 
+	"abndp/internal/check"
 	"abndp/internal/config"
 	"abndp/internal/mem"
 	"abndp/internal/topology"
@@ -235,5 +236,32 @@ func TestChargeMsgSelfIsFree(t *testing.T) {
 	st := &s.Stats.Units[5]
 	if st.InterHops != 0 || st.Energy.Interconnect != 0 {
 		t.Fatal("self message charged traffic")
+	}
+}
+
+// fetchLine fills a line that missed into the L1 and the prefetch buffer
+// without rescanning either. Under the audit it checks that the line is
+// still absent from both; the check must flag a line already present.
+func TestAuditFillDetectsResidentLine(t *testing.T) {
+	s := accessSystem(t, true)
+	c := check.New()
+	s.SetChecker(c)
+	l := lineHomedOn(s, 9)
+	s.fetchLine(2, l, 0)
+	s.fetchLine(2, l, 100) // an L1 hit
+	if !c.Ok() {
+		t.Fatalf("clean fetches flagged: %v", c.Violations())
+	}
+	s.units[2].l1.Invalidate()
+	s.auditFill(2, l) // still in the prefetch buffer
+	s.units[2].pfbuf.Invalidate()
+	s.units[2].l1.Fill(l)
+	s.auditFill(2, l) // back in the L1
+	var rules []string
+	for _, v := range c.Violations() {
+		rules = append(rules, v.Rule)
+	}
+	if len(rules) != 2 || rules[0] != "ndp.pffill" || rules[1] != "ndp.l1fill" {
+		t.Fatalf("audit recorded %v, want [ndp.pffill ndp.l1fill]", rules)
 	}
 }

@@ -12,18 +12,20 @@ import (
 // page on the first fill into it, rather than 128 units x 32768 sets x 4
 // ways of zeroed tags (about 194 MiB for designs C and O) or a directory
 // of 512 page pointers per unit (0.5 MiB). The L1 allocates a 16-set page
-// on its first fill. The NoC keeps one latency and one energy entry per
-// stack pair, and the scheduler's units x units load-delta table (128 KiB)
-// waits for the first placement that reads loads. NewSystem(Default)
-// allocates 0.259 MiB without a Traveller cache and 0.277 MiB with one on
-// Go 1.24; the delta table, the unit-pair NoC tables (192 KiB) or the
-// dense Traveller directories would exceed either budget.
+// on its first fill, and a prefetch buffer its ring slots on its first
+// insert (64 slots per unit, 0.125 MiB in all, at construction before).
+// The NoC keeps one latency and one energy entry per stack pair, and the
+// scheduler's forwarded-load rows wait for the first placement that reads
+// loads. NewSystem(Default) allocates 0.141 MiB without a Traveller cache
+// and 0.159 MiB with one on Go 1.24; the prefetch rings, a units x units
+// load table (128 KiB), the unit-pair NoC tables (192 KiB) or the dense
+// Traveller directories would exceed either budget.
 func TestNewSystemAllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	for _, d := range config.NDPDesigns {
-		budget := 0.285 // MiB
+		budget := 0.155 // MiB
 		if d.UsesCache() {
-			budget = 0.305
+			budget = 0.175
 		}
 		runtime.ReadMemStats(&before)
 		sys := NewSystem(config.Default(), d)

@@ -1,13 +1,22 @@
 package ndp
 
 import (
+	"errors"
+
 	"abndp/internal/noc"
 	"abndp/internal/sched"
 	"abndp/internal/task"
 	"abndp/internal/topology"
 )
 
-// app is stored on the System for the duration of one Run.
+// errHalted is Run's panic value when another goroutine halts the engine
+// (sim.Engine.Halt) before the run finishes: a halted run has no result.
+// Run checks the flag while it places the initial tasks and the engine
+// checks it before every event; only the app's Setup cannot be halted.
+var errHalted = errors.New("ndp: run halted before it finished")
+
+// Run simulates app to completion and returns its result. The app is
+// stored on the System for the duration of the run.
 func (s *System) Run(app App) *Result {
 	s.app = app
 	if s.observer != nil {
@@ -34,6 +43,9 @@ func (s *System) Run(app App) *Result {
 	})
 	for i, t := range initial {
 		if i%len(s.units) == 0 {
+			if s.Engine.Halted() {
+				panic(errHalted)
+			}
 			s.Sched.Exchange(s.trueW)
 		}
 		s.placeTask(t, t.Origin)
@@ -48,6 +60,9 @@ func (s *System) Run(app App) *Result {
 	s.scheduleExchange()
 	s.scheduleUtilSample()
 	s.Engine.Run()
+	if s.Engine.Halted() {
+		panic(errHalted)
+	}
 	if !s.finished {
 		panic("ndp: simulation drained events with tasks outstanding")
 	}
@@ -93,8 +108,11 @@ func (s *System) startTimestamp() {
 	if s.observer != nil {
 		s.obsBeginPhase(s.curTS)
 	}
+	// The batch and the next phase's pending list swap buffers: nothing
+	// reads a batch once its tasks are pushed, so its slice comes back as
+	// the pending list of the phase after this one.
 	batch := s.pending
-	s.pending = nil
+	s.pending, s.spare = s.spare[:0], batch
 	s.outstanding = int64(len(batch))
 	for _, t := range batch {
 		s.push(t)
@@ -501,10 +519,28 @@ func (s *System) onIdle(u *unit) {
 			victim = topology.UnitID((int(victim) + 1) % len(s.units))
 		}
 	}
+	if u.stealReply == nil {
+		s.bindSteal(u)
+	}
 	u.stealInFlight = true
+	u.stealVictim = victim
 	s.chargeMsg(u.id, u.id, victim, noc.CtrlBytes)
 	rtt := 2*s.Noc.Latency(u.id, victim) + 4
-	s.Engine.After(rtt, func() { s.arriveSteal(u, victim) })
+	s.Engine.After(rtt, u.stealReply)
+}
+
+// bindSteal binds u's steal events. A unit's probe is in flight from onIdle
+// until its reply, or until the backoff after an empty reply ends, and
+// onIdle starts no other meanwhile, so the reply reads the probe's victim
+// from the unit.
+func (s *System) bindSteal(u *unit) {
+	u.stealReply = func() { s.arriveSteal(u, u.stealVictim) }
+	u.stealRetry = func() {
+		u.stealInFlight = false
+		if u.queue.Len() == 0 {
+			s.onIdle(u)
+		}
+	}
 }
 
 // arriveSteal completes a steal round trip: move tasks from the victim's
@@ -520,19 +556,15 @@ func (s *System) arriveSteal(u *unit, victim topology.UnitID) {
 	if n > s.Cfg.StealBatch {
 		n = s.Cfg.StealBatch
 	}
-	stolen := v.queue.StealBack(n)
+	s.stolen = v.queue.StealBack(s.stolen[:0], n)
+	stolen := s.stolen
 	if len(stolen) == 0 {
 		if u.stealBackoff < 64 {
 			u.stealBackoff = 64
 		} else if u.stealBackoff < 512 {
 			u.stealBackoff *= 2
 		}
-		s.Engine.After(u.stealBackoff, func() {
-			u.stealInFlight = false
-			if u.queue.Len() == 0 {
-				s.onIdle(u)
-			}
-		})
+		s.Engine.After(u.stealBackoff, u.stealRetry)
 		return
 	}
 	u.stealInFlight = false

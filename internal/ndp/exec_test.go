@@ -232,3 +232,23 @@ func TestSchedulingWindowMode(t *testing.T) {
 			res.Makespan, instant.Makespan)
 	}
 }
+
+// A design Sl steal probe binds its reply and backoff events once per
+// unit, so once the event queue has grown, an idle unit's probe cycle
+// (probe, empty reply, backoff, next probe) allocates nothing.
+func TestStealProbeAllocatesNothing(t *testing.T) {
+	s := NewSystem(smallCfg(), config.DesignSl)
+	s.outstanding = 1 // a phase in progress, with every queue empty
+	s.onIdle(s.units[0])
+	for i := 0; i < 16; i++ {
+		if !s.Engine.Step() {
+			t.Fatal("the probe cycle stopped")
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Engine.Step() }); n != 0 {
+		t.Fatalf("a steal probe event allocated %v times, want 0", n)
+	}
+	if s.Engine.Pending() != 1 || !s.units[0].stealInFlight {
+		t.Fatalf("%d events pending, probe in flight %v; want one probe cycle", s.Engine.Pending(), s.units[0].stealInFlight)
+	}
+}

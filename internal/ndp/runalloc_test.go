@@ -30,8 +30,9 @@ func bytesPerTask(t *testing.T, app string, d config.Design) float64 {
 // A run must not allocate per memory access: the prefetch buffers recycle
 // their slots and the NoC tables are per stack pair. Nor does it pay for
 // per-unit state it never uses: the Traveller directory holds only filled
-// pages, L1 pages are 16 sets, and only hybrid placement (design O here)
-// allocates the units x units load-delta table. Each budget sits 7-10%
+// pages, L1 pages are 16 sets, a prefetch ring grows to its capacity only
+// once its first 8 slots are resident, and only hybrid placement (design
+// O here) keeps forwarded-load rows. Each budget sits 6-16%
 // above what the run allocates on Go 1.24, input generation included (the
 // input cache is off), so map-based prefetch buffers or unit-pair NoC
 // tables, 17-41% more per task, would exceed it. So would the layout those

@@ -42,6 +42,12 @@ type unit struct {
 
 	stealInFlight bool
 	stealBackoff  int64
+	stealVictim   topology.UnitID // victim of the probe in flight
+	// stealReply and stealRetry fire the in-flight probe's reply and the
+	// end of an empty reply's backoff. A unit has at most one of them
+	// pending, so they are bound once, on its first probe, and probing
+	// allocates nothing after that.
+	stealReply, stealRetry func()
 
 	// schedQ holds generated tasks awaiting placement when the
 	// asynchronous scheduling window is enabled (Figure 4).
@@ -72,6 +78,8 @@ type System struct {
 	curTS             int64
 	outstanding       int64        // unfinished tasks of the current timestamp
 	pending           []*task.Task // tasks enqueued for the next timestamp
+	spare             []*task.Task // the last phase's batch, reused as pending
+	stolen            []*task.Task // scratch for the tasks of one steal reply
 	finished          bool
 	queueLens         []int           // scratch for work-stealing victim selection
 	lastProbed        topology.UnitID // scratch for the probe-all-camps chain

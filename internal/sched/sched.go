@@ -10,7 +10,7 @@
 // Each NDP unit schedules locally using periodically exchanged load
 // snapshots (§5.2); there is no central scheduler. The Scheduler type below
 // is instantiated once per simulation and keeps per-origin "sent since last
-// exchange" deltas so that a unit immediately accounts for the load it has
+// exchange" loads so that a unit immediately accounts for the load it has
 // itself forwarded, preventing same-interval herding onto one idle unit.
 package sched
 
@@ -44,15 +44,20 @@ type Scheduler struct {
 	// observer (obs.Metrics.SchedDegraded) and the end-of-run audit.
 	degraded int64
 
-	// snapW is the last exchanged workload snapshot; delta[origin*units+u]
-	// is the load origin has forwarded to u since that exchange. Only the
-	// load-reading policies need delta, so the first loadView allocates
-	// it; until then it is nil and Place and Exchange skip it.
+	// snapW is the last exchanged workload snapshot. rows[origin] lists
+	// the load origin has forwarded to each target since that exchange,
+	// one entry per target in the order of its first placement; an origin
+	// places on a few targets per interval, so the rows hold far fewer
+	// entries than a units x units table. Only the load-reading policies
+	// need them, so the first loadView allocates rows; until then it is
+	// nil and Place and Exchange skip it.
 	snapW []float64
-	delta []float64
+	rows  [][]forward
 
-	// scratch buffers reused across Place calls: the effective load view,
+	// scratch buffers reused across Place calls: loadView's dense copy of
+	// one origin's row (all zeros between calls), the effective load view,
 	// and the costmem vector with its kernel's working memory.
+	fwdBuf     []float64
 	loadBuf    []float64
 	vecBuf     []float64
 	vecScratch *core.VecScratch
@@ -117,6 +122,7 @@ func New(policy string, cost *core.CostModel, camps *core.CampMap, n *noc.Model,
 		units:      units,
 		hybridB:    core.HybridWeight(n, cfg.HybridAlpha),
 		snapW:      make([]float64, units),
+		fwdBuf:     make([]float64, units),
 		loadBuf:    make([]float64, units),
 		vecBuf:     make([]float64, units),
 		vecScratch: cost.NewVecScratch(),
@@ -138,11 +144,20 @@ func (s *Scheduler) DegradedLoads() int64 { return s.degraded }
 // HybridB returns the hybrid weight B in cycles (for tests).
 func (s *Scheduler) HybridB() float64 { return s.hybridB }
 
+// forward is one entry of an origin's row: the load forwarded to target
+// since the last exchange.
+type forward struct {
+	target topology.UnitID
+	load   float64
+}
+
 // Exchange installs a fresh workload snapshot (the periodic hierarchical
-// exchange of §5.2) and clears the per-origin deltas, if any exist.
+// exchange of §5.2) and empties the per-origin rows, if any exist.
 func (s *Scheduler) Exchange(trueW []float64) {
 	copy(s.snapW, trueW)
-	clear(s.delta)
+	for o, row := range s.rows {
+		s.rows[o] = row[:0]
+	}
 	if s.audit != nil {
 		s.audit.Tick()
 		for u, w := range s.snapW {
@@ -244,21 +259,21 @@ func (s *Scheduler) auditCycle() int64 {
 }
 
 // Place chooses the execution unit for t, scheduled by origin's scheduler,
-// and records the forwarded load in origin's delta once a policy has read
+// and records the forwarded load in origin's row once a policy has read
 // loads. Every load-reading policy calls loadView before it returns, so
-// the first such Place allocates the table before recording into it and
+// the first such Place allocates the rows before recording into them and
 // no forwarded load goes unrecorded. Ties break toward the lowest unit ID
 // so results are deterministic.
 func (s *Scheduler) Place(t *task.Task, origin topology.UnitID) topology.UnitID {
 	target, memCost, loadTerm := s.policy.Place(s, t, origin)
 	if target < 0 {
 		// No live unit can accept the task (every unit is dead). Return
-		// the verdict without touching the delta matrix — the old code
-		// would have indexed it at -1 — and without invoking the hook.
+		// the verdict without recording load on unit -1 and without
+		// invoking the hook.
 		return -1
 	}
-	if s.delta != nil {
-		s.delta[int(origin)*s.units+int(target)] += t.Hint.EstimatedWorkload()
+	if s.rows != nil {
+		s.record(origin, target, t.Hint.EstimatedWorkload())
 	}
 	if s.audit != nil {
 		s.audit.Tick()
@@ -279,6 +294,22 @@ func (s *Scheduler) Place(t *task.Task, origin topology.UnitID) topology.UnitID 
 		s.scoreHook(origin, target, memCost, loadTerm)
 	}
 	return target
+}
+
+// record adds w to the load origin has forwarded to target, appending the
+// target's entry on its first placement since the exchange. Each entry's
+// sum takes its terms in placement order, starting from the first, so it
+// is the same float sequence a dense per-pair accumulator starting at zero
+// would hold (w is never -0: workloads are positive or a line count).
+func (s *Scheduler) record(origin, target topology.UnitID, w float64) {
+	row := s.rows[origin]
+	for i := range row {
+		if row[i].target == target {
+			row[i].load += w
+			return
+		}
+	}
+	s.rows[origin] = append(row, forward{target, w})
 }
 
 func (s *Scheduler) placeLowestDistance(t *task.Task) (topology.UnitID, float64) {
@@ -315,10 +346,15 @@ func (s *Scheduler) placeLowestDistance(t *task.Task) (topology.UnitID, float64)
 // quantization noise, not imbalance, and must not dominate the other
 // score terms.
 func (s *Scheduler) loadView(origin topology.UnitID, meanFloor float64) (mean float64, live int) {
-	if s.delta == nil {
-		s.delta = make([]float64, s.units*s.units)
+	if s.rows == nil {
+		s.rows = make([][]forward, s.units)
 	}
-	d := s.delta[int(origin)*s.units : (int(origin)+1)*s.units]
+	// Spread origin's row over the zeroed scratch, so the loop below reads
+	// every unit's forwarded load by index, and zero it again after.
+	d, row := s.fwdBuf, s.rows[origin]
+	for _, f := range row {
+		d[f.target] = f.load
+	}
 	amp := float64(s.units)
 	var sum float64
 	for u := 0; u < s.units; u++ {
@@ -349,6 +385,9 @@ func (s *Scheduler) loadView(origin topology.UnitID, meanFloor float64) (mean fl
 		}
 		sum += w
 		live++
+	}
+	for _, f := range row {
+		d[f.target] = 0
 	}
 	if live == 0 {
 		return 0, 0

@@ -218,43 +218,6 @@ func TestExchangeResetsDeltas(t *testing.T) {
 	}
 }
 
-// Only the load-reading policies hold the units x units delta table (128
-// KiB on Table 1's machine): under home and lowestdist, placement allocates
-// nothing and an exchange leaves the table unallocated, while the first
-// hybrid or loadonly placement builds it.
-func TestDeltaTableOnlyForLoadPolicies(t *testing.T) {
-	e := newEnv()
-	w := make([]float64, e.topo.Units())
-	for i := range w {
-		w[i] = float64(i % 5)
-	}
-	lines := []mem.Line{e.lineOn(3), e.lineOn(40), e.lineOn(99)}
-	for _, policy := range []string{"home", "lowestdist"} {
-		s := e.scheduler(policy, false)
-		s.Exchange(w)
-		tsk := &task.Task{Hint: task.Hint{Lines: lines}}
-		origin := topology.UnitID(0)
-		n := testing.AllocsPerRun(100, func() {
-			s.Place(tsk, origin)
-			origin = (origin + 1) % 128
-		})
-		s.Exchange(w)
-		if n != 0 || s.delta != nil {
-			t.Errorf("%s: Place allocated %v objects, delta table allocated %v; want 0 and false",
-				policy, n, s.delta != nil)
-		}
-	}
-	for _, policy := range []string{"hybrid", "loadonly"} {
-		s := e.scheduler(policy, false)
-		s.Exchange(w)
-		s.Place(&task.Task{Hint: task.Hint{Lines: lines}}, 0)
-		if len(s.delta) != e.topo.Units()*e.topo.Units() {
-			t.Errorf("%s: delta table has %d entries after a placement, want %d",
-				policy, len(s.delta), e.topo.Units()*e.topo.Units())
-		}
-	}
-}
-
 func TestCampAwarePlacementCanBeatHomeDistance(t *testing.T) {
 	e := newEnv()
 	aware := e.scheduler("lowestdist", true)
@@ -395,10 +358,10 @@ func TestPlaceAllUnitsDeadReturnsVerdict(t *testing.T) {
 		if got != -1 {
 			t.Fatalf("kind %v: Place with all units dead = %d, want -1", kind, got)
 		}
-		// The -1 verdict must not have scribbled on the delta matrix.
-		for i, d := range s.delta {
-			if d != 0 {
-				t.Fatalf("kind %v: delta[%d] = %v after refused placement", kind, i, d)
+		// The -1 verdict must not have recorded any forwarded load.
+		for o, row := range s.rows {
+			if len(row) != 0 {
+				t.Fatalf("kind %v: origin %d's row is %v after refused placement", kind, o, row)
 			}
 		}
 		if !s.audit.Ok() {

@@ -6,14 +6,19 @@
 // this repository fully deterministic for a given seed.
 package sim
 
-import "abndp/internal/check"
+import (
+	"sync/atomic"
+
+	"abndp/internal/check"
+)
 
 // Engine is a discrete-event simulator clock and event queue.
 //
 // The zero value is ready to use. Engine is not safe for concurrent use;
 // the whole simulator is single-goroutine by design so that results are
 // reproducible. (Distinct Engines on distinct goroutines are independent —
-// the parallel experiment harness relies on that.)
+// the parallel experiment harness relies on that.) Halt is the one method
+// another goroutine may call.
 //
 // The event queue is an inlined 4-ary min-heap over a value-typed slice
 // rather than container/heap: no interface{} boxing on push/pop (zero
@@ -26,6 +31,7 @@ type Engine struct {
 	seq      uint64
 	executed int64
 	stopped  bool
+	halt     atomic.Bool // set by Halt, from any goroutine
 	pq       []event
 
 	// Probe, when non-nil, is invoked before each executed event with the
@@ -169,6 +175,16 @@ func (e *Engine) Stop() {
 // Stopped reports whether Stop was called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
+// Halt asks Run to return before its next event, leaving the rest of the
+// queue unexecuted. Unlike Stop it is safe to call from any goroutine,
+// including while Run is executing on another: it is how a caller that
+// gave up on a simulation (a wall-clock deadline) frees the goroutine
+// running it. A halted engine's state is not a finished simulation.
+func (e *Engine) Halt() { e.halt.Store(true) }
+
+// Halted reports whether Halt was called.
+func (e *Engine) Halted() bool { return e.halt.Load() }
+
 // Step executes the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
@@ -197,9 +213,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty.
+// Run executes events until the queue is empty, or until Halt is called.
 func (e *Engine) Run() {
-	for e.Step() {
+	for !e.halt.Load() && e.Step() {
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -131,5 +132,29 @@ func TestEngineMonotonicClock(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Halt may be called from another goroutine while Run executes: Run
+// returns before its next event and leaves the queue as it was.
+func TestHaltFromAnotherGoroutine(t *testing.T) {
+	var e Engine
+	var tick func()
+	tick = func() { e.After(1, tick) } // an event chain that never ends
+	e.After(0, tick)
+	done := make(chan struct{})
+	go func() {
+		e.Run()
+		close(done)
+	}()
+	time.Sleep(10 * time.Millisecond)
+	e.Halt()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after Halt")
+	}
+	if !e.Halted() || e.Pending() != 1 || e.Executed() == 0 {
+		t.Fatalf("halted %v, pending %d, executed %d; want true, 1, > 0", e.Halted(), e.Pending(), e.Executed())
 	}
 }

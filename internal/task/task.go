@@ -135,22 +135,21 @@ func (q *Queue) Pop() *Task {
 // out-of-range indices; callers check Len first.
 func (q *Queue) At(i int) *Task { return q.items[q.head+i] }
 
-// StealBack removes up to n tasks from the queue tail, returning them in
-// queue order. Stolen tasks are those that would execute last locally, so
-// moving them disturbs the prefetch window least.
-func (q *Queue) StealBack(n int) []*Task {
+// StealBack removes up to n tasks from the queue tail and appends them to
+// dst in queue order, returning the extended slice. Stolen tasks are those
+// that would execute last locally, so moving them disturbs the prefetch
+// window least. A caller that passes the same buffer back each time steals
+// without allocating.
+func (q *Queue) StealBack(dst []*Task, n int) []*Task {
 	if n <= 0 || q.Len() == 0 {
-		return nil
+		return dst
 	}
 	if n > q.Len() {
 		n = q.Len()
 	}
 	cut := len(q.items) - n
-	out := make([]*Task, n)
-	copy(out, q.items[cut:])
-	for i := cut; i < len(q.items); i++ {
-		q.items[i] = nil
-	}
+	dst = append(dst, q.items[cut:]...)
+	clear(q.items[cut:])
 	q.items = q.items[:cut]
-	return out
+	return dst
 }

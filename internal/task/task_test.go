@@ -53,7 +53,7 @@ func TestStealBack(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q.Push(&Task{Elem: i})
 	}
-	stolen := q.StealBack(3)
+	stolen := q.StealBack(nil, 3)
 	if len(stolen) != 3 {
 		t.Fatalf("stole %d, want 3", len(stolen))
 	}
@@ -76,14 +76,38 @@ func TestStealBack(t *testing.T) {
 func TestStealBackClamped(t *testing.T) {
 	var q Queue
 	q.Push(&Task{Elem: 1})
-	if got := q.StealBack(10); len(got) != 1 {
-		t.Fatalf("StealBack(10) on len-1 queue = %d tasks", len(got))
+	if got := q.StealBack(nil, 10); len(got) != 1 {
+		t.Fatalf("StealBack(nil, 10) on len-1 queue = %d tasks", len(got))
 	}
-	if q.StealBack(5) != nil {
+	if q.StealBack(nil, 5) != nil {
 		t.Fatal("steal from empty queue should return nil")
 	}
-	if q.StealBack(0) != nil {
-		t.Fatal("StealBack(0) should return nil")
+	if q.StealBack(nil, 0) != nil {
+		t.Fatal("StealBack(nil, 0) should return nil")
+	}
+}
+
+// StealBack appends to the caller's buffer: a thief that hands the same
+// buffer back each time steals without allocating, and earlier entries
+// stay in front of the stolen tasks.
+func TestStealBackAppendsToBuffer(t *testing.T) {
+	var q Queue
+	for i := 0; i < 64; i++ {
+		q.Push(&Task{Elem: i})
+	}
+	buf := make([]*Task, 0, 4)
+	if n := testing.AllocsPerRun(10, func() {
+		buf = q.StealBack(buf[:0], 4)
+		for _, t := range buf {
+			q.Push(t)
+		}
+	}); n != 0 {
+		t.Fatalf("StealBack into a large enough buffer allocated %v times, want 0", n)
+	}
+	head := &Task{Elem: -1}
+	got := q.StealBack([]*Task{head}, 2)
+	if len(got) != 3 || got[0] != head || got[1].Elem+1 != got[2].Elem {
+		t.Fatalf("StealBack appended %v after the buffer's entry", got)
 	}
 }
 
@@ -158,7 +182,7 @@ func TestQueueOrderProperty(t *testing.T) {
 					model = model[1:]
 				}
 			case 3: // steal 2
-				stolen := q.StealBack(2)
+				stolen := q.StealBack(nil, 2)
 				k := len(stolen)
 				if k > len(model) {
 					return false
