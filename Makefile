@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet audit bench perf experiments figures hypo serve proxy serve-test clean
+.PHONY: all build test vet audit bench experiments figures hypo serve proxy serve-test clean
 
 all: vet test build
 
@@ -22,21 +22,16 @@ audit:
 	$(GO) test -run 'TestChecker|TestAudit|TestCheckMode|TestResultHash|TestEmptyFaultLayer' ./...
 	$(GO) run ./cmd/abndpbench -quick -exp fig6 -check >/dev/null
 
-# Micro-benchmarks + per-figure harness smoke benchmarks, then a quick
-# harness run that records its wall-clock breakdown in BENCH_<stamp>.json
-# (plan/simulate phase times, runs executed, peak RSS, allocation totals,
-# per-experiment render times). The stamp includes the time of day so
-# same-day runs accumulate instead of overwriting each other.
+# Micro-benchmarks + per-figure harness smoke benchmarks, then one run of
+# each workload of the repository benchmark (BENCHMARK.json, perfbench/),
+# which prints its end-to-end metrics as JSON. To gate a change against
+# its parent, collect such output from both commits and run
+#   go run ./cmd/abndpperf -base base.jsonl -head head.jsonl
+# (docs/OBSERVABILITY.md, "The performance gate").
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/abndpbench -quick -benchjson BENCH_$(shell date +%Y%m%d_%H%M%S).json >/dev/null
-
-# The longitudinal performance trajectory over the committed BENCH
-# records (docs/OBSERVABILITY.md): tables to stdout plus an SVG chart.
-# Gate a fresh record with:
-#   go run ./cmd/abndpperf -base BENCH_old.json -head BENCH_new.json -threshold 0.5
-perf:
-	$(GO) run ./cmd/abndpperf -svg docs/figures/perf_trajectory.svg
+	bash perfbench/run.sh --workload matrix-quick --seed 1 --seconds 55 --trace 0
+	bash perfbench/run.sh --workload serve-campaign --seed 1 --seconds 55 --trace 0
 
 # The HTTP simulation service (docs/SERVING.md): submit runs with
 # curl -X POST localhost:8080/v1/runs -d '{"app":"pr","design":"O"}'.

@@ -119,10 +119,10 @@ func TestCheckpointParityLowestDistance(t *testing.T) {
 	}
 }
 
-// TestPrefixShardSharedAcrossSchedulerKnobs pins the warm-sweep mechanism:
+// TestPrefixShardSharedAcrossSchedulerKnobs pins the knob-sweep mechanism:
 // two configs differing only in scheduler knobs map to the same shard, and
 // the second run hits vectors the first inserted while still producing its
-// own (different) result.
+// own (different) result, the same result as a cold run with no store.
 func TestPrefixShardSharedAcrossSchedulerKnobs(t *testing.T) {
 	store := ckpt.NewStore(0)
 	cfg := smallConfig()
@@ -149,5 +149,10 @@ func TestPrefixShardSharedAcrossSchedulerKnobs(t *testing.T) {
 	}
 	if h0 == h1 {
 		t.Fatal(fmt.Sprintf("alpha=0 and alpha=4 produced identical results (%x) — knob has no effect at this scale?", h0))
+	}
+	c := cfg
+	c.HybridAlpha = 4
+	if cold, _ := runHashed(t, "pr", DesignO, c, nil); h1 != cold {
+		t.Fatalf("alpha=4 on the alpha=0-primed shard hashed %x, cold alpha=4 %x", h1, cold)
 	}
 }

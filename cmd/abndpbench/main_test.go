@@ -1,0 +1,30 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// A sweep whose runs fail exits 1, and its CPU profile is still written:
+// the failing run is the one whose profile is most wanted.
+func TestFailedSweepWritesCPUProfile(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-quick", "-exp", "fig17", "-rundeadline", "1us", "-cpuprofile", prof}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "FAILED") {
+		t.Fatalf("no failed runs reported:\n%s", stderr.String())
+	}
+	st, err := os.Stat(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() == 0 {
+		t.Fatal("CPU profile of the failing sweep is empty")
+	}
+}

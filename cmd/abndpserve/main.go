@@ -56,7 +56,6 @@ func main() {
 		chk      = flag.Bool("check", false, "audit every simulation (invariants + dual-run hash; roughly doubles cost)")
 		rdl      = flag.Duration("rundeadline", 0, "per-job wall-clock deadline; a job past it fails (0 = the 10m default, negative disables)")
 		drainTO  = flag.Duration("draintimeout", 2*time.Minute, "graceful-drain bound on SIGTERM/SIGINT")
-		bjson    = flag.String("benchjson", "", "write harness metrics to this JSON file on shutdown")
 		traceDir = flag.String("trace-dir", "", "write one Perfetto trace per executed job to this directory (serve-tier request spans + engine tracks, keyed by request ID)")
 		logFmt   = flag.String("log", "json", "structured log format on stderr: json or text")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -129,15 +128,10 @@ func main() {
 	}
 	_ = httpSrv.Shutdown(dctx)
 
-	// Flush harness metrics now that the pool is idle.
-	m := srv.Runner().Metrics()
-	if *bjson != "" {
-		if err := m.WriteJSON(*bjson); err != nil {
-			fatal(err)
-		}
-	}
-	logger.Info("drained", "runs", m.Runs, "failures", len(m.Failures),
-		"events_total", m.EventsTotal, "events_per_sec", m.EventsPerSec)
+	r := srv.Runner()
+	events, _ := r.EngineTotals()
+	logger.Info("drained", "runs", r.RunsExecuted(), "failures", len(r.Failures()),
+		"events_total", events)
 	if err := <-serveErr; err != nil && err != http.ErrServerClosed {
 		fatal(err)
 	}

@@ -14,6 +14,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -26,6 +27,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "abndpsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is main returning its error instead of exiting, so the deferred
+// CPU-profile stop runs on a failing run too.
+func run() error {
 	var (
 		appName  = flag.String("app", "pr", "workload: pr bfs sssp astar gcn kmeans knn spmv")
 		design   = flag.String("design", "O", "design: H B Sm Sl Sh C O")
@@ -63,18 +73,18 @@ func main() {
 	if *pprofSrv != "" {
 		addr, err := abndp.StartDebugServer(*pprofSrv)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "abndpsim: debug server at http://%s/debug/pprof/ (metrics at /metrics)\n", addr)
 	}
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -98,7 +108,7 @@ func main() {
 	if *faults != "" {
 		plan, err := abndp.ParseFaults(*faults)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg.Faults = plan
 	}
@@ -111,28 +121,28 @@ func main() {
 
 	d, err := abndp.ParseDesign(*design)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if d == abndp.DesignH {
 		r, err := abndp.RunHost(*appName, cfg, p)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("app=%s design=H time=%.3f ms memory_bound=%v traffic=%.2f GB\n",
 			*appName, r.Seconds*1e3, r.MemoryBound, r.TrafficGB)
-		return
+		return nil
 	}
 
 	if *checkRun {
 		// The audit battery reruns the workload to compare result hashes;
 		// observability outputs of a multiplexed run would be misleading.
 		if *perfetto != "" || *metricsF != "" || *trace != "" {
-			fatal(fmt.Errorf("-check cannot be combined with -perfetto, -metrics, or -trace"))
+			return fmt.Errorf("-check cannot be combined with -perfetto, -metrics, or -trace")
 		}
 		res, rep, err := abndp.AuditRun(*appName, d, cfg, p, true)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if res != nil {
 			printSummary(res, cfg)
@@ -142,24 +152,24 @@ func main() {
 		}
 		fmt.Println(rep.String())
 		if !rep.Ok() {
-			os.Exit(1)
+			return errors.New("audit failed")
 		}
-		return
+		return nil
 	}
 
 	app, err := abndp.NewApp(*appName, p)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// The JSONL task trace is buffered and flushed explicitly after the
-	// run: encode errors are recorded (not fatal'd mid-simulation, which
-	// would skip the deferred cleanup) and reported once at close.
+	// run: encode errors are recorded (not returned mid-simulation) and
+	// reported once at close.
 	var tracer func(abndp.TaskTrace)
 	var closeTrace func() error
 	if *trace != "" {
 		f, err := os.Create(*trace)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		bw := bufio.NewWriterSize(f, 1<<16)
 		enc := json.NewEncoder(bw)
@@ -188,7 +198,7 @@ func main() {
 		if *perfetto != "" {
 			var err error
 			if perfF, err = os.Create(*perfetto); err != nil {
-				fatal(err)
+				return err
 			}
 			perfT = abndp.NewTracer(perfF, cfg.CoreGHz)
 			o.Trace = perfT
@@ -202,20 +212,20 @@ func main() {
 	simStart := time.Now()
 	res, err := abndp.RunAppObserved(app, d, cfg, o, tracer)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	simWall := time.Since(simStart).Seconds()
 	if closeTrace != nil {
 		if err := closeTrace(); err != nil {
-			fatal(fmt.Errorf("writing %s: %w", *trace, err))
+			return fmt.Errorf("writing %s: %w", *trace, err)
 		}
 	}
 	if perfT != nil {
 		if err := perfT.Close(); err != nil {
-			fatal(fmt.Errorf("writing %s: %w", *perfetto, err))
+			return fmt.Errorf("writing %s: %w", *perfetto, err)
 		}
 		if err := perfF.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "abndpsim: wrote %d trace events to %s (open in https://ui.perfetto.dev)\n",
 			perfT.Events(), *perfetto)
@@ -223,25 +233,28 @@ func main() {
 	if *metricsF != "" {
 		f, err := os.Create(*metricsF)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := res.Stats.Obs.WriteCSV(f); err != nil {
-			fatal(fmt.Errorf("writing %s: %w", *metricsF, err))
+			return fmt.Errorf("writing %s: %w", *metricsF, err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *memprof != "" {
 		f, err := os.Create(*memprof)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
+			f.Close()
+			return err
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			return err
+		}
 	}
 	printSummary(res, cfg)
 	if simWall > 0 {
@@ -251,6 +264,7 @@ func main() {
 	if *hashOut {
 		fmt.Printf("result_hash=%016x\n", abndp.ResultHash(res))
 	}
+	return nil
 }
 
 // printSummary renders the end-of-run performance, traffic, and energy
@@ -308,9 +322,4 @@ func printSummary(res *abndp.Result, cfg abndp.Config) {
 			f.DRAMRetries, f.DRAMUncorrected, f.TasksReExecuted, f.TasksRedistributed,
 			f.ReroutedMsgs, f.ReroutedExtraHops, f.DeadUnits, f.DeadLinks)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "abndpsim:", err)
-	os.Exit(1)
 }

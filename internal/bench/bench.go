@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
@@ -75,18 +76,12 @@ type Runner struct {
 	// late-binding knobs share placement work.
 	store *ckpt.Store
 
-	// Per-run wall-clock and engine event counts, keyed by cache key, plus
-	// per-experiment attribution (which runs each experiment referenced) —
-	// the source of the events_total / events_per_sec BENCH fields.
-	// statsMu also guards the unexported inline/pool second split inside
-	// metrics (workers write runStats; render attributes single-threaded).
+	// runs counts executed simulations (memo misses). runStats holds each
+	// executed run's wall-clock and engine event count, keyed by cache key,
+	// for EngineTotals; workers write it under statsMu.
+	runs     atomic.Int64
 	statsMu  sync.Mutex
 	runStats map[string]runStat
-	expRuns  map[string]map[string]bool
-	curExp   string
-	inPool   bool // set around the pool phase (no render runs concurrently)
-
-	metrics Metrics
 }
 
 // runStat is one executed simulation's host-side cost.
@@ -226,62 +221,10 @@ func (r *Runner) runCfg(spec runSpec) *ndp.Result {
 		}
 		return planResult
 	}
-	res := r.cache.do(k, func() *ndp.Result {
-		r.metrics.addRun()
+	return r.cache.do(k, func() *ndp.Result {
+		r.runs.Add(1)
 		return r.safeSimulate(k, spec)
 	})
-	r.attributeRun(k)
-	return res
-}
-
-// attributeRun records that the experiment currently rendering referenced
-// the run under key k — the basis of per-experiment events_total.
-func (r *Runner) attributeRun(k string) {
-	if r.curExp == "" {
-		return
-	}
-	r.statsMu.Lock()
-	if r.expRuns == nil {
-		r.expRuns = make(map[string]map[string]bool)
-	}
-	set := r.expRuns[r.curExp]
-	if set == nil {
-		set = make(map[string]bool)
-		r.expRuns[r.curExp] = set
-	}
-	set[k] = true
-	r.statsMu.Unlock()
-}
-
-// timeExperiment times one experiment render (plan-phase replays are not
-// timed — they would append near-zero duplicate rows) and, on stop, fills
-// the row with the engine cost of every simulation the experiment
-// referenced: summed wall-clock, event count, and the resulting events/sec.
-// Runs shared between experiments are attributed to each experiment that
-// referenced them, so per-experiment rows can overlap; the Metrics-level
-// totals count every executed run exactly once.
-func (r *Runner) timeExperiment(name string) func() {
-	if r.planning {
-		return func() {}
-	}
-	r.curExp = name
-	start := time.Now()
-	return func() {
-		r.curExp = ""
-		row := ExperimentTiming{Name: name, Seconds: time.Since(start).Seconds()}
-		r.statsMu.Lock()
-		for k := range r.expRuns[name] {
-			if st, ok := r.runStats[k]; ok {
-				row.SimSeconds += st.seconds
-				row.EventsTotal += st.events
-			}
-		}
-		r.statsMu.Unlock()
-		if row.SimSeconds > 0 {
-			row.EventsPerSec = float64(row.EventsTotal) / row.SimSeconds
-		}
-		r.metrics.Experiments = append(r.metrics.Experiments, row)
-	}
 }
 
 // newSystem builds the System for one run, attaching the checkpoint shard
@@ -313,10 +256,7 @@ func (r *Runner) simulate(k string, spec runSpec, h *halter) *ndp.Result {
 	return res
 }
 
-// noteRunStat records one executed run's wall clock and event count. Runs
-// outside the pool phase (lazy render-time misses, serve jobs) also add to
-// the inline share of sim_seconds — the satellite fix for BENCH json
-// reporting sim_seconds 0 under a single worker.
+// noteRunStat records one executed run's wall clock and event count.
 func (r *Runner) noteRunStat(k string, seconds float64, events int64) {
 	r.statsMu.Lock()
 	if r.runStats == nil {
@@ -324,9 +264,6 @@ func (r *Runner) noteRunStat(k string, seconds float64, events int64) {
 	}
 	if _, dup := r.runStats[k]; !dup {
 		r.runStats[k] = runStat{seconds: seconds, events: events}
-	}
-	if !r.inPool {
-		r.metrics.simInline += seconds
 	}
 	r.statsMu.Unlock()
 }
@@ -342,7 +279,7 @@ func (r *Runner) functional(app string) *ndp.FunctionalResult {
 		return planFunctional
 	}
 	return r.fcach.do(k, func() *ndp.FunctionalResult {
-		r.metrics.addRun()
+		r.runs.Add(1)
 		return r.safeFunctional(k, funcSpec{app: app, p: p})
 	})
 }
@@ -401,7 +338,6 @@ func (r *Runner) render(name string) error {
 	if !r.planning {
 		r.progressf("render %s\n", name)
 	}
-	defer r.timeExperiment(name)()
 	switch name {
 	case "tab1":
 		r.Table1()

@@ -118,13 +118,17 @@ func TestAblationsSmoke(t *testing.T) {
 }
 
 // TestRunAllQuick drives every experiment (figures + ablations) end to end
-// at quick sizes — the harness's integration test.
+// at quick sizes — the harness's integration test. A run that panicked or
+// hung would only show as a placeholder row, so any failure fails it.
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness sweep in -short mode")
 	}
 	r, buf := quickRunner()
 	r.RunAll()
+	for _, f := range r.Failures() {
+		t.Errorf("run %s failed (hung %v): %s", f.Key, f.Hung, f.Err)
+	}
 	out := buf.String()
 	for _, want := range []string{"Figure 6", "Figure 18", "Ablation: scheduling window"} {
 		if !strings.Contains(out, want) {

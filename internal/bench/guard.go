@@ -13,8 +13,8 @@ import (
 
 // RunFailure records one simulation that panicked or exceeded the per-run
 // wall-clock deadline. Failures ride along in the harness metrics JSON
-// (BENCH_<date>.json) so a crashed configuration is a recorded data point,
-// not a lost sweep.
+// (`abndpbench -benchjson`) so a crashed configuration is a recorded data
+// point, not a lost sweep.
 type RunFailure struct {
 	Key    string `json:"key"` // cache key: app|design|config#params
 	App    string `json:"app"`

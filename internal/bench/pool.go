@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"abndp/internal/apps"
 	"abndp/internal/config"
@@ -141,7 +140,6 @@ func (r *Runner) planAndExecute(names ...string) error {
 	if r.Workers() <= 1 {
 		return nil
 	}
-	start := time.Now()
 	r.planned = make(map[string]runSpec)
 	r.plannedF = make(map[string]funcSpec)
 	out := r.out
@@ -158,17 +156,7 @@ func (r *Runner) planAndExecute(names ...string) error {
 	if err != nil {
 		return err
 	}
-	r.metrics.PlanSeconds += time.Since(start).Seconds()
-
-	start = time.Now()
-	r.statsMu.Lock()
-	r.inPool = true
-	r.statsMu.Unlock()
 	r.executePlan(planned, plannedF)
-	r.statsMu.Lock()
-	r.inPool = false
-	r.statsMu.Unlock()
-	r.metrics.simPool += time.Since(start).Seconds()
 	return nil
 }
 
@@ -190,7 +178,7 @@ func (r *Runner) executePlan(planned map[string]runSpec, plannedF map[string]fun
 		k, spec := k, planned[k]
 		jobs = append(jobs, func() {
 			r.cache.do(k, func() *ndp.Result {
-				r.metrics.addRun()
+				r.runs.Add(1)
 				return r.safeSimulate(k, spec)
 			})
 		})
@@ -206,7 +194,7 @@ func (r *Runner) executePlan(planned map[string]runSpec, plannedF map[string]fun
 		k, spec := k, plannedF[k]
 		jobs = append(jobs, func() {
 			r.fcach.do(k, func() *ndp.FunctionalResult {
-				r.metrics.addRun()
+				r.runs.Add(1)
 				return r.safeFunctional(k, spec)
 			})
 		})

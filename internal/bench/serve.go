@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"abndp/internal/apps"
 	"abndp/internal/config"
@@ -83,7 +82,7 @@ func (r *Runner) RunOne(ctx context.Context, s Spec, checked bool) (*ndp.Result,
 func (r *Runner) RunOneObserved(ctx context.Context, s Spec, checked bool, o *obs.Observer) (*ndp.Result, error) {
 	k := s.Key()
 	res, ok := r.cache.doCtx(ctx, k, func() *ndp.Result {
-		r.metrics.addRun()
+		r.runs.Add(1)
 		return r.safeSimulate(k, runSpec{app: s.App, d: s.Design, cfg: s.Config, p: s.Params, check: checked, obsv: o})
 	})
 	if !ok {
@@ -96,9 +95,9 @@ func (r *Runner) RunOneObserved(ctx context.Context, s Spec, checked bool, o *ob
 }
 
 // EngineTotals sums the engine cost of every simulation executed so far:
-// total events and host-side wall-clock seconds. Unlike Metrics it takes
-// only the stats lock, so the serving layer's live events/sec gauge can
-// read it on every scrape while workers are running.
+// total events and host-side wall-clock seconds. It takes only the stats
+// lock, so the serving layer's live events/sec gauge can read it on every
+// scrape while workers are running.
 func (r *Runner) EngineTotals() (events int64, seconds float64) {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
@@ -142,7 +141,7 @@ func (r *Runner) SetSimHook(f func(app, design string)) {
 // (memo cache misses), safe to read while workers are running — unlike
 // Metrics, which snapshots the whole harness and is meant for after the
 // work quiesces.
-func (r *Runner) RunsExecuted() int64 { return atomic.LoadInt64(&r.metrics.Runs) }
+func (r *Runner) RunsExecuted() int64 { return r.runs.Load() }
 
 // ValidateWorkers validates the worker-count flags shared by abndpbench
 // and abndpserve and returns the effective SetWorkers argument: -j must
