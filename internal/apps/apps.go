@@ -156,3 +156,40 @@ func (a *adjacency) appendLines(dst []mem.Line, v int) []mem.Line {
 	}
 	return dst
 }
+
+// emptyLines returns buf emptied when it has room for n lines, else a new
+// empty list with that capacity. Every hint builder counts its lines
+// before it appends and takes its list from here, so it allocates once at
+// most and no append reallocates; a recycled task's list with room costs
+// nothing. The count is an upper bound, since AppendLines drops an
+// adjacent duplicate. This allocates as slices.Grow(buf[:0], n) does, but
+// also under the race detector, which keeps the temporary that
+// slices.Grow's append of a make otherwise elides.
+func emptyLines(buf []mem.Line, n int) []mem.Line {
+	if cap(buf) >= n {
+		return buf[:0]
+	}
+	return make([]mem.Line, 0, n)
+}
+
+// gatherLines builds the lines of a task that reads element v of own, v's
+// adjacency lines and the elements idx of arr, in that order.
+func gatherLines(buf []mem.Line, own *mem.Array, v int, adj *adjacency, arr *mem.Array, idx []int32) []mem.Line {
+	lines := emptyLines(buf, 1+int(adj.n[v])+spanLines(arr, idx))
+	lines = append(lines, own.LineOf(v))
+	lines = adj.appendLines(lines, v)
+	for _, u := range idx {
+		lines = arr.AppendLines(lines, int(u))
+	}
+	return lines
+}
+
+// spanLines returns the number of lines arr's elements idx span: the most
+// AppendLines adds for them.
+func spanLines(arr *mem.Array, idx []int32) int {
+	n := 0
+	for _, i := range idx {
+		n += arr.SpanLines(int(i))
+	}
+	return n
+}

@@ -116,10 +116,16 @@ func (a *AStar) heuristic(s, v int) float32 {
 
 // hint builds (s, v)'s hint into buf (typically a recycled task's lines).
 func (a *AStar) hint(buf []mem.Line, s, v int) task.Hint {
-	lines := append(buf, a.state.LineOf(s*a.g.N+v))
+	nbs := a.g.Neighbors(v)
+	n := 1 + a.vdata.SpanLines(v) + int(a.adj.n[v]) + spanLines(a.vdata, nbs)
+	for _, u := range nbs {
+		n += a.state.SpanLines(s*a.g.N + int(u))
+	}
+	lines := emptyLines(buf, n)
+	lines = append(lines, a.state.LineOf(s*a.g.N+v))
 	lines = a.vdata.AppendLines(lines, v)
 	lines = a.adj.appendLines(lines, v)
-	for _, u := range a.g.Neighbors(v) {
+	for _, u := range nbs {
 		lines = a.vdata.AppendLines(lines, int(u))
 		lines = a.state.AppendLines(lines, s*a.g.N+int(u))
 	}

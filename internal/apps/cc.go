@@ -84,12 +84,7 @@ func (a *CC) Setup(sys *ndp.System) {
 
 // hint builds v's hint into buf (typically a recycled task's line slice).
 func (a *CC) hint(buf []mem.Line, v int) task.Hint {
-	lines := append(buf, a.vdata.LineOf(v))
-	lines = a.adj.appendLines(lines, v)
-	for _, u := range a.g.Neighbors(v) {
-		lines = a.vdata.AppendLines(lines, int(u))
-	}
-	h := task.Hint{Lines: lines}
+	h := task.Hint{Lines: gatherLines(buf, a.vdata, v, a.adj, a.vdata, a.g.Neighbors(v))}
 	if a.p.PerfectHints {
 		h.Workload = float64(8 + 3*a.g.Degree(v))
 	}

@@ -127,10 +127,12 @@ func (a *GCN) chunkNeighbors(v, c int) []int32 {
 // task's line slice).
 func (a *GCN) partialHint(buf []mem.Line, v, c int) task.Hint {
 	nbs := a.chunkNeighbors(v, c)
+	slot := int(a.chunkOff[v]) + c
+	lines := emptyLines(buf, 1+a.partials.SpanLines(slot)+spanLines(a.feat, nbs))
 	// Main element: the to-be-updated vertex's feature (design B
 	// co-locates all of a vertex's chunks with it).
-	lines := append(buf, a.feat.LineOf(v))
-	lines = a.partials.AppendLines(lines, int(a.chunkOff[v])+c)
+	lines = append(lines, a.feat.LineOf(v))
+	lines = a.partials.AppendLines(lines, slot)
 	for _, u := range nbs {
 		lines = a.feat.AppendLines(lines, int(u))
 	}
@@ -143,15 +145,20 @@ func (a *GCN) partialHint(buf []mem.Line, v, c int) task.Hint {
 
 // combineHint builds v's combine hint into buf.
 func (a *GCN) combineHint(buf []mem.Line, v int) task.Hint {
-	nc := a.chunks(v)
-	lines := append(buf, a.feat.LineOf(v))
+	lo, hi := int(a.chunkOff[v]), int(a.chunkOff[v+1])
+	n := 1 + int(a.adj.n[v])
+	for slot := lo; slot < hi; slot++ {
+		n += a.partials.SpanLines(slot)
+	}
+	lines := emptyLines(buf, n)
+	lines = append(lines, a.feat.LineOf(v))
 	lines = a.adj.appendLines(lines, v)
-	for c := 0; c < nc; c++ {
-		lines = a.partials.AppendLines(lines, int(a.chunkOff[v])+c)
+	for slot := lo; slot < hi; slot++ {
+		lines = a.partials.AppendLines(lines, slot)
 	}
 	h := task.Hint{Lines: lines}
 	if a.p.PerfectHints {
-		h.Workload = float64(nc*gcnF + gcnF*gcnF)
+		h.Workload = float64((hi-lo)*gcnF + gcnF*gcnF)
 	}
 	return h
 }

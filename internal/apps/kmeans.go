@@ -60,7 +60,7 @@ func (a *KMeans) Setup(sys *ndp.System) {
 
 // hint builds i's hint into buf (typically a recycled task's line slice).
 func (a *KMeans) hint(buf []mem.Line, i int) task.Hint {
-	h := task.Hint{Lines: append(buf, a.parr.LineOf(i))}
+	h := task.Hint{Lines: append(emptyLines(buf, 1), a.parr.LineOf(i))}
 	if a.p.PerfectHints {
 		h.Workload = kmeansK * kmeansDim * 3
 	}

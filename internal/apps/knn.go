@@ -32,6 +32,14 @@ type KNN struct {
 
 	queries []int // query point index per task
 	results [][]int32
+
+	// InitialTasks traverses the tree once per query and keeps what
+	// Execute needs: query qi's neighbors are nbrs[nbrOff[qi]:nbrOff[qi+1]]
+	// (fewer than knnK when the point set is smaller) and its instruction
+	// estimate is work[qi].
+	nbrs   []int32
+	nbrOff []int32
+	work   []int64
 }
 
 // NewKNN builds the workload. Defaults: 2^12 points, 2^11 queries.
@@ -66,38 +74,58 @@ func (a *KNN) Setup(sys *ndp.System) {
 	a.results = make([][]int32, nq)
 }
 
+// hint builds query qi's hint (query point pi) from its traversal res,
+// into buf.
+func (a *KNN) hint(buf []mem.Line, res *dataset.KNNResult, qi, pi int) task.Hint {
+	n := 1 + a.parr.SpanLines(pi) + spanLines(a.narr, res.VisitedNodes) + spanLines(a.parr, res.ScannedPoints)
+	lines := emptyLines(buf, n)
+	lines = append(lines, a.qarr.LineOf(qi))
+	lines = a.parr.AppendLines(lines, pi)
+	for _, nd := range res.VisitedNodes {
+		lines = a.narr.AppendLines(lines, int(nd))
+	}
+	for _, sp := range res.ScannedPoints {
+		lines = a.parr.AppendLines(lines, int(sp))
+	}
+	h := task.Hint{Lines: lines}
+	if a.p.PerfectHints {
+		h.Workload = float64(knnWork(res))
+	}
+	return h
+}
+
+// knnWork is a query's instruction estimate: ~12 instructions per visited
+// node (axis compare + bound check), ~3*Dim per scanned candidate.
+func knnWork(res *dataset.KNNResult) int64 {
+	return 12*int64(len(res.VisitedNodes)) + 3*knnDim*int64(len(res.ScannedPoints))
+}
+
 func (a *KNN) InitialTasks(emit func(*task.Task)) {
+	a.nbrs = make([]int32, 0, len(a.queries)*knnK)
+	a.nbrOff = make([]int32, len(a.queries)+1)
+	a.work = make([]int64, len(a.queries))
+	var res dataset.KNNResult
 	for qi, pi := range a.queries {
 		// The traversal (and therefore the touch set) is a deterministic
 		// function of the query point; run it once here to build the
-		// hint. The main element is the query's own descriptor/result
-		// slot, so the baseline B spreads queries evenly — the imbalance
-		// of this workload comes from the shared hot tree nodes and
-		// popular leaves, which pull distance-based placements together.
-		res := a.tree.KNN(a.pts.Data[pi], knnK)
-		lines := make([]mem.Line, 0, 2+len(res.VisitedNodes)+len(res.ScannedPoints))
-		lines = append(lines, a.qarr.LineOf(qi))
-		lines = a.parr.AppendLines(lines, pi)
-		for _, nd := range res.VisitedNodes {
-			lines = a.narr.AppendLines(lines, int(nd))
-		}
-		for _, sp := range res.ScannedPoints {
-			lines = a.parr.AppendLines(lines, int(sp))
-		}
-		h := task.Hint{Lines: lines}
-		if a.p.PerfectHints {
-			h.Workload = float64(12*len(res.VisitedNodes) + 3*knnDim*len(res.ScannedPoints))
-		}
-		emit(&task.Task{Elem: qi, Arg: int64(pi), Hint: h})
+		// hint and keep the answer for Execute. The main element is the
+		// query's own descriptor/result slot, so the baseline B spreads
+		// queries evenly — the imbalance of this workload comes from the
+		// shared hot tree nodes and popular leaves, which pull
+		// distance-based placements together.
+		a.tree.KNNInto(&res, a.pts.Data[pi], knnK)
+		a.nbrs = append(a.nbrs, res.Neighbors...)
+		a.nbrOff[qi+1] = int32(len(a.nbrs))
+		a.work[qi] = knnWork(&res)
+		emit(&task.Task{Elem: qi, Hint: a.hint(nil, &res, qi, pi)})
 	}
 }
 
 func (a *KNN) Execute(t *task.Task, ctx *ndp.ExecCtx) int64 {
-	res := a.tree.KNN(a.pts.Data[t.Arg], knnK)
-	a.results[t.Elem] = res.Neighbors
-	// ~12 instructions per visited node (axis compare + bound check),
-	// ~3*Dim per scanned candidate.
-	return 12*int64(len(res.VisitedNodes)) + 3*knnDim*int64(len(res.ScannedPoints))
+	qi := t.Elem
+	lo, hi := a.nbrOff[qi], a.nbrOff[qi+1]
+	a.results[qi] = a.nbrs[lo:hi:hi]
+	return a.work[qi]
 }
 
 func (a *KNN) EndTimestamp(int64) {}

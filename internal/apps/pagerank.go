@@ -74,12 +74,7 @@ func (a *PageRank) updateDangling() {
 
 // hint builds v's hint into buf (typically a recycled task's line slice).
 func (a *PageRank) hint(buf []mem.Line, v int) task.Hint {
-	lines := append(buf, a.vdata.LineOf(v))
-	lines = a.adj.appendLines(lines, v)
-	for _, u := range a.rev.Neighbors(v) {
-		lines = a.vdata.AppendLines(lines, int(u))
-	}
-	h := task.Hint{Lines: lines}
+	h := task.Hint{Lines: gatherLines(buf, a.vdata, v, a.adj, a.vdata, a.rev.Neighbors(v))}
 	if a.p.PerfectHints {
 		h.Workload = float64(10 + 6*a.rev.Degree(v))
 	}

@@ -62,14 +62,9 @@ func (a *SpMV) Setup(sys *ndp.System) {
 	}
 }
 
-func (a *SpMV) hint(r int) task.Hint {
-	lines := make([]mem.Line, 0, 1+int(a.adj.n[r])+a.m.Degree(r))
-	lines = append(lines, a.rdata.LineOf(r))
-	lines = a.adj.appendLines(lines, r)
-	for _, c := range a.m.Neighbors(r) {
-		lines = a.xvec.AppendLines(lines, int(c))
-	}
-	h := task.Hint{Lines: lines}
+// hint builds row r's hint into buf.
+func (a *SpMV) hint(buf []mem.Line, r int) task.Hint {
+	h := task.Hint{Lines: gatherLines(buf, a.rdata, r, a.adj, a.xvec, a.m.Neighbors(r))}
 	if a.p.PerfectHints {
 		h.Workload = float64(8 + 4*a.m.Degree(r))
 	}
@@ -78,7 +73,7 @@ func (a *SpMV) hint(r int) task.Hint {
 
 func (a *SpMV) InitialTasks(emit func(*task.Task)) {
 	for r := 0; r < a.m.N; r++ {
-		emit(&task.Task{Elem: r, Hint: a.hint(r)})
+		emit(&task.Task{Elem: r, Hint: a.hint(nil, r)})
 	}
 }
 

@@ -70,12 +70,7 @@ func (a *SSSP) Setup(sys *ndp.System) {
 
 // hint builds v's hint into buf (typically a recycled task's line slice).
 func (a *SSSP) hint(buf []mem.Line, v int) task.Hint {
-	lines := append(buf, a.vdata.LineOf(v))
-	lines = a.adj.appendLines(lines, v)
-	for _, u := range a.g.Neighbors(v) {
-		lines = a.vdata.AppendLines(lines, int(u))
-	}
-	h := task.Hint{Lines: lines}
+	h := task.Hint{Lines: gatherLines(buf, a.vdata, v, a.adj, a.vdata, a.g.Neighbors(v))}
 	if a.p.PerfectHints {
 		h.Workload = float64(10 + 5*a.g.Degree(v))
 	}

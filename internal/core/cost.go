@@ -153,15 +153,16 @@ func (c *CostModel) MemCostVec(lines []mem.Line) []float64 {
 // depends only on their stacks, so per line it takes the minimum over the
 // line's locations once per stack from stackLat and adds it to a per-stack
 // int64 sum. Only a location unit itself sees a different latency (zero to
-// itself instead of the same-stack one), so each location unit gets its
-// exact per-unit minimum as a correction. Because a stack's units are
-// numbered consecutively, unit u's value is then
+// itself instead of the same-stack one), so each location unit gets the
+// difference between its exact minimum and its stack's as a correction,
+// read from the stack minimum. Because a stack's units are numbered
+// consecutively, unit u's value is then
 //
 //	float64(stackSum[stack(u)] + corr[u]) / float64(len(lines))
 //
 // — the same exact integer sum and single division as MemCost. Per line
-// that is stacks x (C+1) table reads plus (C+1)^2 for the corrections,
-// instead of units x (C+1).
+// that is stacks x (C+1) table reads plus C+1 corrections, instead of
+// units x (C+1).
 func (c *CostModel) MemCostVecInto(vec []float64, sc *VecScratch, lines []mem.Line) {
 	if len(lines) == 0 {
 		clear(vec)
@@ -197,16 +198,18 @@ func (c *CostModel) MemCostVecInto(vec []float64, sc *VecScratch, lines []mem.Li
 		for s, b := range best {
 			sum[s] += b
 		}
-		// The locations are distinct units (one per group), so each
-		// correction applies once.
-		for _, u := range locs {
-			exact := c.noc.Latency(u, home)
-			for _, loc := range locs[1:] {
-				if lat := c.noc.Latency(u, loc) + pen; lat < exact {
-					exact = lat
-				}
+		// A location unit's exact minimum differs from its stack's in one
+		// term only: its own, zero to itself instead of the same-stack
+		// latency. The locations lie in pairwise-distinct stacks (one per
+		// group, and groups are unions of whole stacks), so no other
+		// location shares that stack. Given pen >= 0 and non-negative
+		// latencies, the home's exact minimum is 0 and a camp's is
+		// min(pen, best[its stack]).
+		corr[home] -= best[int(home)/per]
+		for _, camp := range locs[1:] {
+			if b := best[int(camp)/per]; pen < b {
+				corr[camp] += pen - b
 			}
-			corr[u] += exact - best[int(u)/per]
 		}
 	}
 	n := float64(len(lines))

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -178,5 +179,33 @@ func TestKNNOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// KNNInto answers every query as KNN does while reusing one result, also
+// on a tree with fewer points than k, and once the result has grown a
+// traversal allocates nothing.
+func TestKNNIntoMatchesKNN(t *testing.T) {
+	var res KNNResult
+	for _, n := range []int{3, 500} {
+		p := Clustered(n, 4, 8, 0.8, 21)
+		tree := BuildKDTree(p, 8)
+		for _, k := range []int{1, 4, 9} {
+			for qi, q := range p.Data {
+				tree.KNNInto(&res, q, k)
+				want := tree.KNN(q, k)
+				if !slices.Equal(res.Neighbors, want.Neighbors) ||
+					!slices.Equal(res.VisitedNodes, want.VisitedNodes) ||
+					!slices.Equal(res.ScannedPoints, want.ScannedPoints) {
+					t.Fatalf("n=%d k=%d query %d: KNNInto differs from KNN", n, k, qi)
+				}
+				if len(res.Neighbors) != min(k, n) {
+					t.Fatalf("n=%d k=%d query %d: %d neighbors", n, k, qi, len(res.Neighbors))
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { tree.KNNInto(&res, p.Data[n/2], 4) }); allocs != 0 {
+			t.Fatalf("n=%d: KNNInto into a grown result allocated %v objects", n, allocs)
+		}
 	}
 }

@@ -82,59 +82,83 @@ type KNNResult struct {
 	// ScannedPoints lists every candidate point whose coordinates were
 	// read during leaf scans.
 	ScannedPoints []int32
+
+	dist []float32 // squared distance of each of Neighbors
 }
 
 // KNN finds the k nearest neighbors of q with standard branch-and-bound
 // traversal, recording the touched nodes and points.
 func (t *KDTree) KNN(q []float32, k int) *KNNResult {
-	res := &KNNResult{}
-	best := make([]int32, 0, k)
-	bestD := make([]float32, 0, k)
-
-	insert := func(p int32, d float32) {
-		pos := len(best)
-		for pos > 0 && bestD[pos-1] > d {
-			pos--
-		}
-		if len(best) < k {
-			best = append(best, 0)
-			bestD = append(bestD, 0)
-		} else if pos >= k {
-			return
-		}
-		copy(best[pos+1:], best[pos:])
-		copy(bestD[pos+1:], bestD[pos:])
-		best[pos], bestD[pos] = p, d
-	}
-	worst := func() float32 {
-		if len(best) < k {
-			return float32(1e30)
-		}
-		return bestD[len(bestD)-1]
-	}
-
-	var walk func(node int32)
-	walk = func(node int32) {
-		res.VisitedNodes = append(res.VisitedNodes, node)
-		if t.IsLeaf(node) {
-			for _, p := range t.Idx[t.Start[node]:t.End[node]] {
-				res.ScannedPoints = append(res.ScannedPoints, p)
-				insert(p, Dist2(q, t.pts.Data[p]))
-			}
-			return
-		}
-		axis, split := int(t.Axis[node]), t.Split[node]
-		near, far := t.Left[node], t.Right[node]
-		if q[axis] > split {
-			near, far = far, near
-		}
-		walk(near)
-		diff := q[axis] - split
-		if diff*diff < worst() {
-			walk(far)
-		}
-	}
-	walk(t.Root)
-	res.Neighbors = best
+	res := &KNNResult{Neighbors: make([]int32, 0, k), dist: make([]float32, 0, k)}
+	t.KNNInto(res, q, k)
 	return res
+}
+
+// KNNInto is KNN writing into res: it reuses res's slices, so a traversal
+// allocates only to grow them past an earlier query's lengths.
+func (t *KDTree) KNNInto(res *KNNResult, q []float32, k int) {
+	res.Neighbors = res.Neighbors[:0]
+	res.VisitedNodes = res.VisitedNodes[:0]
+	res.ScannedPoints = res.ScannedPoints[:0]
+	res.dist = res.dist[:0]
+	s := knnSearch{t: t, q: q, k: k, res: res}
+	s.walk(t.Root)
+}
+
+// knnSearch is one KNN traversal: the query and the result it fills.
+type knnSearch struct {
+	t   *KDTree
+	q   []float32
+	k   int
+	res *KNNResult
+}
+
+// insert adds point p at squared distance d to the best-k list, kept
+// sorted nearest first.
+func (s *knnSearch) insert(p int32, d float32) {
+	best, bestD := s.res.Neighbors, s.res.dist
+	pos := len(best)
+	for pos > 0 && bestD[pos-1] > d {
+		pos--
+	}
+	if len(best) < s.k {
+		best = append(best, 0)
+		bestD = append(bestD, 0)
+	} else if pos >= s.k {
+		return
+	}
+	copy(best[pos+1:], best[pos:])
+	copy(bestD[pos+1:], bestD[pos:])
+	best[pos], bestD[pos] = p, d
+	s.res.Neighbors, s.res.dist = best, bestD
+}
+
+// worst returns the pruning bound: the k-th best distance so far.
+func (s *knnSearch) worst() float32 {
+	if len(s.res.Neighbors) < s.k {
+		return float32(1e30)
+	}
+	return s.res.dist[len(s.res.dist)-1]
+}
+
+func (s *knnSearch) walk(node int32) {
+	t, res := s.t, s.res
+	res.VisitedNodes = append(res.VisitedNodes, node)
+	if t.IsLeaf(node) {
+		for _, p := range t.Idx[t.Start[node]:t.End[node]] {
+			res.ScannedPoints = append(res.ScannedPoints, p)
+			s.insert(p, Dist2(s.q, t.pts.Data[p]))
+		}
+		return
+	}
+	axis, split := int(t.Axis[node]), t.Split[node]
+	near, far := t.Left[node], t.Right[node]
+	if s.q[axis] > split {
+		near, far = far, near
+	}
+	s.walk(near)
+	diff := s.q[axis] - split
+	if diff*diff < s.worst() {
+		s.walk(far)
+	}
 }

@@ -8,6 +8,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -91,24 +92,30 @@ func FromEdges(n int, src, dst []int32, weights []float32) *CSR {
 		cursor[s]++
 	}
 	// Sort adjacency lists (stable layout, deterministic traversal), and
-	// keep weights aligned.
+	// keep weights aligned. Equal columns of an unweighted row cannot be
+	// told apart, so any sort gives its order. A weighted row's duplicate
+	// columns carry distinct weights, so it keeps sort.Slice's order among
+	// them, permuting through one index/column/weight scratch.
+	var idx []int
+	var nc []int32
+	var nw []float32
 	for v := 0; v < n; v++ {
 		lo, hi := g.RowPtr[v], g.RowPtr[v+1]
+		cols := g.Col[lo:hi]
 		if g.W == nil {
-			cols := g.Col[lo:hi]
-			sort.Slice(cols, func(i, j int) bool { return cols[i] < cols[j] })
+			slices.Sort(cols)
 			continue
 		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = i
+		ws := g.W[lo:hi]
+		idx = idx[:0]
+		for i := range cols {
+			idx = append(idx, i)
 		}
-		cols, ws := g.Col[lo:hi], g.W[lo:hi]
 		sort.Slice(idx, func(i, j int) bool { return cols[idx[i]] < cols[idx[j]] })
-		nc := make([]int32, len(idx))
-		nw := make([]float32, len(idx))
-		for i, k := range idx {
-			nc[i], nw[i] = cols[k], ws[k]
+		nc, nw = nc[:0], nw[:0]
+		for _, k := range idx {
+			nc = append(nc, cols[k])
+			nw = append(nw, ws[k])
 		}
 		copy(cols, nc)
 		copy(ws, nw)
@@ -124,13 +131,18 @@ func FromEdges(n int, src, dst []int32, weights []float32) *CSR {
 // raw R-MAT concentrates hubs on power-of-two IDs, which would otherwise
 // alias pathologically with any modulo-based data interleaving.
 func RMAT(scale, avgDeg int, seed int64) *CSR {
+	src, dst := rmatEdges(scale, avgDeg, seed)
+	return FromEdges(1<<scale, src, dst, nil)
+}
+
+// rmatEdges draws RMAT's edge list.
+func rmatEdges(scale, avgDeg int, seed int64) (src, dst []int32) {
 	n := 1 << scale
 	m := n * avgDeg
 	rng := rand.New(rand.NewSource(seed))
 	const a, b, c = 0.57, 0.19, 0.19
 	perm := rng.Perm(n)
-	src := make([]int32, m)
-	dst := make([]int32, m)
+	src, dst = make([]int32, m), make([]int32, m)
 	for e := 0; e < m; e++ {
 		var u, v int32
 		for level := 0; level < scale; level++ {
@@ -148,7 +160,7 @@ func RMAT(scale, avgDeg int, seed int64) *CSR {
 		}
 		src[e], dst[e] = int32(perm[u]), int32(perm[v])
 	}
-	return FromEdges(n, src, dst, nil)
+	return src, dst
 }
 
 // RMATWeighted is RMAT with uniform edge weights in [1, maxW).
@@ -180,9 +192,13 @@ func Uniform(n, deg int, seed int64) *CSR {
 // Grid generates a w x h 4-connected grid with random positive edge
 // weights in [1, maxW) — the A* search substrate. Vertex (x, y) is y*w+x.
 func Grid(w, h int, seed int64, maxW float32) *CSR {
+	src, dst, ws := gridEdges(w, h, seed, maxW)
+	return FromEdges(w*h, src, dst, ws)
+}
+
+// gridEdges draws Grid's weighted edge list.
+func gridEdges(w, h int, seed int64, maxW float32) (src, dst []int32, ws []float32) {
 	rng := rand.New(rand.NewSource(seed))
-	var src, dst []int32
-	var ws []float32
 	edge := func(a, b int) {
 		src = append(src, int32(a))
 		dst = append(dst, int32(b))
@@ -201,7 +217,7 @@ func Grid(w, h int, seed int64, maxW float32) *CSR {
 			}
 		}
 	}
-	return FromEdges(w*h, src, dst, ws)
+	return src, dst, ws
 }
 
 // EnsureWeights fills in uniform random edge weights in [1, maxW) when the

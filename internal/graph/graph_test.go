@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -223,5 +227,112 @@ func TestDijkstraRelaxationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fromEdgesRef is FromEdges as it sorted rows before it reused scratch
+// across rows: sort.Slice on every row, and three fresh slices per
+// weighted row.
+func fromEdgesRef(n int, src, dst []int32, weights []float32) *CSR {
+	g := &CSR{N: n, RowPtr: make([]int32, n+1)}
+	for _, s := range src {
+		g.RowPtr[s+1]++
+	}
+	for i := 0; i < n; i++ {
+		g.RowPtr[i+1] += g.RowPtr[i]
+	}
+	g.Col = make([]int32, len(dst))
+	if weights != nil {
+		g.W = make([]float32, len(dst))
+	}
+	cursor := make([]int32, n)
+	for i, s := range src {
+		p := g.RowPtr[s] + cursor[s]
+		g.Col[p] = dst[i]
+		if weights != nil {
+			g.W[p] = weights[i]
+		}
+		cursor[s]++
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := g.RowPtr[v], g.RowPtr[v+1]
+		if g.W == nil {
+			cols := g.Col[lo:hi]
+			sort.Slice(cols, func(i, j int) bool { return cols[i] < cols[j] })
+			continue
+		}
+		idx := make([]int, hi-lo)
+		for i := range idx {
+			idx[i] = i
+		}
+		cols, ws := g.Col[lo:hi], g.W[lo:hi]
+		sort.Slice(idx, func(i, j int) bool { return cols[idx[i]] < cols[idx[j]] })
+		nc := make([]int32, len(idx))
+		nw := make([]float32, len(idx))
+		for i, k := range idx {
+			nc[i], nw[i] = cols[k], ws[k]
+		}
+		copy(cols, nc)
+		copy(ws, nw)
+	}
+	return g
+}
+
+// FromEdges must lay out every row as fromEdgesRef does, weights included:
+// on weighted rows with duplicate columns the order among the duplicates
+// shows in the weights.
+func TestFromEdgesMatchesPerRowReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	weigh := func(m int) []float32 {
+		w := make([]float32, m)
+		for i := range w {
+			w[i] = 1 + rng.Float32()*7 // distinct with overwhelming odds
+		}
+		return w
+	}
+	type input struct {
+		name     string
+		n        int
+		src, dst []int32
+		w        []float32
+	}
+	var inputs []input
+	for _, seed := range []int64{1, 42} {
+		src, dst := rmatEdges(9, 8, seed)
+		inputs = append(inputs,
+			input{fmt.Sprintf("rmat/seed%d", seed), 1 << 9, src, dst, nil},
+			input{fmt.Sprintf("rmat-weighted/seed%d", seed), 1 << 9, src, dst, weigh(len(src))})
+	}
+	gs, gd, gw := gridEdges(13, 11, 5, 8)
+	inputs = append(inputs, input{"grid", 13 * 11, gs, gd, gw})
+	for _, n := range []int{1, 7, 64} {
+		m := 20 * n
+		src, dst := make([]int32, m), make([]int32, m)
+		for i := range src {
+			src[i], dst[i] = int32(rng.Intn(n)), int32(rng.Intn(n))
+		}
+		inputs = append(inputs,
+			input{fmt.Sprintf("random/n%d", n), n, src, dst, nil},
+			input{fmt.Sprintf("random-weighted/n%d", n), n, src, dst, weigh(m)})
+	}
+	dups := 0
+	for _, in := range inputs {
+		got := FromEdges(in.n, in.src, in.dst, in.w)
+		want := fromEdgesRef(in.n, in.src, in.dst, in.w)
+		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) ||
+			!slices.Equal(got.W, want.W) || (got.W == nil) != (want.W == nil) {
+			t.Fatalf("%s: FromEdges differs from the per-row reference", in.name)
+		}
+		for v := 0; in.w != nil && v < got.N; v++ {
+			cols, ws := got.Neighbors(v), got.Weights(v)
+			for i := 1; i < len(cols); i++ {
+				if cols[i] == cols[i-1] && ws[i] != ws[i-1] {
+					dups++
+				}
+			}
+		}
+	}
+	if dups == 0 {
+		t.Fatal("no weighted row has duplicate columns with distinct weights")
 	}
 }

@@ -185,13 +185,14 @@ func (a *Array) HomeOf(i int) topology.UnitID { return a.space.HomeOf(a.addrs[i]
 // Lines returns all cachelines spanned by element i (1 for elements up to
 // 64 B, more for larger elements such as feature vectors).
 func (a *Array) Lines(i int) []Line {
-	first := LineOf(a.addrs[i])
-	last := LineOf(a.addrs[i] + Addr(a.ElemSize) - 1)
-	lines := make([]Line, 0, last-first+1)
-	for l := first; l <= last; l++ {
-		lines = append(lines, l)
-	}
-	return lines
+	return a.AppendLines(make([]Line, 0, a.SpanLines(i)), i)
+}
+
+// SpanLines returns the number of cachelines element i spans: the most
+// lines AppendLines adds for it. An element no larger than a line spans
+// two when it straddles a line boundary.
+func (a *Array) SpanLines(i int) int {
+	return int(LineOf(a.addrs[i]+Addr(a.ElemSize)-1)-LineOf(a.addrs[i])) + 1
 }
 
 // AppendLines appends the cachelines of element i to dst, deduplicating

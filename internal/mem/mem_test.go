@@ -152,3 +152,22 @@ func TestHomeMatchesRegionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// SpanLines is what AppendLines adds to an empty list, including an
+// element no larger than a line that straddles a line boundary.
+func TestSpanLinesCountsAppendLines(t *testing.T) {
+	s := NewSpace(4, 1<<20)
+	for _, size := range []int{8, 16, 24, 48, 64, 100, 256} {
+		a := s.NewArray("v", 37, size, Interleave)
+		for i := 0; i < a.Len(); i++ {
+			if got, want := a.SpanLines(i), len(a.AppendLines(nil, i)); got != want {
+				t.Fatalf("%d B element %d: SpanLines %d, AppendLines added %d", size, i, got, want)
+			}
+		}
+	}
+	// Element 1 of a fresh unit's 48 B array occupies bytes 48-95.
+	b := NewSpace(1, 1<<20).NewArrayOn("straddle", 2, 48, 0)
+	if got := b.SpanLines(1); got != 2 {
+		t.Fatalf("48 B element at byte 48 spans %d lines, want 2", got)
+	}
+}

@@ -32,14 +32,17 @@ func bytesPerTask(t *testing.T, app string, d config.Design) float64 {
 // per-unit state it never uses: the Traveller directory holds only filled
 // pages, L1 pages are 16 sets, a prefetch ring grows to its capacity only
 // once its first 8 slots are resident, and only hybrid placement (design
-// O here) keeps forwarded-load rows. Each budget sits 6-16%
-// above what the run allocates on Go 1.24, input generation included (the
-// input cache is off), so map-based prefetch buffers or unit-pair NoC
-// tables, 17-41% more per task, would exceed it. So would the layout those
-// replaced (dense Traveller directories, 64-set pages and an eagerly built
-// delta table) on every design O row and on bfs on B. On pr, knn and gcn
-// on B it costs only 2-3% more, within the margin, so those three budgets
-// stay where the prefetch ring set them.
+// O here) keeps forwarded-load rows. Nor does it grow a task's hint by
+// append doubling: every hint builder counts its lines and grows its list
+// once, and knn keeps the traversal that built each query's hint instead
+// of searching again in Execute. Each budget sits 7-8% above what the run
+// allocates on Go 1.24, input generation included (the input cache is
+// off). Hints grown by doubling cost 9-25% more per task on pr, bfs and
+// gcn, and knn's second traversal nearly triples its bytes per task;
+// map-based prefetch buffers or unit-pair NoC tables cost 17-41% more.
+// Each would exceed its budget, and so would the layout the lazy
+// structures replaced (dense Traveller directories, 64-set pages and an
+// eagerly built delta table) on every design O row and on bfs on B.
 func TestRunAllocBudget(t *testing.T) {
 	apps.EnableInputCache(false)
 	for _, tc := range []struct {
@@ -47,14 +50,14 @@ func TestRunAllocBudget(t *testing.T) {
 		design config.Design
 		budget float64 // bytes per task
 	}{
-		{"pr", config.DesignB, 575},
-		{"pr", config.DesignO, 600},
-		{"bfs", config.DesignB, 1080},
-		{"bfs", config.DesignO, 1290},
-		{"knn", config.DesignB, 6050},
-		{"knn", config.DesignO, 5950},
-		{"gcn", config.DesignB, 495},
-		{"gcn", config.DesignO, 530},
+		{"pr", config.DesignB, 405},
+		{"pr", config.DesignO, 465},
+		{"bfs", config.DesignB, 850},
+		{"bfs", config.DesignO, 1010},
+		{"knn", config.DesignB, 1975},
+		{"knn", config.DesignO, 2070},
+		{"gcn", config.DesignB, 400},
+		{"gcn", config.DesignO, 458},
 	} {
 		got := bytesPerTask(t, tc.app, tc.design)
 		t.Logf("%s on %v: %.0f B/task", tc.app, tc.design, got)
@@ -67,7 +70,7 @@ func TestRunAllocBudget(t *testing.T) {
 // A Traveller cache over half of each unit's DRAM, direct-mapped, has 2^22
 // sets per unit, and a small run fills a few of them. Its directory holds
 // only the filled pages, so one whole PageRank scale-8 run on design O
-// (input generation included) allocates 0.84 MiB on Go 1.24; a dense
+// (input generation included) allocates 0.63 MiB on Go 1.24; a dense
 // directory of 64-set pages, 65,536 entries per unit, allocated 65 MiB.
 func TestLargeCacheRunAllocBudget(t *testing.T) {
 	apps.EnableInputCache(false)

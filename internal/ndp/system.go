@@ -180,18 +180,17 @@ func NewSystem(cfg config.Config, design config.Design) *System {
 	cost := core.NewCostModel(n, camps, campAware)
 
 	s := &System{
-		Cfg:      cfg,
-		Design:   design,
-		Engine:   &sim.Engine{},
-		Topo:     topo,
-		Space:    space,
-		Noc:      n,
-		Camps:    camps,
-		Cost:     cost,
-		Sched:    sched.New(sched.PolicyName(&cfg, design), cost, camps, n, &cfg),
-		Stats:    stats.NewSystem(topo.Units(), cfg.CoresPerUnit),
-		trueW:    make([]float64, topo.Units()),
-		stealRNG: rand.New(rand.NewSource(cfg.Seed + 0x5eed)),
+		Cfg:    cfg,
+		Design: design,
+		Engine: &sim.Engine{},
+		Topo:   topo,
+		Space:  space,
+		Noc:    n,
+		Camps:  camps,
+		Cost:   cost,
+		Sched:  sched.New(sched.PolicyName(&cfg, design), cost, camps, n, &cfg),
+		Stats:  stats.NewSystem(topo.Units(), cfg.CoresPerUnit),
+		trueW:  make([]float64, topo.Units()),
 
 		sramHitCycles: cfg.SRAMHitCycles,
 		dramTagExtra:  cfg.CacheKind == config.CacheDRAMTags,
@@ -199,6 +198,11 @@ func NewSystem(cfg config.Config, design config.Design) *System {
 		portOcc:       cfg.Cycles(noc.DataBytes / cfg.InterBWGBs),
 		portLastT:     make([]int64, topo.Stacks()*4),
 		portBacklog:   make([]int64, topo.Stacks()*4),
+	}
+	if design.UsesStealing() {
+		// Only work stealing draws from it, and a math/rand source is
+		// about 5 KB.
+		s.stealRNG = rand.New(rand.NewSource(cfg.Seed + 0x5eed))
 	}
 	s.units = make([]*unit, topo.Units())
 	for i := range s.units {
