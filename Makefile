@@ -52,13 +52,16 @@ serve-test:
 	$(GO) test -race ./internal/serve/ ./internal/fleet/ ./client/
 	$(GO) test -race -run 'TestMemo|TestRunOne|TestValidateWorkers|TestTimeline' ./internal/bench/ ./internal/stats/
 
-# Regenerate every table and figure of the paper (text tables to stdout).
+# Regenerate every table of the paper into docs/abndpbench_output.txt: one
+# full run on one worker, without the two trailing summary lines (wall time
+# and checkpoint-store counters), which vary between runs. CI's tables job
+# diffs a full -j 2 run against the file.
 experiments:
-	$(GO) run ./cmd/abndpbench | tee docs/abndpbench_output.txt
+	$(GO) run ./cmd/abndpbench -j 1 | head -n -2 > docs/abndpbench_output.txt
 
 # Same, plus SVG figure files.
 figures:
-	$(GO) run ./cmd/abndpbench -svg docs/figures | tee docs/abndpbench_output.txt
+	$(GO) run ./cmd/abndpbench -j 1 -svg docs/figures | head -n -2 > docs/abndpbench_output.txt
 
 # Run the committed example hypothesis campaign (docs/HYPOTHESES.md):
 # expands the spec into a config grid x seeds x load levels, aggregates

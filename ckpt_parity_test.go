@@ -63,7 +63,7 @@ func TestCheckpointHashParity(t *testing.T) {
 
 				store := ckpt.NewStore(0)
 				shardFor := func(sys *ndp.System) *ckpt.Shard {
-					return store.Shard(app + "|" + sys.Design.String() + "|" + sys.Cfg.PrefixKey())
+					return store.Shard(sys.CheckpointKey(app))
 				}
 				prime, primeEv := runHashed(t, app, DesignO, c, func(sys *ndp.System) {
 					sys.SetCheckpoint(shardFor(sys))
@@ -106,7 +106,7 @@ func TestCheckpointParityLowestDistance(t *testing.T) {
 			store := ckpt.NewStore(0)
 			for i := 0; i < 2; i++ {
 				got, _ := runHashed(t, "pr", d, cfg, func(sys *ndp.System) {
-					sys.SetCheckpoint(store.Shard("pr|" + sys.Design.String() + "|" + sys.Cfg.PrefixKey()))
+					sys.SetCheckpoint(store.Shard(sys.CheckpointKey("pr")))
 				})
 				if got != cold {
 					t.Fatalf("run %d: hash %x != cold %x", i, got, cold)
@@ -131,7 +131,7 @@ func TestPrefixShardSharedAcrossSchedulerKnobs(t *testing.T) {
 		c.HybridAlpha = alpha
 		var key string
 		h, _ := runHashed(t, "pr", DesignO, c, func(sys *ndp.System) {
-			sh := store.Shard("pr|" + sys.Design.String() + "|" + sys.Cfg.PrefixKey())
+			sh := store.Shard(sys.CheckpointKey("pr"))
 			key = sh.Key()
 			sys.SetCheckpoint(sh)
 		})

@@ -7,7 +7,7 @@
 //	abndpbench -exp fig6,fig8  # selected experiments
 //	abndpbench -quick          # shrunken workloads (smoke test)
 //	abndpbench -j 8            # simulate on 8 worker goroutines
-//	abndpbench -serial         # one run at a time (same output, slower)
+//	abndpbench -j 1            # one run at a time (same output, slower)
 //	abndpbench -benchjson f    # write the harness counters to f
 //	abndpbench -check          # audit every run (invariants + dual-run hash)
 //	abndpbench -remote URL     # render on a running abndpserve instead
@@ -50,8 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exps   = fs.String("exp", "all", "comma-separated experiments (tab1 tab2 fig2 fig6..fig18, ablrepl ablprobe ablhint abltopo, resilience) or 'all'")
 		quick  = fs.Bool("quick", false, "shrink workloads for a fast smoke run")
 		svg    = fs.String("svg", "", "also render the figures as SVG files into this directory")
-		jobs   = fs.Int("j", 0, "worker goroutines for simulation runs (0 = GOMAXPROCS)")
-		serial = fs.Bool("serial", false, "run simulations one at a time (equivalent to -j 1)")
+		jobs   = fs.Int("j", 0, "worker goroutines for simulation runs (0 = GOMAXPROCS, 1 = one run at a time)")
 		bjson  = fs.String("benchjson", "", "write the harness counters (runs, engine events, cache counters, failures, audit outcome, memory footprint) to this JSON file")
 		prog   = fs.Bool("progress", false, "report per-experiment and per-run progress to stderr")
 		srv    = fs.String("pprof", "", "serve pprof+expvar+Prometheus /metrics debug HTTP on this address (e.g. :6060)")
@@ -71,11 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Validate the worker flags before doing any work: a negative -j or a
-	// contradictory -serial -j N is a 2-exit usage error, not a silent
-	// clamp (the same rule abndpserve applies).
-	workers, err := bench.ValidateWorkers(*jobs, *serial)
-	if err != nil {
+	// Validate the worker count before doing any work: a negative -j is a
+	// 2-exit usage error, not a silent clamp (the same rule abndpserve
+	// applies).
+	if err := bench.ValidateWorkers(*jobs); err != nil {
 		fmt.Fprintln(stderr, "abndpbench:", err)
 		return 2
 	}
@@ -108,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *prog {
 		r.SetProgress(stderr)
 	}
-	r.SetWorkers(workers)
+	r.SetWorkers(*jobs)
 	if *rdl != 0 {
 		r.SetRunDeadline(*rdl)
 	}
@@ -129,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "\nwrote %d SVG figures to %s\n", len(files), *svg)
+		fmt.Fprintf(stderr, "abndpbench: wrote %d SVG figures to %s\n", len(files), *svg)
 	}
 	if *bjson != "" {
 		if err := r.Metrics().WriteJSON(*bjson); err != nil {

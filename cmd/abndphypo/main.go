@@ -10,7 +10,7 @@
 //	abndphypo -spec examples/hypotheses/h1_hybrid_alpha.json -out findings/
 //	abndphypo -spec spec.json -quick -j 8     # shrunken workloads, 8 workers
 //	abndphypo -spec spec.json -check          # audit every run
-//	abndphypo -policies                       # list registered policies
+//	abndphypo -policies                       # list the scheduler policies
 //
 // The report is a pure function of the spec: rerunning an identical spec
 // produces byte-identical FINDINGS.md and findings.json. See
@@ -36,15 +36,14 @@ func main() {
 		outDir   = flag.String("out", "findings", "directory for FINDINGS.md and findings.json (created; files are prefixed with the spec name)")
 		quick    = flag.Bool("quick", false, "shrink workload defaults for a fast smoke run (explicit spec sizes still win)")
 		jobs     = flag.Int("j", 0, "worker goroutines for simulation runs (0 = GOMAXPROCS)")
-		serial   = flag.Bool("serial", false, "run simulations one at a time (equivalent to -j 1)")
 		chk      = flag.Bool("check", false, "audit every run (invariant checker armed)")
-		policies = flag.Bool("policies", false, "list the registered scheduler policies and exit")
+		policies = flag.Bool("policies", false, "list the scheduler policies and exit")
 		quiet    = flag.Bool("q", false, "suppress the report on stdout (files are still written)")
 	)
 	flag.Parse()
 
 	if *policies {
-		fmt.Println("registered scheduler policies:")
+		fmt.Println("scheduler policies:")
 		fmt.Println(sched.Describe())
 		return
 	}
@@ -53,8 +52,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	workers, err := bench.ValidateWorkers(*jobs, *serial)
-	if err != nil {
+	if err := bench.ValidateWorkers(*jobs); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -65,7 +63,7 @@ func main() {
 
 	r := bench.NewRunner(io.Discard)
 	r.SetQuick(*quick)
-	r.SetWorkers(workers)
+	r.SetWorkers(*jobs)
 
 	out, err := spec.Run(context.Background(), r, *chk)
 	if err != nil {

@@ -110,7 +110,7 @@ func checkpoints(cfg abndp.Config, appName, designName string, scale int) {
 		if err != nil {
 			fatal(err)
 		}
-		sys.SetCheckpoint(store.Shard(appName + "|" + sys.Design.String() + "|" + sys.Cfg.PrefixKey()))
+		sys.SetCheckpoint(store.Shard(sys.CheckpointKey(appName)))
 		app, err := abndp.NewApp(appName, abndp.Params{Scale: scale})
 		if err != nil {
 			fatal(err)

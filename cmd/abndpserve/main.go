@@ -50,7 +50,6 @@ func main() {
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		id       = flag.String("id", "", "backend ID within a serving fleet (echoed as X-ABNDP-Backend and in job statuses; see abndpproxy)")
 		jobs     = flag.Int("j", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-		serial   = flag.Bool("serial", false, "one simulation at a time (equivalent to -j 1)")
 		queue    = flag.Int("queue", 64, "pending-job queue capacity (full queue returns 429)")
 		quick    = flag.Bool("quick", false, "shrink default workload sizings to smoke-test scale")
 		chk      = flag.Bool("check", false, "audit every simulation (invariants + dual-run hash; roughly doubles cost)")
@@ -67,10 +66,9 @@ func main() {
 		fatal(err)
 	}
 
-	// The same fail-fast flag validation as abndpbench: a negative -j or a
-	// contradictory -serial -j N is an error, not a silent clamp.
-	workers, err := bench.ValidateWorkers(*jobs, *serial)
-	if err != nil {
+	// The same fail-fast flag validation as abndpbench: a negative -j is an
+	// error, not a silent clamp.
+	if err := bench.ValidateWorkers(*jobs); err != nil {
 		fatal(err)
 	}
 	if *queue <= 0 {
@@ -84,7 +82,7 @@ func main() {
 
 	srv := serve.New(serve.Config{
 		ID:          *id,
-		Workers:     workers,
+		Workers:     *jobs,
 		QueueSize:   *queue,
 		RunDeadline: *rdl,
 		Quick:       *quick,

@@ -232,7 +232,7 @@ func (r *Runner) runCfg(spec runSpec) *ndp.Result {
 // instrumentation; results stay byte-identical either way).
 func (r *Runner) newSystem(spec runSpec) *ndp.System {
 	sys := ndp.NewSystem(spec.cfg, spec.d)
-	sys.SetCheckpoint(r.store.Shard(spec.app + "|" + sys.Design.String() + "|" + sys.Cfg.PrefixKey()))
+	sys.SetCheckpoint(r.store.Shard(sys.CheckpointKey(spec.app)))
 	if spec.obsv != nil {
 		sys.SetObserver(spec.obsv)
 	}

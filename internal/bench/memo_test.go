@@ -212,39 +212,27 @@ func TestRunOneDeduplicates(t *testing.T) {
 	}
 }
 
-// TestValidateWorkers covers the harness flag edge cases: a negative -j
-// and a contradictory -serial -j N must fail fast instead of silently
-// misbehaving (the pre-fix CLIs clamped the former and let -serial win
-// the latter).
+// TestValidateWorkers covers the harness flag edge case: a negative -j
+// must fail fast instead of silently misbehaving (the pre-fix CLIs
+// clamped it).
 func TestValidateWorkers(t *testing.T) {
 	cases := []struct {
 		jobs    int
-		serial  bool
-		want    int
 		wantErr bool
 	}{
-		{jobs: 0, serial: false, want: 0},
-		{jobs: 8, serial: false, want: 8},
-		{jobs: 0, serial: true, want: 1},
-		{jobs: 1, serial: true, want: 1}, // -serial -j 1 agree
-		{jobs: -3, serial: false, wantErr: true},
-		{jobs: -1, serial: true, wantErr: true},
-		{jobs: 8, serial: true, wantErr: true},
+		{jobs: 0},
+		{jobs: 1},
+		{jobs: 8},
+		{jobs: -3, wantErr: true},
+		{jobs: -1, wantErr: true},
 	}
 	for _, c := range cases {
-		got, err := ValidateWorkers(c.jobs, c.serial)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("ValidateWorkers(%d, %v) accepted invalid flags", c.jobs, c.serial)
-			}
-			continue
+		err := ValidateWorkers(c.jobs)
+		if c.wantErr && err == nil {
+			t.Errorf("ValidateWorkers(%d) accepted a negative worker count", c.jobs)
 		}
-		if err != nil {
-			t.Errorf("ValidateWorkers(%d, %v): %v", c.jobs, c.serial, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ValidateWorkers(%d, %v) = %d, want %d", c.jobs, c.serial, got, c.want)
+		if !c.wantErr && err != nil {
+			t.Errorf("ValidateWorkers(%d): %v", c.jobs, err)
 		}
 	}
 }

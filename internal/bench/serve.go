@@ -143,19 +143,13 @@ func (r *Runner) SetSimHook(f func(app, design string)) {
 // work quiesces.
 func (r *Runner) RunsExecuted() int64 { return r.runs.Load() }
 
-// ValidateWorkers validates the worker-count flags shared by abndpbench
-// and abndpserve and returns the effective SetWorkers argument: -j must
-// not be negative (0 means the GOMAXPROCS default) and must not contradict
-// -serial. The CLIs fail fast on these instead of silently clamping.
-func ValidateWorkers(jobs int, serial bool) (int, error) {
+// ValidateWorkers validates the -j worker count shared by abndpbench,
+// abndphypo and abndpserve: it must not be negative (0 means the
+// GOMAXPROCS default). The CLIs fail fast on it instead of silently
+// clamping.
+func ValidateWorkers(jobs int) error {
 	if jobs < 0 {
-		return 0, fmt.Errorf("bench: worker count %d is negative; use -j 0 for the GOMAXPROCS default", jobs)
+		return fmt.Errorf("bench: worker count %d is negative; use -j 0 for the GOMAXPROCS default", jobs)
 	}
-	if serial && jobs > 1 {
-		return 0, fmt.Errorf("bench: -serial contradicts -j %d; drop one of them", jobs)
-	}
-	if serial {
-		return 1, nil
-	}
-	return jobs, nil
+	return nil
 }

@@ -66,8 +66,8 @@ func NewStore(capBytes int64) *Store {
 
 // Shard returns (creating on first use) the shard for one prefix key.
 // Callers fold anything else the artifact values depend on into the key —
-// the runtime uses "app|design|config.PrefixKey()" since camp-awareness
-// follows the design and hints follow the app.
+// the runtime uses ndp.System.CheckpointKey, "app|design|PrefixKey", since
+// camp-awareness follows the design and hints follow the app.
 func (s *Store) Shard(key string) *Shard {
 	s.mu.Lock()
 	defer s.mu.Unlock()

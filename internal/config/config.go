@@ -129,17 +129,11 @@ type Config struct {
 	// scheduler. Ablation `ablwindow`.
 	SchedulingWindow int
 	SchedulingPeriod int64
-	// SchedPolicy selects the placement policy by registry name ("home",
-	// "lowestdist", "hybrid", "loadonly", or any future registrant — see
-	// internal/sched and RegisterPolicy). Empty (the default) derives the
-	// policy from the design, reproducing Table 2 exactly; setting it
-	// overrides the design's placement policy while leaving the design's
-	// cache and camp-awareness choices untouched.
-	SchedPolicy string
-	// PolicyParams holds named parameters of the selected SchedPolicy
-	// (registry-declared; Validate rejects unknown names and out-of-range
-	// values). Parameters not present take their registered defaults.
-	PolicyParams map[string]float64
+	// SchedPolicy selects the placement policy (one of Policies). Empty
+	// (the default) derives the policy from the design, reproducing Table
+	// 2 exactly; setting it overrides the design's placement policy while
+	// leaving the design's cache and camp-awareness choices untouched.
+	SchedPolicy Policy
 
 	// --- Core / SRAM power ("163 uW idle, 371 pJ per instruction") ---
 	CoreIdleWatt    float64

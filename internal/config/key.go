@@ -6,81 +6,52 @@ import (
 )
 
 // CanonicalKey returns a compact, collision-free fingerprint of every
-// configuration field, for use as a simulation-result cache key. Unlike
-// fmt.Sprintf("%+v", c) — the previous scheme — it is cheap (no
-// reflection), stable against struct reordering, and explicit: a field
-// added to Config without a matching line here fails
-// TestCanonicalKeyCoversEveryField, instead of silently colliding the way
-// %+v would if Config ever gained a pointer or map field.
+// configuration field, for use as a simulation-result cache key: the
+// PrefixKey fields followed by the late-binding knobs, so equal canonical
+// keys imply equal prefix keys. Unlike fmt.Sprintf("%+v", c), it is cheap
+// (no reflection), stable against struct reordering, and explicit: a
+// field added to Config without a matching line here or in writePrefix
+// fails TestCanonicalKeyCoversEveryField, instead of silently colliding
+// the way %+v would if Config ever gained a pointer or map field.
 func (c *Config) CanonicalKey() string {
-	var b strings.Builder
-	b.Grow(192)
-	ki := func(v int) {
-		b.WriteString(strconv.Itoa(v))
-		b.WriteByte('|')
-	}
-	ki64 := func(v int64) {
-		b.WriteString(strconv.FormatInt(v, 10))
-		b.WriteByte('|')
-	}
-	kf := func(v float64) {
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		b.WriteByte('|')
-	}
-	kb := func(v bool) {
-		if v {
-			b.WriteByte('t')
-		} else {
-			b.WriteByte('f')
-		}
-		b.WriteByte('|')
-	}
+	var w keyWriter
+	w.Grow(192)
+	c.writePrefix(&w)
+	w.i64(c.ExchangeInterval)
+	w.f(c.HybridAlpha)
+	w.i(c.StealBatch)
+	w.b(c.InformedStealing)
+	w.i(c.SchedulingWindow)
+	w.i64(c.SchedulingPeriod)
+	w.WriteString(string(c.SchedPolicy))
+	w.WriteByte('|')
+	w.WriteString(c.Faults.Key())
+	return w.String()
+}
 
-	ki(c.MeshX)
-	ki(c.MeshY)
-	ki(c.UnitsPerStack)
-	kb(c.Torus)
-	ki(c.CoresPerUnit)
-	kf(c.CoreGHz)
-	ki64(int64(c.UnitBytes))
-	ki(c.L1DBytes)
-	ki(c.L1DWays)
-	ki(c.L1IBytes)
-	ki(c.L1IWays)
-	ki(c.PrefetchBufBytes)
-	ki(c.PrefetchWindow)
-	kf(c.TCASns)
-	kf(c.TRCDns)
-	kf(c.TRPns)
-	kf(c.DRAMPJPerBit)
-	kf(c.DRAMActPrePJ)
-	kf(c.DRAMBusGBs)
-	kf(c.IntraHopNS)
-	kf(c.IntraPJPerBit)
-	kf(c.InterHopNS)
-	kf(c.InterPJPerBit)
-	kf(c.InterBWGBs)
-	kb(c.CacheEnabled)
-	ki(c.CacheRatio)
-	ki(c.CacheWays)
-	ki(c.CampCount)
-	kb(c.SkewedMapping)
-	kf(c.BypassProb)
-	ki(int(c.CacheKind))
-	ki(int(c.Replacement))
-	kb(c.ProbeAllCamps)
-	ki64(c.ExchangeInterval)
-	kf(c.HybridAlpha)
-	ki(c.StealBatch)
-	kb(c.InformedStealing)
-	ki(c.SchedulingWindow)
-	ki64(c.SchedulingPeriod)
-	c.writePolicyKey(&b)
-	kf(c.CoreIdleWatt)
-	kf(c.CorePJPerInstr)
-	kf(c.SRAMPJPerAccess)
-	ki64(c.SRAMHitCycles)
-	ki64(c.Seed)
-	b.WriteString(c.Faults.Key())
-	return b.String()
+// keyWriter builds the cache keys one '|'-terminated field at a time.
+type keyWriter struct{ strings.Builder }
+
+func (w *keyWriter) i(v int) {
+	w.WriteString(strconv.Itoa(v))
+	w.WriteByte('|')
+}
+
+func (w *keyWriter) i64(v int64) {
+	w.WriteString(strconv.FormatInt(v, 10))
+	w.WriteByte('|')
+}
+
+func (w *keyWriter) f(v float64) {
+	w.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+	w.WriteByte('|')
+}
+
+func (w *keyWriter) b(v bool) {
+	if v {
+		w.WriteByte('t')
+	} else {
+		w.WriteByte('f')
+	}
+	w.WriteByte('|')
 }

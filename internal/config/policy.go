@@ -2,201 +2,31 @@ package config
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
+	"slices"
 )
 
-// This file is the config half of the scheduler policy registry
-// (internal/sched holds the placement code): placement policies declare
-// their tunable parameters here as data — a name, a default, a legal
-// range, and a cache-key binding — so Validate, CanonicalKey, and
-// PrefixKey handle every present and future policy parameter generically
-// instead of growing a new hand-written case per knob.
+// Policy names a task placement policy (internal/sched). The set is
+// closed: Validate rejects any other name, and sched.New panics on one.
+type Policy string
 
-// ParamBinding classifies a policy parameter for the result-cache keys.
-// The zero value is intentionally invalid: RegisterPolicy rejects an
-// unclassified parameter, so every new knob forces an explicit decision
-// about whether prefix-keyed artifacts may be shared across its values
-// (the same partition prefixExemptFields enforces for first-class fields).
-type ParamBinding int
-
+// The placement policies. Table 2 assigns home to design B, lowestdist to
+// Sm, Sl and C, and hybrid to Sh and O. loadonly is the load-only corner
+// of the co-optimization ablation, reached only through SchedPolicy.
 const (
-	// BindingLate marks a parameter that only alters scheduling decisions,
-	// never the static machine (topology, address space, camp mapping):
-	// excluded from PrefixKey, like HybridAlpha and the other scheduler
-	// knobs, so warm-prefix sweeps share placement-cost artifacts across
-	// its values.
-	BindingLate ParamBinding = iota + 1
-	// BindingPrefixStable marks a parameter whose value feeds prefix-keyed
-	// artifacts: included in PrefixKey, so distinct values never share.
-	BindingPrefixStable
+	PolicyHome       Policy = "home"
+	PolicyLowestDist Policy = "lowestdist"
+	PolicyHybrid     Policy = "hybrid"
+	PolicyLoadOnly   Policy = "loadonly"
 )
 
-// PolicyParam describes one named tunable of a registered placement
-// policy. Values are float64 — integral knobs declare integral defaults
-// and the policy truncates.
-type PolicyParam struct {
-	Name     string
-	Default  float64
-	Min, Max float64 // inclusive legal range (Validate enforces)
-	Binding  ParamBinding
-	Doc      string
-}
+// Policies lists every placement policy, sorted by name.
+var Policies = []Policy{PolicyHome, PolicyHybrid, PolicyLoadOnly, PolicyLowestDist}
 
-// policyRegistry holds the declared parameter schema of every registered
-// placement policy. internal/sched populates it from its init; config
-// only ever reads it. Guarded by a mutex because tests register policies
-// while the bench worker pool validates configs concurrently.
-var (
-	policyMu       sync.RWMutex
-	policySchemas  = map[string][]PolicyParam{}
-	policyRegOrder []string
-)
-
-// RegisterPolicy declares a placement policy's parameter schema. It is
-// called from package init functions (internal/sched registers the paper's
-// policies); registering the same name twice or an unclassified/invalid
-// parameter panics — these are programming errors, not runtime conditions.
-func RegisterPolicy(name string, params []PolicyParam) {
-	if name == "" || strings.ContainsAny(name, "|=# \t\n") {
-		panic(fmt.Sprintf("config: invalid policy name %q", name))
-	}
-	for _, p := range params {
-		if p.Name == "" || strings.ContainsAny(p.Name, "|=# \t\n") {
-			panic(fmt.Sprintf("config: policy %s has invalid param name %q", name, p.Name))
-		}
-		if p.Binding != BindingLate && p.Binding != BindingPrefixStable {
-			panic(fmt.Sprintf("config: policy %s param %s is not classified prefix-stable or late-binding", name, p.Name))
-		}
-		if math.IsNaN(p.Min) || math.IsNaN(p.Max) || p.Min > p.Max {
-			panic(fmt.Sprintf("config: policy %s param %s has bad range [%v, %v]", name, p.Name, p.Min, p.Max))
-		}
-		if math.IsNaN(p.Default) || p.Default < p.Min || p.Default > p.Max {
-			panic(fmt.Sprintf("config: policy %s param %s default %v outside [%v, %v]", name, p.Name, p.Default, p.Min, p.Max))
-		}
-	}
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if _, dup := policySchemas[name]; dup {
-		panic(fmt.Sprintf("config: policy %s registered twice", name))
-	}
-	policySchemas[name] = append([]PolicyParam(nil), params...)
-	policyRegOrder = append(policyRegOrder, name)
-}
-
-// RegisteredPolicies returns the registered policy names, sorted.
-func RegisteredPolicies() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	out := append([]string(nil), policyRegOrder...)
-	sort.Strings(out)
-	return out
-}
-
-// PolicyParamsOf returns the parameter schema of a registered policy.
-func PolicyParamsOf(name string) ([]PolicyParam, bool) {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	ps, ok := policySchemas[name]
-	if !ok {
-		return nil, false
-	}
-	return append([]PolicyParam(nil), ps...), true
-}
-
-// policyParamBinding resolves the binding of one parameter of one policy.
-// Unknown (policy, param) pairs report prefix-stable: including an unknown
-// knob in the prefix key can only reduce sharing, never correctness.
-func policyParamBinding(policy, param string) ParamBinding {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	for _, p := range policySchemas[policy] {
-		if p.Name == param {
-			return p.Binding
-		}
-	}
-	return BindingPrefixStable
-}
-
-// validatePolicy checks the SchedPolicy / PolicyParams pair against the
-// registry: an empty policy (the default, derived from the design) must
-// carry no params, a named policy must be registered, and every provided
-// param must match the policy's schema and stay inside its declared range.
+// validatePolicy accepts an empty SchedPolicy, which selects the design's
+// Table 2 policy, or one of Policies.
 func (c *Config) validatePolicy() error {
-	if c.SchedPolicy == "" {
-		if len(c.PolicyParams) > 0 {
-			return fmt.Errorf("config: PolicyParams set without SchedPolicy")
-		}
+	if c.SchedPolicy == "" || slices.Contains(Policies, c.SchedPolicy) {
 		return nil
 	}
-	schema, ok := PolicyParamsOf(c.SchedPolicy)
-	if !ok {
-		return fmt.Errorf("config: unknown scheduler policy %q (registered: %s)",
-			c.SchedPolicy, strings.Join(RegisteredPolicies(), ", "))
-	}
-	for name, v := range c.PolicyParams {
-		spec, found := PolicyParam{}, false
-		for _, p := range schema {
-			if p.Name == name {
-				spec, found = p, true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("config: policy %s has no parameter %q", c.SchedPolicy, name)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < spec.Min || v > spec.Max {
-			return fmt.Errorf("config: policy %s param %s = %v outside [%v, %v]",
-				c.SchedPolicy, name, v, spec.Min, spec.Max)
-		}
-	}
-	return nil
-}
-
-// sortedPolicyParams returns the PolicyParams entries sorted by name — the
-// canonical serialization order for the cache keys (map iteration order
-// must never leak into a fingerprint).
-func (c *Config) sortedPolicyParams() []string {
-	if len(c.PolicyParams) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(c.PolicyParams))
-	for n := range c.PolicyParams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// writePolicyKey appends the policy name and every parameter to b — the
-// CanonicalKey contribution.
-func (c *Config) writePolicyKey(b *strings.Builder) {
-	b.WriteString(c.SchedPolicy)
-	b.WriteByte('|')
-	for _, n := range c.sortedPolicyParams() {
-		b.WriteString(n)
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatFloat(c.PolicyParams[n], 'g', -1, 64))
-		b.WriteByte('|')
-	}
-}
-
-// writePolicyPrefixKey appends only the prefix-stable parameters to b —
-// the PrefixKey contribution. The policy name itself is late-binding (a
-// placement policy changes scheduling decisions, never the machine), as
-// are all BindingLate params, so warm-prefix sweeps across policies and
-// their late knobs share placement-cost artifacts.
-func (c *Config) writePolicyPrefixKey(b *strings.Builder) {
-	for _, n := range c.sortedPolicyParams() {
-		if policyParamBinding(c.SchedPolicy, n) != BindingPrefixStable {
-			continue
-		}
-		b.WriteString(n)
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatFloat(c.PolicyParams[n], 'g', -1, 64))
-		b.WriteByte('|')
-	}
+	return fmt.Errorf("config: unknown scheduler policy %q (one of %v)", c.SchedPolicy, Policies)
 }

@@ -1,182 +1,48 @@
 package config
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-// The config package does not import internal/sched (the dependency runs
-// the other way), so these tests register their own throwaway policies.
-// Registration is global and cannot be undone; names are prefixed to stay
-// out of the real registry's namespace.
-func registerTestPolicy(t *testing.T, name string, params ...PolicyParam) {
-	t.Helper()
-	if _, ok := PolicyParamsOf(name); ok {
-		return // already registered by an earlier test in this process
-	}
-	RegisterPolicy(name, params)
-}
-
-func TestRegisterPolicyRejectsBadSchemas(t *testing.T) {
-	mustPanic := func(label string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: RegisterPolicy did not panic", label)
-			}
-		}()
-		f()
-	}
-	mustPanic("empty name", func() { RegisterPolicy("", nil) })
-	mustPanic("name with separator", func() { RegisterPolicy("a|b", nil) })
-	mustPanic("unclassified binding", func() {
-		RegisterPolicy("tcfg-uncls", []PolicyParam{{Name: "x", Max: 1}})
-	})
-	mustPanic("default outside range", func() {
-		RegisterPolicy("tcfg-range", []PolicyParam{{Name: "x", Default: 5, Min: 0, Max: 1, Binding: BindingLate}})
-	})
-	mustPanic("inverted range", func() {
-		RegisterPolicy("tcfg-inv", []PolicyParam{{Name: "x", Default: 0, Min: 1, Max: 0, Binding: BindingLate}})
-	})
-	mustPanic("param name with separator", func() {
-		RegisterPolicy("tcfg-psep", []PolicyParam{{Name: "a=b", Default: 0, Max: 1, Binding: BindingLate}})
-	})
-	registerTestPolicy(t, "tcfg-dup")
-	mustPanic("duplicate", func() { RegisterPolicy("tcfg-dup", nil) })
-}
-
+// SchedPolicy is empty (the design's policy) or one of the closed set;
+// any other name is rejected with the list of valid ones.
 func TestValidatePolicy(t *testing.T) {
-	registerTestPolicy(t, "tcfg-val", PolicyParam{
-		Name: "knob", Default: 1, Min: 0, Max: 10, Binding: BindingLate, Doc: "test knob",
-	})
-
 	c := Default()
 	if err := c.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-
-	// Params without a policy name are an error: nothing defines them.
-	c = Default()
-	c.PolicyParams = map[string]float64{"knob": 1}
-	if err := c.Validate(); err == nil {
-		t.Fatal("PolicyParams without SchedPolicy validated")
+	if !slices.IsSorted(Policies) {
+		t.Errorf("Policies not sorted: %v", Policies)
 	}
-
-	// Unknown policy names are rejected with the registered list.
-	c = Default()
-	c.SchedPolicy = "tcfg-nosuch"
-	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "tcfg-nosuch") {
-		t.Fatalf("unknown policy error = %v, want it to name the policy", err)
-	}
-
-	// A registered policy with an in-range param validates.
-	c = Default()
-	c.SchedPolicy = "tcfg-val"
-	c.PolicyParams = map[string]float64{"knob": 10}
-	if err := c.Validate(); err != nil {
-		t.Fatalf("in-range param rejected: %v", err)
-	}
-
-	// Out-of-range, non-finite, and undeclared params are rejected.
-	for label, params := range map[string]map[string]float64{
-		"above max":  {"knob": 11},
-		"below min":  {"knob": -1},
-		"NaN":        {"knob": nan()},
-		"undeclared": {"other": 1},
-	} {
-		c = Default()
-		c.SchedPolicy = "tcfg-val"
-		c.PolicyParams = params
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s: param %v validated", label, params)
-		}
-	}
-}
-
-func nan() float64 {
-	f := 0.0
-	return f / f
-}
-
-// CanonicalKey covers the policy name and every param; PrefixKey covers
-// only the prefix-stable params — a late-binding knob or the policy name
-// itself must leave the prefix untouched so warm-prefix artifact sharing
-// spans policy sweeps.
-func TestPolicyKeysPartitionByBinding(t *testing.T) {
-	registerTestPolicy(t, "tcfg-keys",
-		PolicyParam{Name: "late", Default: 1, Min: 0, Max: 10, Binding: BindingLate, Doc: "late knob"},
-		PolicyParam{Name: "stable", Default: 1, Min: 0, Max: 10, Binding: BindingPrefixStable, Doc: "stable knob"},
-	)
-	base := Default()
-	base.SchedPolicy = "tcfg-keys"
-	base.PolicyParams = map[string]float64{"late": 1, "stable": 1}
-
-	mutate := func(param string, v float64) Config {
-		c := base
-		c.PolicyParams = map[string]float64{"late": 1, "stable": 1}
-		c.PolicyParams[param] = v
-		return c
-	}
-
-	late := mutate("late", 2)
-	if base.CanonicalKey() == late.CanonicalKey() {
-		t.Error("late param change did not change CanonicalKey")
-	}
-	if base.PrefixKey() != late.PrefixKey() {
-		t.Error("late param change altered PrefixKey — artifact sharing lost")
-	}
-
-	stable := mutate("stable", 2)
-	if base.CanonicalKey() == stable.CanonicalKey() {
-		t.Error("stable param change did not change CanonicalKey")
-	}
-	if base.PrefixKey() == stable.PrefixKey() {
-		t.Error("stable param change did not change PrefixKey — stale artifacts would be shared")
-	}
-
-	// Policy name is late-binding for the prefix.
-	named := base
-	named.SchedPolicy = ""
-	named.PolicyParams = nil
-	if base.PrefixKey() != named.PrefixKey() {
-		// base carries a prefix-stable param, so the keys legitimately
-		// differ; compare with only the late param instead.
-		lateOnly := base
-		lateOnly.PolicyParams = map[string]float64{"late": 1}
-		if lateOnly.PrefixKey() != named.PrefixKey() {
-			t.Error("policy name leaked into PrefixKey")
-		}
-	}
-	if base.CanonicalKey() == named.CanonicalKey() {
-		t.Error("policy name missing from CanonicalKey")
-	}
-}
-
-// The canonical key serializes params in sorted order, not map order.
-func TestPolicyKeyDeterministicAcrossMapOrder(t *testing.T) {
-	registerTestPolicy(t, "tcfg-order",
-		PolicyParam{Name: "a", Default: 0, Min: 0, Max: 10, Binding: BindingLate, Doc: "a"},
-		PolicyParam{Name: "b", Default: 0, Min: 0, Max: 10, Binding: BindingLate, Doc: "b"},
-		PolicyParam{Name: "c", Default: 0, Min: 0, Max: 10, Binding: BindingLate, Doc: "c"},
-	)
-	mk := func(order []string) Config {
+	for _, p := range Policies {
 		c := Default()
-		c.SchedPolicy = "tcfg-order"
-		c.PolicyParams = map[string]float64{}
-		for i, n := range order {
-			c.PolicyParams[n] = float64(i + 1)
+		c.SchedPolicy = p
+		if err := c.Validate(); err != nil {
+			t.Errorf("policy %q rejected: %v", p, err)
 		}
-		return c
 	}
-	// Same logical content inserted in different orders.
-	x := mk([]string{"a", "b", "c"})
-	y := Default()
-	y.SchedPolicy = "tcfg-order"
-	y.PolicyParams = map[string]float64{"c": 3, "a": 1, "b": 2}
-	if x.CanonicalKey() != y.CanonicalKey() {
-		t.Error("CanonicalKey depends on map insertion order")
+	c.SchedPolicy = "nosuch"
+	err := c.Validate()
+	if err == nil || !strings.Contains(err.Error(), "nosuch") || !strings.Contains(err.Error(), "lowestdist") {
+		t.Fatalf("unknown policy error = %v, want it to name the policy and the valid ones", err)
 	}
-	if x.PrefixKey() != y.PrefixKey() {
-		t.Error("PrefixKey depends on map insertion order")
+}
+
+// The policy binds late: setting any policy changes the canonical key but
+// not the prefix key, so runs that differ only in policy share their
+// checkpoint shards.
+func TestPolicyKeysPartitionByBinding(t *testing.T) {
+	base := Default()
+	for _, p := range Policies {
+		c := base
+		c.SchedPolicy = p
+		if c.PrefixKey() != base.PrefixKey() {
+			t.Errorf("policy %q changed PrefixKey", p)
+		}
+		if c.CanonicalKey() == base.CanonicalKey() {
+			t.Errorf("policy %q missing from CanonicalKey", p)
+		}
 	}
 }

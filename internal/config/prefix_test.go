@@ -2,6 +2,7 @@ package config
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -40,5 +41,19 @@ func TestPrefixKeySharedAcrossSchedulerKnobs(t *testing.T) {
 	}
 	if a.CanonicalKey() == b.CanonicalKey() {
 		t.Fatal("scheduler-knob variants must still have distinct canonical keys")
+	}
+}
+
+// The canonical key is the prefix key followed by the late-binding knobs,
+// so two configurations with equal canonical keys share a prefix.
+func TestCanonicalKeyStartsWithPrefixKey(t *testing.T) {
+	base := Default()
+	n := reflect.TypeOf(base).NumField()
+	for i := 0; i < n; i++ {
+		c := base
+		name := perturb(t, &c, i)
+		if !strings.HasPrefix(c.CanonicalKey(), c.PrefixKey()) {
+			t.Errorf("mutating %s: CanonicalKey %q does not start with PrefixKey %q", name, c.CanonicalKey(), c.PrefixKey())
+		}
 	}
 }

@@ -94,9 +94,11 @@ func FromEdges(n int, src, dst []int32, weights []float32) *CSR {
 	// Sort adjacency lists (stable layout, deterministic traversal), and
 	// keep weights aligned. Equal columns of an unweighted row cannot be
 	// told apart, so any sort gives its order. A weighted row's duplicate
-	// columns carry distinct weights, so it keeps sort.Slice's order among
-	// them, permuting through one index/column/weight scratch.
-	var idx []int
+	// columns carry distinct weights, so their order must match the
+	// per-row reference's sort.Slice: sort.Sort runs the same pdqsort,
+	// here over one reused index scratch, permuting through one
+	// column/weight scratch.
+	var by byColumn
 	var nc []int32
 	var nw []float32
 	for v := 0; v < n; v++ {
@@ -107,13 +109,13 @@ func FromEdges(n int, src, dst []int32, weights []float32) *CSR {
 			continue
 		}
 		ws := g.W[lo:hi]
-		idx = idx[:0]
+		by.cols, by.idx = cols, by.idx[:0]
 		for i := range cols {
-			idx = append(idx, i)
+			by.idx = append(by.idx, i)
 		}
-		sort.Slice(idx, func(i, j int) bool { return cols[idx[i]] < cols[idx[j]] })
+		sort.Sort(&by)
 		nc, nw = nc[:0], nw[:0]
-		for _, k := range idx {
+		for _, k := range by.idx {
 			nc = append(nc, cols[k])
 			nw = append(nw, ws[k])
 		}
@@ -122,6 +124,16 @@ func FromEdges(n int, src, dst []int32, weights []float32) *CSR {
 	}
 	return g
 }
+
+// byColumn orders the indices of a row's edges by their column.
+type byColumn struct {
+	idx  []int
+	cols []int32
+}
+
+func (b *byColumn) Len() int           { return len(b.idx) }
+func (b *byColumn) Less(i, j int) bool { return b.cols[b.idx[i]] < b.cols[b.idx[j]] }
+func (b *byColumn) Swap(i, j int)      { b.idx[i], b.idx[j] = b.idx[j], b.idx[i] }
 
 // RMAT generates a power-law directed graph with n = 2^scale vertices and
 // n*avgDeg edges using the recursive-matrix model (a=0.57, b=c=0.19),
@@ -196,8 +208,11 @@ func Grid(w, h int, seed int64, maxW float32) *CSR {
 	return FromEdges(w*h, src, dst, ws)
 }
 
-// gridEdges draws Grid's weighted edge list.
+// gridEdges draws Grid's weighted edge list: both directions of each of
+// the (w-1)*h horizontal and (h-1)*w vertical links.
 func gridEdges(w, h int, seed int64, maxW float32) (src, dst []int32, ws []float32) {
+	m := max(0, 2*(2*w*h-w-h))
+	src, dst, ws = make([]int32, 0, m), make([]int32, 0, m), make([]float32, 0, m)
 	rng := rand.New(rand.NewSource(seed))
 	edge := func(a, b int) {
 		src = append(src, int32(a))

@@ -101,7 +101,7 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		"min_effect >= 1":    `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm"}],"seeds":[1],"verdict":{"baseline":"a","candidate":"a","metric":"seconds","min_effect":1.5}}`,
 		"verdict bad level":  `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm"}],"seeds":[1],"load_levels":[{"name":"l"}],"verdict":{"baseline":"a","candidate":"a","metric":"seconds","level":"nope"}}`,
 		"unknown policy":     `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","config":{"SchedPolicy":"nope"}}],"seeds":[1]}`,
-		"param out of range": `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","config":{"SchedPolicy":"loadonly","PolicyParams":{"floor":-5}}}],"seeds":[1]}`,
+		"policy params":      `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","config":{"SchedPolicy":"loadonly","PolicyParams":{"floor":64}}}],"seeds":[1]}`,
 		"invalid cell cfg":   `{"name":"x","workload":{"app":"pr"},"arms":[{"name":"a","design":"Sm","grid":{"CoresPerUnit":[0]}}],"seeds":[1]}`,
 		// Regression: any L1 geometry used to load, and NewL1 sized its
 		// tag storage from it (about 9 GB for a billion ways).
@@ -121,6 +121,10 @@ func TestLoadRejectsBadSpecs(t *testing.T) {
 		if _, err := Load(strings.NewReader(js)); err == nil {
 			t.Errorf("%s: spec accepted, want error", name)
 		}
+	}
+	if _, err := Load(strings.NewReader(cases["policy params"])); err == nil ||
+		!strings.Contains(err.Error(), `no field "PolicyParams"`) {
+		t.Errorf("policy params: error %v, want it to reject PolicyParams as an unknown Config field", err)
 	}
 }
 

@@ -330,9 +330,9 @@ func checkOverrideFields(over map[string]any) error {
 
 // applyOverrides assigns override values onto c by field name. JSON
 // numbers arrive as float64 and convert to the field's numeric kind;
-// strings set string fields (SchedPolicy); objects set the PolicyParams
-// map. An unknown field or mismatched type is an error — silently
-// ignoring a typo would run the wrong experiment.
+// strings set string fields (SchedPolicy). An unknown field or mismatched
+// type is an error — silently ignoring a typo would run the wrong
+// experiment.
 func applyOverrides(c *config.Config, over map[string]any) error {
 	rv := reflect.ValueOf(c).Elem()
 	names := make([]string, 0, len(over))
@@ -377,20 +377,6 @@ func applyOverrides(c *config.Config, over map[string]any) error {
 				return fmt.Errorf("field %s wants a string, got %T", name, val)
 			}
 			f.SetString(x)
-		case reflect.Map:
-			obj, ok := val.(map[string]any)
-			if !ok || f.Type() != reflect.TypeOf(map[string]float64(nil)) {
-				return fmt.Errorf("field %s wants an object of numbers, got %T", name, val)
-			}
-			m := make(map[string]float64, len(obj))
-			for k, v := range obj {
-				x, ok := v.(float64)
-				if !ok {
-					return fmt.Errorf("field %s key %s wants a number, got %T", name, k, v)
-				}
-				m[k] = x
-			}
-			f.Set(reflect.ValueOf(m))
 		default:
 			return fmt.Errorf("field %s has unsupported kind %s", name, f.Kind())
 		}

@@ -9,9 +9,7 @@ import (
 // scheduler's precomputed costmem source: placement decisions reuse stored
 // vectors on hit and memoize fresh ones on miss, so later runs sharing the
 // same prefix key (config.PrefixKey) skip the placement cost kernel
-// entirely. Call before Run, with the shard for "app|design|PrefixKey" —
-// shards mix-in the app (hints) and design (camp awareness), which the
-// prefix key alone does not pin.
+// entirely. Call before Run, with the shard for CheckpointKey(app).
 //
 // Attaching a shard never changes simulation output: stored vectors are
 // bit-identical to inline evaluation (core.MemCostVec), lookups verify the
@@ -28,6 +26,14 @@ func (s *System) SetCheckpoint(sh *ckpt.Shard) {
 		s.ckptVec = make([]float64, s.Topo.Units())
 	}
 	s.Sched.SetCostVecSource(s.costVecFor)
+}
+
+// CheckpointKey returns the checkpoint-store shard key of a run of app on
+// this System: "app|design|PrefixKey". A shard mixes in the app (hints)
+// and the design (camp awareness), which the prefix key alone does not
+// pin: designs C and O share a prefix key, and only O is camp-aware.
+func (s *System) CheckpointKey(app string) string {
+	return app + "|" + s.Design.String() + "|" + s.Cfg.PrefixKey()
 }
 
 // Checkpoint returns the attached shard, or nil.

@@ -27,7 +27,7 @@ func hintOver(sys *System, units ...uint64) *task.Task {
 func TestRejectedCheckpointMissAllocatesNothing(t *testing.T) {
 	sys := NewSystem(config.Default(), config.DesignO)
 	store := ckpt.NewStore(1)
-	sys.SetCheckpoint(store.Shard("pr|O|" + sys.Cfg.PrefixKey()))
+	sys.SetCheckpoint(store.Shard(sys.CheckpointKey("pr")))
 	tsk := hintOver(sys, 3, 40, 99, 127)
 	if n := testing.AllocsPerRun(100, func() { sys.costVecFor(tsk) }); n != 0 {
 		t.Errorf("a rejected miss allocated %v objects, want 0", n)
@@ -42,7 +42,7 @@ func TestRejectedCheckpointMissAllocatesNothing(t *testing.T) {
 // recycled across barriers, and it equals what the kernel computes.
 func TestStoredCostVecOwnsItsCopy(t *testing.T) {
 	sys := NewSystem(config.Default(), config.DesignO)
-	sys.SetCheckpoint(ckpt.NewStore(0).Shard("pr|O|" + sys.Cfg.PrefixKey()))
+	sys.SetCheckpoint(ckpt.NewStore(0).Shard(sys.CheckpointKey("pr")))
 	a, b := hintOver(sys, 3, 40), hintOver(sys, 99, 127, 5)
 	lines := slices.Clone(a.Hint.Lines)
 	want := make([]float64, sys.Topo.Units())

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"abndp/internal/config"
 	"abndp/internal/mem"
 	"abndp/internal/task"
 	"abndp/internal/topology"
@@ -28,7 +29,7 @@ func BenchmarkPlace(b *testing.B) {
 	}
 	cases := []struct {
 		name      string
-		kind      string
+		kind      config.Policy
 		campAware bool
 		dead      []bool
 	}{

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"abndp/internal/config"
 	"abndp/internal/mem"
 	"abndp/internal/task"
 	"abndp/internal/topology"
@@ -33,7 +34,7 @@ func (r *denseDelta) place(origin, target topology.UnitID, w float64) {
 	}
 }
 
-func (r *denseDelta) loadView(origin topology.UnitID, meanFloor float64) (mean float64, live int) {
+func (r *denseDelta) loadView(origin topology.UnitID) (mean float64, live int) {
 	s := r.s
 	if r.delta == nil {
 		r.delta = make([]float64, s.units*s.units)
@@ -61,8 +62,8 @@ func (r *denseDelta) loadView(origin topology.UnitID, meanFloor float64) (mean f
 		return 0, 0
 	}
 	mean = sum / float64(live)
-	if mean < meanFloor {
-		mean = meanFloor
+	if mean < hybridMeanFloor {
+		mean = hybridMeanFloor
 	}
 	return mean, live
 }
@@ -89,15 +90,11 @@ func TestForwardRowsMatchDenseTable(t *testing.T) {
 	const seeds, ops = 3, 4000
 	e := newEnv()
 	units := e.topo.Units()
-	for _, policy := range []string{"home", "lowestdist", "hybrid", "loadonly"} {
+	for _, policy := range config.Policies {
 		for seed := int64(1); seed <= seeds; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			s := e.scheduler(policy, seed%2 == 0)
 			ref := &denseDelta{s: s, loadBuf: make([]float64, units)}
-			floor := float64(hybridMeanFloor)
-			if policy == "loadonly" {
-				floor = s.Param("floor")
-			}
 			readsLoad := policy == "hybrid" || policy == "loadonly"
 			w := make([]float64, units)
 			origins := []topology.UnitID{0, 5, 63, 127}
@@ -155,7 +152,7 @@ func TestForwardRowsMatchDenseTable(t *testing.T) {
 				}
 				target := s.Place(tsk, origin)
 				if readsLoad {
-					ref.loadView(origin, floor)
+					ref.loadView(origin)
 					if !sameBits(s.loadBuf, ref.loadBuf) {
 						t.Fatalf("%s seed %d op %d: the view Place read from origin %d differs from the dense table's",
 							policy, seed, op, origin)
@@ -164,8 +161,8 @@ func TestForwardRowsMatchDenseTable(t *testing.T) {
 				ref.place(origin, target, tsk.Hint.EstimatedWorkload())
 
 				view := origins[rng.Intn(len(origins))]
-				gm, gl := s.loadView(view, floor)
-				wm, wl := ref.loadView(view, floor)
+				gm, gl := s.loadView(view)
+				wm, wl := ref.loadView(view)
 				if math.Float64bits(gm) != math.Float64bits(wm) || gl != wl || !sameBits(s.loadBuf, ref.loadBuf) ||
 					s.DegradedLoads() != ref.degraded {
 					t.Fatalf("%s seed %d op %d: origin %d view: mean %v live %d degraded %d, dense table %v %d %d (loads equal %v)",
@@ -193,7 +190,7 @@ func TestForwardRowsOnlyForLoadPolicies(t *testing.T) {
 		w[i] = float64(i % 5)
 	}
 	lines := []mem.Line{e.lineOn(3), e.lineOn(40), e.lineOn(99)}
-	for _, policy := range []string{"home", "lowestdist"} {
+	for _, policy := range []config.Policy{"home", "lowestdist"} {
 		s := e.scheduler(policy, false)
 		s.Exchange(w)
 		tsk := &task.Task{Hint: task.Hint{Lines: lines}}
@@ -208,7 +205,7 @@ func TestForwardRowsOnlyForLoadPolicies(t *testing.T) {
 				policy, n, s.rows != nil)
 		}
 	}
-	for _, policy := range []string{"hybrid", "loadonly"} {
+	for _, policy := range []config.Policy{"hybrid", "loadonly"} {
 		s := e.scheduler(policy, false)
 		s.Exchange(w)
 		tsk := &task.Task{Hint: task.Hint{Lines: lines}}

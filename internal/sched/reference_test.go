@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"abndp/internal/config"
 	"abndp/internal/core"
 	"abndp/internal/mem"
 	"abndp/internal/task"
@@ -40,7 +41,7 @@ func refLowestDistance(s *Scheduler, t *task.Task, _ topology.UnitID) (topology.
 // over live units of MemCost + B * load term.
 func refHybrid(s *Scheduler, t *task.Task, origin topology.UnitID) (topology.UnitID, float64, float64) {
 	_, cands := s.cost.Candidates(t.Hint.Lines, nil, nil)
-	mean, live := s.loadView(origin, hybridMeanFloor)
+	mean, live := s.loadView(origin)
 	if live == 0 {
 		return -1, 0, 0
 	}
@@ -65,7 +66,7 @@ func refHybrid(s *Scheduler, t *task.Task, origin topology.UnitID) (topology.Uni
 }
 
 // TestPlaceMatchesPerUnitReference replays seeded decision streams through
-// two schedulers: one running the registered policy, whose costmem comes
+// two schedulers: one running the policy's place function, whose costmem comes
 // from the stack-factored kernel (or a memoizing MemCostVec source), and
 // one running the per-unit reference above. Policies that never evaluate
 // costmem are their own reference. Streams mix random loads, exchanges,
@@ -74,16 +75,12 @@ func refHybrid(s *Scheduler, t *task.Task, origin topology.UnitID) (topology.Uni
 // decision must agree on the target and, bit for bit, on the memory cost
 // and load term the score hook reports.
 func TestPlaceMatchesPerUnitReference(t *testing.T) {
-	refs := map[string]PlaceFunc{"lowestdist": refLowestDistance, "hybrid": refHybrid}
+	refs := map[config.Policy]PlaceFunc{"lowestdist": refLowestDistance, "hybrid": refHybrid}
 	e := newEnv()
-	for _, name := range []string{"home", "lowestdist", "hybrid", "loadonly"} {
-		p, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("policy %q not registered", name)
-		}
+	for _, name := range config.Policies {
 		ref := refs[name]
 		if ref == nil {
-			ref = p.Place
+			ref = placeFunc(name)
 		}
 		for _, campAware := range []bool{false, true} {
 			for _, source := range []bool{false, true} {
@@ -95,10 +92,10 @@ func TestPlaceMatchesPerUnitReference(t *testing.T) {
 	}
 }
 
-func replayAgainstReference(t *testing.T, e *env, policy string, ref PlaceFunc, campAware, source bool) {
+func replayAgainstReference(t *testing.T, e *env, policy config.Policy, ref PlaceFunc, campAware, source bool) {
 	got := e.scheduler(policy, campAware)
 	want := e.scheduler(policy, campAware)
-	want.policy = &Policy{Name: policy, Place: ref}
+	want.place = ref
 	if source {
 		model := core.NewCostModel(e.noc, e.camps, campAware)
 		vecs := map[string][]float64{}

@@ -15,7 +15,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 
 	"abndp/internal/check"
@@ -26,12 +25,10 @@ import (
 	"abndp/internal/topology"
 )
 
-// Scheduler scores candidate units for task placement. Its placement
-// algorithm is a registered Policy (registry.go) resolved by name at
-// construction — policies are data, not switch arms.
+// Scheduler scores candidate units for task placement with the place
+// function of the policy it was built for.
 type Scheduler struct {
-	policy  *Policy
-	params  map[string]float64 // resolved policy params (defaults + overrides)
+	place   PlaceFunc
 	cost    *core.CostModel
 	camps   *core.CampMap
 	noc     *noc.Model
@@ -93,29 +90,15 @@ type Scheduler struct {
 	auditNow func() int64
 }
 
-// New builds a scheduler running the named registered policy (panics on an
-// unknown name — config.Validate rejects it long before this point).
-// campAware must match the cost model: design O schedules against camp
-// locations, every other design against homes. Policy parameters resolve
-// from the registry defaults overridden by cfg.PolicyParams; the hybrid
-// weight B keeps coming from the first-class cfg.HybridAlpha knob.
-func New(policy string, cost *core.CostModel, camps *core.CampMap, n *noc.Model, cfg *config.Config) *Scheduler {
-	p, ok := Lookup(policy)
-	if !ok {
-		panic(fmt.Sprintf("sched: unknown policy %q (registered: %v)", policy, Policies()))
-	}
-	params := make(map[string]float64, len(p.Params))
-	for _, spec := range p.Params {
-		v := spec.Default
-		if ov, set := cfg.PolicyParams[spec.Name]; set && cfg.SchedPolicy == p.Name {
-			v = ov
-		}
-		params[spec.Name] = v
-	}
+// New builds a scheduler running the given policy (panics on an unknown
+// one — config.Validate rejects it long before this point). campAware must
+// match the cost model: design O schedules against camp locations, every
+// other design against homes. The hybrid weight B comes from
+// cfg.HybridAlpha.
+func New(policy config.Policy, cost *core.CostModel, camps *core.CampMap, n *noc.Model, cfg *config.Config) *Scheduler {
 	units := n.Topology().Units()
 	return &Scheduler{
-		policy:     p,
-		params:     params,
+		place:      placeFunc(policy),
 		cost:       cost,
 		camps:      camps,
 		noc:        n,
@@ -128,14 +111,6 @@ func New(policy string, cost *core.CostModel, camps *core.CampMap, n *noc.Model,
 		vecScratch: cost.NewVecScratch(),
 	}
 }
-
-// PolicyName returns the name of the scheduler's placement policy.
-func (s *Scheduler) PolicyName() string { return s.policy.Name }
-
-// Param returns the resolved value of a declared policy parameter (the
-// registered default unless cfg.PolicyParams overrode it). Unknown names
-// return 0; policies only ask for parameters they declared.
-func (s *Scheduler) Param(name string) float64 { return s.params[name] }
 
 // DegradedLoads returns how many load terms were clamped because the
 // effective load view turned non-finite — zero on every healthy run.
@@ -265,7 +240,7 @@ func (s *Scheduler) auditCycle() int64 {
 // no forwarded load goes unrecorded. Ties break toward the lowest unit ID
 // so results are deterministic.
 func (s *Scheduler) Place(t *task.Task, origin topology.UnitID) topology.UnitID {
-	target, memCost, loadTerm := s.policy.Place(s, t, origin)
+	target, memCost, loadTerm := s.place(s, t, origin)
 	if target < 0 {
 		// No live unit can accept the task (every unit is dead). Return
 		// the verdict without recording load on unit -1 and without
@@ -312,7 +287,17 @@ func (s *Scheduler) record(origin, target topology.UnitID, w float64) {
 	s.rows[origin] = append(row, forward{target, w})
 }
 
-func (s *Scheduler) placeLowestDistance(t *task.Task) (topology.UnitID, float64) {
+// placeHome co-locates t with its main data element's home unit, or the
+// nearest live unit when the home is dead.
+func (s *Scheduler) placeHome(t *task.Task, _ topology.UnitID) (topology.UnitID, float64, float64) {
+	target := s.camps.Home(t.Hint.Lines[0])
+	if s.dead != nil {
+		target = s.NearestLive(target)
+	}
+	return target, 0, 0
+}
+
+func (s *Scheduler) placeLowestDistance(t *task.Task, _ topology.UnitID) (topology.UnitID, float64, float64) {
 	// Ties break toward the main element's home: with symmetric data many
 	// units score equally, and a fixed lowest-ID tie-break would pile
 	// every such task onto unit 0.
@@ -320,7 +305,7 @@ func (s *Scheduler) placeLowestDistance(t *task.Task) (topology.UnitID, float64)
 	if s.dead != nil {
 		best = s.NearestLive(best)
 		if best < 0 {
-			return -1, 0 // every unit is dead
+			return -1, 0, 0 // every unit is dead
 		}
 	}
 	vec := s.memVec(t)
@@ -330,7 +315,7 @@ func (s *Scheduler) placeLowestDistance(t *task.Task) (topology.UnitID, float64)
 			best, bestCost = topology.UnitID(u), c
 		}
 	}
-	return best, bestCost
+	return best, bestCost, 0
 }
 
 // loadView fills s.loadBuf with origin's effective per-unit load — the
@@ -341,11 +326,10 @@ func (s *Scheduler) placeLowestDistance(t *task.Task) (topology.UnitID, float64)
 // whatever unit the snapshot shows as idle until the next exchange;
 // amplifying the own delta makes each origin act as if its peers place
 // symmetrically, which caps the collective overshoot at roughly one
-// origin's worth. The mean is floored (by default at roughly two queued
-// tasks per unit): with near-empty queues a one-task difference is
-// quantization noise, not imbalance, and must not dominate the other
-// score terms.
-func (s *Scheduler) loadView(origin topology.UnitID, meanFloor float64) (mean float64, live int) {
+// origin's worth. The mean is floored at hybridMeanFloor: with near-empty
+// queues a one-task difference is quantization noise, not imbalance, and
+// must not dominate the other score terms.
+func (s *Scheduler) loadView(origin topology.UnitID) (mean float64, live int) {
 	if s.rows == nil {
 		s.rows = make([][]forward, s.units)
 	}
@@ -393,17 +377,18 @@ func (s *Scheduler) loadView(origin topology.UnitID, meanFloor float64) (mean fl
 		return 0, 0
 	}
 	mean = sum / float64(live)
-	if mean < meanFloor {
-		mean = meanFloor
+	if mean < hybridMeanFloor {
+		mean = hybridMeanFloor
 	}
 	return mean, live
 }
 
-// hybridMeanFloor is about two tasks' default workload estimate.
+// hybridMeanFloor, the floor of the load-reading policies' mean load, is
+// about two tasks' default workload estimate.
 const hybridMeanFloor = 32
 
 func (s *Scheduler) placeHybrid(t *task.Task, origin topology.UnitID) (topology.UnitID, float64, float64) {
-	mean, live := s.loadView(origin, hybridMeanFloor)
+	mean, live := s.loadView(origin)
 	if live == 0 {
 		// Every unit is dead. The old code divided by zero here, poisoning
 		// mean to NaN so every score comparison was false and the stale
@@ -436,15 +421,12 @@ func (s *Scheduler) placeHybrid(t *task.Task, origin topology.UnitID) (topology.
 	return best, bestMem, bestLoad
 }
 
-// placeLoadOnly is the "loadonly" registered policy: argmin over live
-// units of the load term alone, ignoring data distance entirely. It is the
-// missing corner of the paper's co-optimization claim — campaigns compare
-// hybrid (both terms) against lowestdist (distance only) and loadonly
-// (balance only). The mean floor is a declared policy parameter ("floor")
-// instead of a compile-time constant, exercising the generic parameter
-// path end to end (config validation, cache keys, campaign sweeps).
+// placeLoadOnly is the loadonly policy: argmin over live units of the load
+// term alone, ignoring data distance entirely. It is the missing corner of
+// the paper's co-optimization claim — campaigns compare hybrid (both
+// terms) against lowestdist (distance only) and loadonly (balance only).
 func (s *Scheduler) placeLoadOnly(t *task.Task, origin topology.UnitID) (topology.UnitID, float64, float64) {
-	mean, live := s.loadView(origin, s.Param("floor"))
+	mean, live := s.loadView(origin)
 	if live == 0 {
 		return -1, 0, 0 // every unit is dead
 	}

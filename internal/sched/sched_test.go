@@ -36,7 +36,7 @@ func newEnv() *env {
 	}
 }
 
-func (e *env) scheduler(policy string, campAware bool) *Scheduler {
+func (e *env) scheduler(policy config.Policy, campAware bool) *Scheduler {
 	cost := core.NewCostModel(e.noc, e.camps, campAware)
 	return New(policy, cost, e.camps, e.noc, &e.cfg)
 }
@@ -47,7 +47,7 @@ func (e *env) lineOn(u topology.UnitID) mem.Line {
 }
 
 func TestPolicyFor(t *testing.T) {
-	cases := map[config.Design]string{
+	cases := map[config.Design]config.Policy{
 		config.DesignB:  "home",
 		config.DesignSm: "lowestdist",
 		config.DesignSl: "lowestdist",
@@ -318,7 +318,7 @@ func TestScoreHookObservesWithoutPerturbing(t *testing.T) {
 	}
 
 	// Home and lowest-distance policies report through the same hook.
-	for _, kind := range []string{"home", "lowestdist"} {
+	for _, kind := range []config.Policy{"home", "lowestdist"} {
 		s := e.scheduler(kind, false)
 		calls := 0
 		s.SetScoreHook(func(_, _ topology.UnitID, _, load float64) {
@@ -340,7 +340,7 @@ func TestScoreHookObservesWithoutPerturbing(t *testing.T) {
 // must now return the explicit -1 verdict instead of panicking.
 func TestPlaceAllUnitsDeadReturnsVerdict(t *testing.T) {
 	e := newEnv()
-	for _, kind := range []string{"home", "lowestdist", "hybrid", "loadonly"} {
+	for _, kind := range config.Policies {
 		s := e.scheduler(kind, false)
 		s.SetAudit(check.New(), nil)
 		dead := make([]bool, e.topo.Units())
@@ -378,7 +378,7 @@ func TestPlaceAllUnitsDeadReturnsVerdict(t *testing.T) {
 // no trace at all — DegradedLoads must now count every clamp whether or
 // not the checker is armed.
 func TestHybridClampsNonFiniteLoad(t *testing.T) {
-	for _, policy := range []string{"hybrid", "loadonly"} {
+	for _, policy := range []config.Policy{"hybrid", "loadonly"} {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			e := newEnv()
 			s := e.scheduler(policy, false)
@@ -441,9 +441,6 @@ func TestDegradedLoadsCountsWithoutAudit(t *testing.T) {
 func TestLoadOnlyPolicy(t *testing.T) {
 	e := newEnv()
 	s := e.scheduler("loadonly", false)
-	if got := s.Param("floor"); got != 32 {
-		t.Fatalf("default floor param = %v, want 32", got)
-	}
 	w := make([]float64, e.topo.Units())
 	for i := range w {
 		w[i] = 1000
@@ -465,26 +462,6 @@ func TestLoadOnlyPolicy(t *testing.T) {
 	tsk = &task.Task{Hint: task.Hint{Lines: []mem.Line{e.lineOn(home)}}}
 	if got := s.Place(tsk, 3); got != home {
 		t.Fatalf("uniform-load loadonly placed on %d, want home %d", got, home)
-	}
-}
-
-// A cfg.PolicyParams override reaches the scheduler only when the config
-// actually selects that policy by name.
-func TestPolicyParamOverride(t *testing.T) {
-	e := newEnv()
-	cfg := e.cfg
-	cfg.SchedPolicy = "loadonly"
-	cfg.PolicyParams = map[string]float64{"floor": 128}
-	cost := core.NewCostModel(e.noc, e.camps, false)
-	s := New("loadonly", cost, e.camps, e.noc, &cfg)
-	if got := s.Param("floor"); got != 128 {
-		t.Fatalf("overridden floor = %v, want 128", got)
-	}
-	// Same override without SchedPolicy selecting loadonly: default wins.
-	cfg.SchedPolicy = ""
-	s = New("loadonly", cost, e.camps, e.noc, &cfg)
-	if got := s.Param("floor"); got != 32 {
-		t.Fatalf("floor without matching SchedPolicy = %v, want default 32", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"abndp/internal/config"
 	"abndp/internal/core"
 	"abndp/internal/mem"
 	"abndp/internal/task"
@@ -22,7 +23,7 @@ import (
 func TestCostVecSourcePlacementIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
-		kind      string
+		kind      config.Policy
 		campAware bool
 	}{
 		{"hybrid-campaware", "hybrid", true},
