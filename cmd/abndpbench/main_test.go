@@ -28,3 +28,15 @@ func TestFailedSweepWritesCPUProfile(t *testing.T) {
 		t.Fatal("CPU profile of the failing sweep is empty")
 	}
 }
+
+// A negative -j is a usage error: exit 2 before any run, as abndphypo and
+// abndpserve do.
+func TestNegativeWorkersExit2(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-quick", "-exp", "tab1", "-j", "-1"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2\nstderr: %s", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("a usage error printed tables:\n%s", stdout.String())
+	}
+}

@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,34 +32,52 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with injectable arguments and streams, returning the exit
+// code: 2 for a usage error (a bad flag, no -spec, a negative -j), 1 for a
+// spec or campaign that fails, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("abndphypo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		specPath = flag.String("spec", "", "path to the campaign spec JSON (required)")
-		outDir   = flag.String("out", "findings", "directory for FINDINGS.md and findings.json (created; files are prefixed with the spec name)")
-		quick    = flag.Bool("quick", false, "shrink workload defaults for a fast smoke run (explicit spec sizes still win)")
-		jobs     = flag.Int("j", 0, "worker goroutines for simulation runs (0 = GOMAXPROCS)")
-		chk      = flag.Bool("check", false, "audit every run (invariant checker armed)")
-		policies = flag.Bool("policies", false, "list the scheduler policies and exit")
-		quiet    = flag.Bool("q", false, "suppress the report on stdout (files are still written)")
+		specPath = fs.String("spec", "", "path to the campaign spec JSON (required)")
+		outDir   = fs.String("out", "findings", "directory for FINDINGS.md and findings.json (created; files are prefixed with the spec name)")
+		quick    = fs.Bool("quick", false, "shrink workload defaults for a fast smoke run (explicit spec sizes still win)")
+		jobs     = fs.Int("j", 0, "worker goroutines for simulation runs (0 = GOMAXPROCS)")
+		chk      = fs.Bool("check", false, "audit every run (invariant checker armed)")
+		policies = fs.Bool("policies", false, "list the scheduler policies and exit")
+		quiet    = fs.Bool("q", false, "suppress the report on stdout (files are still written)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "abndphypo:", err)
+		return 1
+	}
 
 	if *policies {
-		fmt.Println("scheduler policies:")
-		fmt.Println(sched.Describe())
-		return
+		fmt.Fprintln(stdout, "scheduler policies:")
+		fmt.Fprintln(stdout, sched.Describe())
+		return 0
 	}
 	if *specPath == "" {
-		fmt.Fprintln(os.Stderr, "abndphypo: -spec is required (or -policies)")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "abndphypo: -spec is required (or -policies)")
+		fs.Usage()
+		return 2
 	}
 	if err := bench.ValidateWorkers(*jobs); err != nil {
-		fatalf("%v", err)
+		fmt.Fprintln(stderr, "abndphypo:", err)
+		return 2
 	}
 
 	spec, err := hypo.LoadFile(*specPath)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 
 	r := bench.NewRunner(io.Discard)
@@ -67,37 +86,33 @@ func main() {
 
 	out, err := spec.Run(context.Background(), r, *chk)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 
 	md := hypo.RenderFindings(out)
 	js, err := hypo.RenderJSON(out)
 	if err != nil {
-		fatalf("render json: %v", err)
+		return fail(fmt.Errorf("render json: %w", err))
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 	mdPath := filepath.Join(*outDir, spec.Name+"_FINDINGS.md")
 	jsPath := filepath.Join(*outDir, spec.Name+"_findings.json")
 	if err := os.WriteFile(mdPath, md, 0o644); err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 	if err := os.WriteFile(jsPath, js, 0o644); err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 
 	if !*quiet {
-		os.Stdout.Write(md)
+		stdout.Write(md)
 	}
 	status := "no verdict declared"
 	if out.Verdict != nil {
 		status = out.Verdict.Status
 	}
-	fmt.Fprintf(os.Stderr, "abndphypo: %s: %s (%d runs) -> %s, %s\n", spec.Name, status, out.Runs, mdPath, jsPath)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "abndphypo: "+format+"\n", args...)
-	os.Exit(1)
+	fmt.Fprintf(stderr, "abndphypo: %s: %s (%d runs) -> %s, %s\n", spec.Name, status, out.Runs, mdPath, jsPath)
+	return 0
 }

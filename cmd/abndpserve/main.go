@@ -31,8 +31,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -46,37 +48,55 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// run is main with injectable arguments and log stream, returning the exit
+// code: 2 for a usage error (a bad flag, -log or -log-level value, a
+// negative -j, a -queue below 1), 1 when the service fails, 0 after a
+// clean drain.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("abndpserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", ":8080", "HTTP listen address")
-		id       = flag.String("id", "", "backend ID within a serving fleet (echoed as X-ABNDP-Backend and in job statuses; see abndpproxy)")
-		jobs     = flag.Int("j", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-		queue    = flag.Int("queue", 64, "pending-job queue capacity (full queue returns 429)")
-		quick    = flag.Bool("quick", false, "shrink default workload sizings to smoke-test scale")
-		chk      = flag.Bool("check", false, "audit every simulation (invariants + dual-run hash; roughly doubles cost)")
-		rdl      = flag.Duration("rundeadline", 0, "per-job wall-clock deadline; a job past it fails (0 = the 10m default, negative disables)")
-		drainTO  = flag.Duration("draintimeout", 2*time.Minute, "graceful-drain bound on SIGTERM/SIGINT")
-		traceDir = flag.String("trace-dir", "", "write one Perfetto trace per executed job to this directory (serve-tier request spans + engine tracks, keyed by request ID)")
-		logFmt   = flag.String("log", "json", "structured log format on stderr: json or text")
-		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
+		addr     = fs.String("addr", ":8080", "HTTP listen address")
+		id       = fs.String("id", "", "backend ID within a serving fleet (echoed as X-ABNDP-Backend and in job statuses; see abndpproxy)")
+		jobs     = fs.Int("j", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
+		queue    = fs.Int("queue", 64, "pending-job queue capacity (full queue returns 429)")
+		quick    = fs.Bool("quick", false, "shrink default workload sizings to smoke-test scale")
+		chk      = fs.Bool("check", false, "audit every simulation (invariants + dual-run hash; roughly doubles cost)")
+		rdl      = fs.Duration("rundeadline", 0, "per-job wall-clock deadline; a job past it fails (0 = the 10m default, negative disables)")
+		drainTO  = fs.Duration("draintimeout", 2*time.Minute, "graceful-drain bound on SIGTERM/SIGINT")
+		traceDir = fs.String("trace-dir", "", "write one Perfetto trace per executed job to this directory (serve-tier request spans + engine tracks, keyed by request ID)")
+		logFmt   = fs.String("log", "json", "structured log format on stderr: json or text")
+		logLevel = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "abndpserve:", err)
+		return 1
+	}
 
-	logger, err := buildLogger(*logFmt, *logLevel)
+	// The same fail-fast flag validation as abndpbench: a bad flag value,
+	// such as a negative -j, is a usage error, not a silent clamp.
+	logger, err := buildLogger(stderr, *logFmt, *logLevel)
+	if err == nil {
+		err = bench.ValidateWorkers(*jobs)
+	}
+	if err == nil && *queue <= 0 {
+		err = fmt.Errorf("queue capacity must be positive (got %d)", *queue)
+	}
 	if err != nil {
-		fatal(err)
-	}
-
-	// The same fail-fast flag validation as abndpbench: a negative -j is an
-	// error, not a silent clamp.
-	if err := bench.ValidateWorkers(*jobs); err != nil {
-		fatal(err)
-	}
-	if *queue <= 0 {
-		fatal(fmt.Errorf("abndpserve: queue capacity must be positive (got %d)", *queue))
+		fmt.Fprintln(stderr, "abndpserve:", err)
+		return 2
 	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
@@ -93,7 +113,7 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	logger.Info("serving", "addr", ln.Addr().String(),
@@ -108,7 +128,7 @@ func main() {
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
-		fatal(err)
+		return fail(err)
 	}
 	stop()
 
@@ -131,13 +151,14 @@ func main() {
 	logger.Info("drained", "runs", r.RunsExecuted(), "failures", len(r.Failures()),
 		"events_total", events)
 	if err := <-serveErr; err != nil && err != http.ErrServerClosed {
-		fatal(err)
+		return fail(err)
 	}
+	return 0
 }
 
-// buildLogger constructs the stderr slog logger from the -log/-log-level
+// buildLogger constructs the slog logger on w from the -log/-log-level
 // flags.
-func buildLogger(format, level string) (*slog.Logger, error) {
+func buildLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	var lv slog.Level
 	if err := lv.UnmarshalText([]byte(level)); err != nil {
 		return nil, fmt.Errorf("invalid -log-level %q: %w", level, err)
@@ -145,15 +166,10 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 	opts := &slog.HandlerOptions{Level: lv}
 	switch format {
 	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	default:
 		return nil, fmt.Errorf("invalid -log %q (json or text)", format)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "abndpserve:", err)
-	os.Exit(1)
 }

@@ -4,24 +4,26 @@
 // by the configuration *prefix key* (config.PrefixKey — the config minus
 // late-binding scheduler/steal/fault knobs).
 //
-// It holds one artifact kind: static placement-cost vectors, costmem(hint,
-// u) for every unit u, the hot kernel of hybrid/lowest-distance task
-// placement. A vector is a pure function of (hint lines, topology, camp
-// mapping) — everything the prefix key pins — so sweep points that vary
-// only scheduler knobs reuse it bit-for-bit instead of recomputing it per
-// placement. Workload inputs are not stored here: the FIFO input cache in
-// internal/apps (inputs.go) shares them.
+// It holds one artifact kind: a hint's placement cost, costmem(hint, u)
+// for every unit u in the kernel's stack form (core.StackForm), the hot
+// kernel of hybrid/lowest-distance task placement. A form is a pure
+// function of (hint lines, topology, camp mapping) — everything the prefix
+// key pins — so sweep points that vary only scheduler knobs reuse it
+// bit-for-bit instead of recomputing it per placement. Workload inputs are
+// not stored here: the FIFO input cache in internal/apps (inputs.go)
+// shares them.
 //
-// Correctness does not rest on hashing: vector entries store the hint's
-// full line list and every lookup compares it, so a hash collision is a
-// miss (wasted work), never a wrong value. Entries are only ever written
-// with values a cold run would have computed, so a store hit cannot change
-// any simulation output — the parity tests in the root package and
+// The store does not read the forms: to it each is a blob of words, kept
+// with the hint's line list in one pointer-free payload per entry, and a
+// hit returns the blob in place. Correctness does not rest on hashing:
+// every lookup compares the full line list, so a hash collision is a miss
+// (wasted work), never a wrong value. Entries are only ever written with
+// values a cold run would have computed, so a store hit cannot change any
+// simulation output — the parity tests in the root package and
 // internal/ndp enforce byte-identical result hashes.
 package ckpt
 
 import (
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,15 +31,16 @@ import (
 	"abndp/internal/mem"
 )
 
-// DefaultCapBytes bounds the store's entry payload by default. It is the
-// smallest cap of a full-scale sweep over 16, 32, 64 and 512 MiB
-// (docs/PERF.md, "Sizing the store") at which full-scale fig17, the
-// largest late-binding sweep, rejects no insert (16 MiB rejects 40–47k)
-// and the serve-campaign benchmark's store evicts no shard. The cap counts
-// entry payload only, and peak RSS grows by roughly twice the cap: on a
-// full abndpbench, the median peak RSS is 1.18 GB above the input cache
-// alone at 512 MiB and 77 MB above it at 32 MiB.
-const DefaultCapBytes = 32 << 20
+// DefaultCapBytes bounds the store's entries by default. It is the
+// smallest of the caps swept (16, 32, 64 and 512 MiB; docs/PERF.md,
+// "Sizing the store") at which full-scale fig17, the largest late-binding
+// sweep, rejects no insert and the serve-campaign benchmark's store
+// evicts no shard. The cap counts each entry's payload words plus
+// entryOverhead: about 640 bytes for the stack form of a 10-line
+// camp-aware hint whose lines spread over the machine (35 listed units),
+// and 415 bytes on average over the example campaign's 80 runs, which
+// fill 3.4 MiB. At 16 MiB a full-scale fig17 ends with 8.1 MiB.
+const DefaultCapBytes = 16 << 20
 
 // Store is the top-level checkpoint store: a set of shards, one per
 // prefix-key string, with shard-granularity LRU eviction when the
@@ -74,7 +77,7 @@ func (s *Store) Shard(key string) *Shard {
 	s.clock++
 	sh := s.shards[key]
 	if sh == nil {
-		sh = &Shard{store: s, key: key, vecs: make(map[uint64]*vecEntry)}
+		sh = &Shard{store: s, key: key, entries: make(map[uint64][]uint64)}
 		s.shards[key] = sh
 	}
 	sh.lastUse = s.clock
@@ -104,7 +107,7 @@ func (s *Store) charge(keep *Shard, n int64) bool {
 		victim.mu.Lock()
 		s.bytes -= victim.bytes
 		victim.evicted = true
-		victim.vecs = make(map[uint64]*vecEntry)
+		victim.entries = make(map[uint64][]uint64)
 		victim.bytes = 0
 		victim.mu.Unlock()
 		s.retHits += victim.hits.Load()
@@ -147,7 +150,7 @@ func (s *Store) Stats() Stats {
 		Hits: s.retHits, Misses: s.retMisses, Inserts: s.retInserts, Rejects: s.retRejects}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		st.Entries += int64(len(sh.vecs))
+		st.Entries += int64(len(sh.entries))
 		sh.mu.RUnlock()
 		st.Hits += sh.hits.Load()
 		st.Misses += sh.misses.Load()
@@ -174,7 +177,7 @@ func (s *Store) Entries() []EntryInfo {
 	out := make([]EntryInfo, 0, len(s.shards))
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		n, b := len(sh.vecs), sh.bytes
+		n, b := len(sh.entries), sh.bytes
 		sh.mu.RUnlock()
 		out = append(out, EntryInfo{
 			Key: sh.key, Entries: n, Bytes: b,
@@ -194,28 +197,30 @@ type Shard struct {
 	lastUse int64 // guarded by store.mu
 
 	mu      sync.RWMutex
-	vecs    map[uint64]*vecEntry
+	entries map[uint64][]uint64 // see Put
 	bytes   int64
 	evicted bool
 
 	hits, misses, inserts, rejects atomic.Int64
 }
 
-// vecEntry is one hint's placement-cost vector; next chains hash
-// collisions (distinct hints, equal hash).
-type vecEntry struct {
-	lines []mem.Line
-	vec   []float64
-	next  *vecEntry
-}
+// entryOverhead is what the store charges an entry beyond its payload
+// words. It stands for the entry's map slot, an 8-byte key and a 24-byte
+// slice header, which takes 38 to 75 bytes at the map's load, and covers
+// the payload's rounding up to its allocation size class for payloads up
+// to 768 bytes.
+const entryOverhead = 64
+
+// entryBytes is what the store charges an entry whose payload is n words.
+func entryBytes(n int) int64 { return int64(n)*8 + entryOverhead }
 
 // Key returns the shard's prefix key.
 func (sh *Shard) Key() string { return sh.key }
 
-// HashLines fingerprints a hint's line list (FNV-1a over the 64-bit line
-// values). Collisions are safe — MemVec compares the full list — so the
+// hashLines fingerprints a hint's line list (FNV-1a over the 64-bit line
+// values). Collisions are safe — a lookup compares the full list — so the
 // hash only needs to be cheap and well-distributed.
-func HashLines(lines []mem.Line) uint64 {
+func hashLines(lines []mem.Line) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -232,69 +237,88 @@ func HashLines(lines []mem.Line) uint64 {
 	return h
 }
 
-// MemVec returns the stored cost vector for a hint with the given hash and
-// line list, or nil on a miss. The caller must not modify the returned
-// slice (it is shared across runs).
-func (sh *Shard) MemVec(hash uint64, lines []mem.Line) []float64 {
+// Get returns the blob stored for a hint's line list, or nil on a miss.
+// The blob is the stored entry itself: the caller must not modify it (it
+// is shared across runs).
+func (sh *Shard) Get(lines []mem.Line) []uint64 { return sh.get(hashLines(lines), lines) }
+
+func (sh *Shard) get(h uint64, lines []mem.Line) []uint64 {
 	sh.mu.RLock()
-	e := sh.vecs[hash]
-	for e != nil && !sameLines(e.lines, lines) {
-		e = e.next
-	}
+	p, _ := sh.find(h, lines)
 	sh.mu.RUnlock()
-	if e == nil {
+	if p == nil {
 		sh.misses.Add(1)
 		return nil
 	}
 	sh.hits.Add(1)
-	return e.vec
+	return p[1+len(lines):]
 }
 
-// PutMemVec stores copies of a hint's line list and cost vector; the
-// caller keeps both slices and may reuse them at once. The copies are made
-// only for an entry the shard stores, so an insert the cap rejects
-// allocates nothing. Duplicate inserts (two workers racing on the same
-// hint) keep the first entry — both hold identical bits, so which one wins
-// is unobservable.
-func (sh *Shard) PutMemVec(hash uint64, lines []mem.Line, vec []float64) {
+// find returns the payload stored for lines, or nil and the key a new
+// entry for lines takes. Distinct line lists with equal hashes take
+// consecutive keys from their hash on; entries are never removed one at a
+// time, so a probe ends at the first free key. The caller holds sh.mu.
+func (sh *Shard) find(h uint64, lines []mem.Line) ([]uint64, uint64) {
+	for ; ; h++ {
+		p, ok := sh.entries[h]
+		if !ok {
+			return nil, h
+		}
+		if holds(p, lines) {
+			return p, h
+		}
+	}
+}
+
+// holds reports whether payload p was stored for lines.
+func holds(p []uint64, lines []mem.Line) bool {
+	if p[0] != uint64(len(lines)) {
+		return false
+	}
+	for i, l := range lines {
+		if p[1+i] != uint64(l) {
+			return false
+		}
+	}
+	return true
+}
+
+// Put stores a hint's line list and blob in one payload, with no pointers
+// in it: the line count, the lines, then the blob. The caller keeps both
+// slices and may reuse them at once. The payload is made only for an entry
+// the shard stores, so an insert the cap rejects allocates nothing.
+// Duplicate inserts (two workers racing on the same hint) keep the first
+// entry — both hold identical bits, so which one wins is unobservable.
+func (sh *Shard) Put(lines []mem.Line, blob []uint64) { sh.put(hashLines(lines), lines, blob) }
+
+func (sh *Shard) put(h uint64, lines []mem.Line, blob []uint64) {
 	sh.mu.RLock()
 	gone := sh.evicted
 	sh.mu.RUnlock()
 	if gone {
 		return // stale handle: don't let a dead shard's insert evict live ones
 	}
-	n := int64(len(lines)*8 + len(vec)*8 + 64)
+	words := 1 + len(lines) + len(blob)
+	n := entryBytes(words)
 	if !sh.store.charge(sh, n) {
 		sh.rejects.Add(1)
 		return
 	}
 	sh.mu.Lock()
-	if sh.evicted {
+	old, free := sh.find(h, lines)
+	if sh.evicted || old != nil {
 		sh.mu.Unlock()
 		sh.store.uncharge(n)
 		return
 	}
-	for e := sh.vecs[hash]; e != nil; e = e.next {
-		if sameLines(e.lines, lines) {
-			sh.mu.Unlock()
-			sh.store.uncharge(n)
-			return
-		}
+	p := make([]uint64, words)
+	p[0] = uint64(len(lines))
+	for i, l := range lines {
+		p[1+i] = uint64(l)
 	}
-	sh.vecs[hash] = &vecEntry{lines: slices.Clone(lines), vec: slices.Clone(vec), next: sh.vecs[hash]}
+	copy(p[1+len(lines):], blob)
+	sh.entries[free] = p
 	sh.bytes += n
 	sh.mu.Unlock()
 	sh.inserts.Add(1)
-}
-
-func sameLines(a, b []mem.Line) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, l := range a {
-		if b[i] != l {
-			return false
-		}
-	}
-	return true
 }

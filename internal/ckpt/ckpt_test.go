@@ -2,34 +2,37 @@ package ckpt
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	"abndp/internal/config"
+	"abndp/internal/core"
 	"abndp/internal/mem"
+	"abndp/internal/noc"
+	"abndp/internal/topology"
 )
 
-func putVec(sh *Shard, lines []mem.Line, v float64) {
-	vec := make([]float64, 4)
-	for i := range vec {
-		vec[i] = v
-	}
-	sh.PutMemVec(HashLines(lines), append([]mem.Line(nil), lines...), vec)
+// putBlob stores a 4-word blob of v for lines.
+func putBlob(sh *Shard, lines []mem.Line, v uint64) {
+	sh.Put(append([]mem.Line(nil), lines...), []uint64{v, v, v, v})
 }
 
 func TestShardHitMiss(t *testing.T) {
 	st := NewStore(1 << 20)
 	sh := st.Shard("k")
 	lines := []mem.Line{1, 2, 3}
-	if got := sh.MemVec(HashLines(lines), lines); got != nil {
+	if got := sh.Get(lines); got != nil {
 		t.Fatalf("cold lookup returned %v, want nil", got)
 	}
-	putVec(sh, lines, 7)
-	got := sh.MemVec(HashLines(lines), lines)
-	if got == nil || got[0] != 7 {
+	putBlob(sh, lines, 7)
+	got := sh.Get(lines)
+	if len(got) != 4 || got[0] != 7 {
 		t.Fatalf("warm lookup returned %v", got)
 	}
 	// Same shard key must return the same shard with the entry still there.
-	if st.Shard("k").MemVec(HashLines(lines), lines) == nil {
+	if st.Shard("k").Get(lines) == nil {
 		t.Fatal("re-fetched shard lost the entry")
 	}
 	s := st.Stats()
@@ -38,25 +41,34 @@ func TestShardHitMiss(t *testing.T) {
 	}
 }
 
-// TestCollisionIsMissNeverWrongValue forces two distinct line lists onto
-// the same hash: the lookup must chain past the mismatched entry (or miss),
-// never return the other hint's vector.
+// TestCollisionIsMissNeverWrongValue forces distinct line lists onto the
+// same hash: the lookup must probe past the mismatched entry (or miss),
+// never return the other hint's blob. c, with the next hash, takes the key
+// after the one b probed to.
 func TestCollisionIsMissNeverWrongValue(t *testing.T) {
 	st := NewStore(1 << 20)
 	sh := st.Shard("k")
 	a := []mem.Line{1, 2}
 	b := []mem.Line{3, 4}
+	c := []mem.Line{1, 2, 3}
 	h := uint64(12345) // deliberately shared fake hash
-	sh.PutMemVec(h, append([]mem.Line(nil), a...), []float64{10})
-	if got := sh.MemVec(h, b); got != nil {
+	sh.put(h, a, []uint64{10})
+	if got := sh.get(h, b); got != nil {
 		t.Fatalf("colliding lookup returned %v, want nil", got)
 	}
-	sh.PutMemVec(h, append([]mem.Line(nil), b...), []float64{20})
-	if got := sh.MemVec(h, a); got == nil || got[0] != 10 {
-		t.Fatalf("chained lookup for a returned %v", got)
+	sh.put(h, b, []uint64{20})
+	sh.put(h+1, c, []uint64{30})
+	if got := sh.get(h, a); got == nil || got[0] != 10 {
+		t.Fatalf("probed lookup for a returned %v", got)
 	}
-	if got := sh.MemVec(h, b); got == nil || got[0] != 20 {
-		t.Fatalf("chained lookup for b returned %v", got)
+	if got := sh.get(h, b); got == nil || got[0] != 20 {
+		t.Fatalf("probed lookup for b returned %v", got)
+	}
+	if got := sh.get(h+1, c); got == nil || got[0] != 30 {
+		t.Fatalf("probed lookup for c returned %v", got)
+	}
+	if got := sh.get(h+1, a); got != nil {
+		t.Fatalf("lookup of a under another hash returned %v, want nil", got)
 	}
 }
 
@@ -64,9 +76,9 @@ func TestDuplicatePutKeepsFirstAndBytesStable(t *testing.T) {
 	st := NewStore(1 << 20)
 	sh := st.Shard("k")
 	lines := []mem.Line{9, 9, 9}
-	putVec(sh, lines, 1)
+	putBlob(sh, lines, 1)
 	before := st.Stats().Bytes
-	putVec(sh, lines, 1) // identical bits in practice; dedup keeps the first
+	putBlob(sh, lines, 1) // identical bits in practice; dedup keeps the first
 	s := st.Stats()
 	if s.Bytes != before {
 		t.Fatalf("duplicate insert changed bytes: %d -> %d", before, s.Bytes)
@@ -77,20 +89,20 @@ func TestDuplicatePutKeepsFirstAndBytesStable(t *testing.T) {
 }
 
 func TestEvictionLRUAndRejection(t *testing.T) {
-	st := NewStore(300) // tiny: each entry charges len*8+len*8+64 bytes
+	st := NewStore(300) // tiny: each entry charges its payload words*8+64 bytes
 	old := st.Shard("old")
-	putVec(old, []mem.Line{1}, 1) // 16+64 = 80 bytes... entry is 8+32+64
+	putBlob(old, []mem.Line{1}, 1) // 1+1+4 words: 48+64 = 112 bytes
 	hot := st.Shard("hot")
-	putVec(hot, []mem.Line{2}, 2)
+	putBlob(hot, []mem.Line{2}, 2)
 	// Filling hot past the cap must evict "old" (LRU), not "hot" itself.
 	for i := 0; i < 4; i++ {
-		putVec(hot, []mem.Line{mem.Line(10 + i)}, float64(i))
+		putBlob(hot, []mem.Line{mem.Line(10 + i)}, uint64(i))
 	}
 	s := st.Stats()
 	if s.Evictions == 0 {
 		t.Fatalf("expected evictions, stats = %+v", s)
 	}
-	if st.Shard("hot").MemVec(HashLines([]mem.Line{2}), []mem.Line{2}) == nil &&
+	if st.Shard("hot").Get([]mem.Line{2}) == nil &&
 		s.Rejects == 0 {
 		t.Fatalf("hot shard lost entries without any rejects, stats = %+v", s)
 	}
@@ -100,8 +112,8 @@ func TestEvictionLRUAndRejection(t *testing.T) {
 	// Rejection path: a single shard larger than the whole cap.
 	st2 := NewStore(100)
 	lone := st2.Shard("lone")
-	putVec(lone, []mem.Line{1}, 1)                // 104 bytes > cap → reject
-	putVec(lone, []mem.Line{1, 2, 3, 4, 5, 6}, 1) // way over → reject
+	putBlob(lone, []mem.Line{1}, 1)                // 112 bytes > cap → reject
+	putBlob(lone, []mem.Line{1, 2, 3, 4, 5, 6}, 1) // way over → reject
 	if s2 := st2.Stats(); s2.Rejects == 0 || s2.Bytes != 0 {
 		t.Fatalf("lone-shard overflow stats = %+v", s2)
 	}
@@ -113,20 +125,20 @@ func TestEvictionLRUAndRejection(t *testing.T) {
 func TestPutOnEvictedShardIsDropped(t *testing.T) {
 	st := NewStore(400)
 	stale := st.Shard("stale")
-	putVec(stale, []mem.Line{1}, 1)
+	putBlob(stale, []mem.Line{1}, 1)
 	fresh := st.Shard("fresh")
 	for i := 0; i < 6; i++ { // push past cap → "stale" evicted
-		putVec(fresh, []mem.Line{mem.Line(100 + i)}, 1)
+		putBlob(fresh, []mem.Line{mem.Line(100 + i)}, 1)
 	}
 	if st.Stats().Evictions == 0 {
 		t.Skip("cap did not force eviction; adjust sizes")
 	}
 	before := st.Stats().Bytes
-	putVec(stale, []mem.Line{2}, 2) // dropped: shard is evicted
+	putBlob(stale, []mem.Line{2}, 2) // dropped: shard is evicted
 	if got := st.Stats().Bytes; got != before {
 		t.Fatalf("put on evicted shard changed bytes: %d -> %d", before, got)
 	}
-	if stale.MemVec(HashLines([]mem.Line{2}), []mem.Line{2}) != nil {
+	if stale.Get([]mem.Line{2}) != nil {
 		t.Fatal("put on evicted shard became visible")
 	}
 }
@@ -141,14 +153,13 @@ func TestConcurrentPutGet(t *testing.T) {
 			sh := st.Shard(fmt.Sprintf("k%d", w%2)) // two shards, shared
 			for i := 0; i < 500; i++ {
 				lines := []mem.Line{mem.Line(i % 50), mem.Line(w % 2)}
-				h := HashLines(lines)
-				if got := sh.MemVec(h, lines); got != nil {
-					if got[0] != float64(i%50) {
+				if got := sh.Get(lines); got != nil {
+					if got[0] != uint64(i%50) {
 						panic(fmt.Sprintf("wrong value %v for %v", got, lines))
 					}
 					continue
 				}
-				sh.PutMemVec(h, append([]mem.Line(nil), lines...), []float64{float64(i % 50)})
+				sh.Put(lines, []uint64{uint64(i % 50)})
 			}
 		}(w)
 	}
@@ -177,8 +188,73 @@ func TestHashLinesDistinguishesOrderAndLength(t *testing.T) {
 		{{}, {0}},
 	}
 	for _, p := range pairs {
-		if HashLines(p[0]) == HashLines(p[1]) {
+		if hashLines(p[0]) == hashLines(p[1]) {
 			t.Fatalf("hash collision between %v and %v", p[0], p[1])
 		}
+	}
+}
+
+// TestEntryBudget holds entries to their layout. Storing the stack form of
+// a 10-line camp-aware hint on the default machine charges the payload's
+// words plus entryOverhead and is one allocation, the payload, of no more
+// bytes than it is charged; only the few inserts at which the shard's map
+// grows allocate more (its new table). Stats.Bytes is the sum of what the
+// entries hold, through duplicate and colliding inserts.
+func TestEntryBudget(t *testing.T) {
+	cfg := config.Default()
+	topo := topology.New(topology.Config{
+		MeshX: cfg.MeshX, MeshY: cfg.MeshY,
+		UnitsPerStack: cfg.UnitsPerStack, Groups: cfg.Groups(),
+	})
+	space := mem.NewSpace(topo.Units(), cfg.UnitBytes)
+	model := core.NewCostModel(noc.New(topo, &cfg), core.NewCampMap(topo, space, true), true)
+	sc := model.NewFormScratch()
+	rng := rand.New(rand.NewSource(3))
+	totalLines := int64(space.TotalBytes() / mem.LineSize)
+
+	st := NewStore(0)
+	sh := st.Shard("k")
+	mapGrowths := 0
+	for i := 0; i < 300; i++ {
+		lines := make([]mem.Line, 10)
+		for j := range lines {
+			lines[j] = mem.Line(rng.Int63n(totalLines))
+		}
+		f := model.MemCostForm(sc, lines)
+		before := st.Stats().Bytes
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		sh.Put(lines, f)
+		runtime.ReadMemStats(&m1)
+		charged := st.Stats().Bytes - before
+		if want := int64(8*(1+len(lines)+len(f)) + entryOverhead); charged != want {
+			t.Fatalf("insert %d: charged %d bytes for a %d-word form, want %d", i, charged, len(f), want)
+		}
+		switch allocs := m1.Mallocs - m0.Mallocs; {
+		case allocs == 0:
+			t.Fatalf("insert %d: no allocation, want the payload's", i)
+		case allocs > 1:
+			mapGrowths++
+		default:
+			if got := int64(m1.TotalAlloc - m0.TotalAlloc); got > charged {
+				t.Fatalf("insert %d: allocated %d bytes, charged %d", i, got, charged)
+			}
+		}
+		if i%7 == 0 {
+			sh.Put(lines, f)                       // a duplicate: no charge
+			sh.put(hashLines(lines), lines[:9], f) // a collision: its own entry
+		}
+	}
+	// The 343 entries grow the map 7 times: its first 8-slot group, then
+	// six doublings to 512 slots.
+	if mapGrowths > 8 {
+		t.Fatalf("%d of 300 inserts allocated more than their payload", mapGrowths)
+	}
+	var held int64
+	for _, p := range sh.entries {
+		held += entryBytes(len(p))
+	}
+	if s := st.Stats(); s.Bytes != held || s.Entries != int64(len(sh.entries)) {
+		t.Fatalf("stats %+v, entries hold %d bytes in %d entries", s, held, len(sh.entries))
 	}
 }

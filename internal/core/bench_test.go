@@ -28,10 +28,11 @@ func BenchmarkNearest(b *testing.B) {
 	}
 }
 
-// BenchmarkMemCostVec times one hint's whole costmem vector — the kernel
-// every lowestdist and hybrid placement runs — for a 16-line hint spread
-// over the units, on the 4x4 default machine and an 8x8 mesh.
-func BenchmarkMemCostVec(b *testing.B) {
+// BenchmarkMemCostForm times one hint's costmem for every unit, in stack
+// form — the kernel every lowestdist and hybrid placement runs on a
+// checkpoint miss or without a store — for a 16-line hint spread over the
+// units, on the 4x4 default machine and an 8x8 mesh.
+func BenchmarkMemCostForm(b *testing.B) {
 	for _, mesh := range []int{4, 8} {
 		cfg := config.Default()
 		cfg.MeshX, cfg.MeshY = mesh, mesh
@@ -50,11 +51,10 @@ func BenchmarkMemCostVec(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				model := NewCostModel(e.noc, cm, campAware)
-				vec := make([]float64, units)
-				sc := model.NewVecScratch()
+				sc := model.NewFormScratch()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					model.MemCostVecInto(vec, sc, lines)
+					model.MemCostForm(sc, lines)
 				}
 			})
 		}

@@ -109,10 +109,16 @@ func (m *CampMap) Nearest(n *noc.Model, l mem.Line, from topology.UnitID) (loc t
 	// would redo every group iteration — home lookup, home group, address
 	// hash — is hoisted out of the loop. The per-group index arithmetic is
 	// Camp's own, so the two stay value-identical (audited by the camp
-	// cross-check test).
+	// cross-check test). Latencies come from from's row of the stack-pair
+	// table, with zero for from itself, as noc.Latency defines them.
+	stacks := m.topo.Stacks()
+	row := n.StackLatencies()[int(m.topo.StackOf(from))*stacks:][:stacks]
 	home := m.space.HomeOfLine(l)
 	best := home
-	bestLat := n.Latency(from, home)
+	bestLat := row[m.topo.StackOf(home)]
+	if home == from {
+		bestLat = 0
+	}
 	hg := m.topo.GroupOf(home)
 	h := splitmix64(uint64(l))
 	for g := 0; g < m.topo.Groups(); g++ {
@@ -124,7 +130,10 @@ func (m *CampMap) Nearest(n *noc.Model, l mem.Line, from topology.UnitID) (loc t
 			shift = (g * groupBits) % 48
 		}
 		c := m.topo.GroupUnits(g)[(h>>uint(shift))%m.perGroup]
-		lat := n.Latency(from, c)
+		lat := row[m.topo.StackOf(c)]
+		if c == from {
+			lat = 0
+		}
 		if lat < bestLat || (lat == bestLat && best != home && c < best) {
 			best, bestLat = c, lat
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -170,26 +171,65 @@ func TestSkewedMappingDiffersAcrossGroups(t *testing.T) {
 	}
 }
 
+// TestNearestMatchesBruteForce holds Nearest to its definition over every
+// location by noc.Latency: the home when it is among the closest, else the
+// lowest-ID closest camp. It runs on the default machine, an 8x8 mesh, a
+// torus, 1 unit per stack and the identical camp mapping, over random
+// lines, from random units, the home and a camp.
 func TestNearestMatchesBruteForce(t *testing.T) {
-	e, cm := newEnv(true)
-	for i := 0; i < 500; i++ {
-		l := mem.Line(i * 7919)
-		from := topology.UnitID(i % e.topo.Units())
-		got, gotHome := cm.Nearest(e.noc, l, from)
-		// Brute force over the candidate list.
-		best := topology.UnitID(-1)
-		bestLat := int64(1 << 62)
-		for _, loc := range cm.Locations(l) {
-			if lat := e.noc.Latency(from, loc); lat < bestLat {
-				best, bestLat = loc, lat
+	rng := rand.New(rand.NewSource(5))
+	def := config.Default()
+	mesh8, torus, perStack1 := def, def, def
+	mesh8.MeshX, mesh8.MeshY = 8, 8
+	torus.Torus = true
+	perStack1.UnitsPerStack = 1
+	for _, tc := range []struct {
+		name   string
+		cfg    config.Config
+		skewed bool
+	}{
+		{"default", def, true},
+		{"mesh8", mesh8, true},
+		{"torus", torus, true},
+		{"perstack1", perStack1, true},
+		{"identical", def, false},
+	} {
+		e := newEnvFor(tc.cfg)
+		cm := NewCampMap(e.topo, e.space, tc.skewed)
+		units := e.topo.Units()
+		totalLines := int64(e.space.TotalBytes() / mem.LineSize)
+		for i := 0; i < 2000; i++ {
+			l := mem.Line(rng.Int63n(totalLines))
+			locs := cm.Locations(l)
+			from := topology.UnitID(rng.Intn(units))
+			switch i % 5 {
+			case 0:
+				from = locs[0] // the home itself
+			case 1:
+				from = locs[1+rng.Intn(len(locs)-1)] // a camp itself
 			}
-		}
-		if e.noc.Latency(from, got) != bestLat {
-			t.Fatalf("line %d from %d: Nearest latency %d, brute force %d (units %d vs %d)",
-				l, from, e.noc.Latency(from, got), bestLat, got, best)
-		}
-		if gotHome != (got == cm.Home(l)) {
-			t.Fatalf("line %d: isHome flag inconsistent", l)
+			got, gotHome := cm.Nearest(e.noc, l, from)
+			minLat := e.noc.Latency(from, locs[0])
+			for _, loc := range locs[1:] {
+				minLat = min(minLat, e.noc.Latency(from, loc))
+			}
+			want := topology.UnitID(-1)
+			if e.noc.Latency(from, locs[0]) == minLat {
+				want = locs[0]
+			} else {
+				for _, loc := range locs[1:] {
+					if e.noc.Latency(from, loc) == minLat && (want < 0 || loc < want) {
+						want = loc
+					}
+				}
+			}
+			if got != want {
+				t.Fatalf("%s: line %d from %d: Nearest %d (latency %d), want %d (latency %d)",
+					tc.name, l, from, got, e.noc.Latency(from, got), want, minLat)
+			}
+			if gotHome != (got == cm.Home(l)) {
+				t.Fatalf("%s: line %d: isHome flag inconsistent", tc.name, l)
+			}
 		}
 	}
 }

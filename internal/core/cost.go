@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"abndp/internal/mem"
 	"abndp/internal/noc"
 	"abndp/internal/topology"
@@ -32,11 +34,12 @@ type CostModel struct {
 
 	// stackLat is noc's stack-pair latency table: stackLat[t*stacks+s] is
 	// the latency between a unit in stack t and a different unit in stack
-	// s (the table is symmetric). MemCostVecInto reads one row per data
+	// s (the table is symmetric). MemCostForm reads one row per data
 	// location instead of one entry per unit.
 	stackLat []int64
 	stacks   int
 	perStack int
+	topo     *topology.Topology // StackOf: a table read, not a division by perStack
 }
 
 // SetDeadMask installs the fault layer's dead-unit mask (aliased, updated
@@ -56,6 +59,7 @@ func NewCostModel(n *noc.Model, camps *CampMap, campAware bool) *CostModel {
 		stackLat:    n.StackLatencies(),
 		stacks:      topo.Stacks(),
 		perStack:    topo.Config().UnitsPerStack,
+		topo:        topo,
 	}
 }
 
@@ -111,43 +115,84 @@ func (c *CostModel) MemCostLines(lines []mem.Line, u topology.UnitID) float64 {
 	return c.MemCost(cands, u)
 }
 
-// DeadFree reports whether no dead-unit mask is installed. Only then is
-// costmem a pure function of (lines, unit) — the precondition for caching
-// or precomputing MemCostVec results.
-func (c *CostModel) DeadFree() bool { return c.dead == nil }
+// StackForm is costmem(t, u) for every unit u in the kernel's stack form:
+// one value per stack, and the units whose value differs from their
+// stack's, in ascending order, with their values. A unit that is not
+// listed has its stack's value. A listed unit's value is below its
+// stack's (see MemCostForm), which lets placement find its argmin without
+// expanding the form (internal/sched).
+//
+// The form is words that hold no pointers, so the checkpoint store keeps
+// it as it is and placement reads it in place:
+//
+//	word 0             the stack count S, plus the listed count n << 32
+//	words 1 .. S       each stack's value, as float64 bits
+//	the next n words   each listed unit's value, as float64 bits
+//	the next ⌈n/4⌉     the listed unit IDs, four uint16 to a word, the
+//	                   first in the low bits
+type StackForm []uint64
 
-// VecScratch is the working memory of MemCostVecInto, sized for one
-// topology. Reuse it across calls; it must not be shared between
-// goroutines.
-type VecScratch struct {
+// Stacks returns the number of per-stack values.
+func (f StackForm) Stacks() int { return int(uint32(f[0])) }
+
+// Stack returns stack s's value, the value of each of its units that is
+// not listed.
+func (f StackForm) Stack(s int) float64 { return math.Float64frombits(f[1+s]) }
+
+// Listing returns the form's listed units, read in place.
+func (f StackForm) Listing() Listing {
+	s, n := f.Stacks(), int(f[0]>>32)
+	return Listing{vals: f[1+s : 1+s+n], units: f[1+s+n:]}
+}
+
+// Listing is the listed units of a StackForm and their values, in
+// ascending unit order.
+type Listing struct {
+	vals  []uint64 // float64 bits
+	units []uint64 // four uint16 IDs to a word, the first in the low bits
+}
+
+// Len returns the number of listed units.
+func (l Listing) Len() int { return len(l.vals) }
+
+// Unit returns the i-th listed unit.
+func (l Listing) Unit(i int) topology.UnitID {
+	return topology.UnitID(uint16(l.units[i>>2] >> (uint(i&3) << 4)))
+}
+
+// Value returns the i-th listed unit's value.
+func (l Listing) Value(i int) float64 { return math.Float64frombits(l.vals[i]) }
+
+// FormScratch is MemCostForm's working memory and the form it returns,
+// sized once for one topology, so a call never allocates. Reuse it across
+// calls; it must not be shared between goroutines.
+type FormScratch struct {
 	stackSum []int64 // per stack: Σ over lines of the stack-level minimum
 	best     []int64 // per stack: the current line's minimum
 	corr     []int64 // per unit: exact correction of location units, zero between calls
 	locs     []topology.UnitID
+	packed   []uint64  // the listed unit IDs of the form being built, packed
+	form     StackForm // room for every unit listed
 }
 
-// NewVecScratch allocates a MemCostVecInto scratch for c's topology.
-func (c *CostModel) NewVecScratch() *VecScratch {
-	return &VecScratch{
+// NewFormScratch allocates a MemCostForm scratch for c's topology.
+func (c *CostModel) NewFormScratch() *FormScratch {
+	units := c.stacks * c.perStack
+	return &FormScratch{
 		stackSum: make([]int64, c.stacks),
 		best:     make([]int64, c.stacks),
-		corr:     make([]int64, c.stacks*c.perStack),
+		corr:     make([]int64, units),
+		locs:     make([]topology.UnitID, 0, c.camps.Topology().Groups()),
+		packed:   make([]uint64, 0, (units+3)/4),
+		form:     make(StackForm, 0, 1+c.stacks+units+(units+3)/4),
 	}
 }
 
-// MemCostVec returns costmem(t, u) for every unit u at once, bit-identical
-// to calling Candidates+MemCost per unit (see MemCostVecInto). Under a
-// dead-unit mask the vector depends on the mask, so only a DeadFree
-// model's vectors may be cached.
-func (c *CostModel) MemCostVec(lines []mem.Line) []float64 {
-	vec := make([]float64, c.stacks*c.perStack)
-	c.MemCostVecInto(vec, c.NewVecScratch(), lines)
-	return vec
-}
-
-// MemCostVecInto writes costmem(t, u) for every unit u into vec (one entry
-// per unit), bit-identical to Candidates+MemCost per unit, skipping dead
-// camps the same way. sc comes from NewVecScratch.
+// MemCostForm returns costmem(t, u) for every unit u in stack form, each
+// value bit-identical to Candidates+MemCost for that unit, skipping dead
+// camps the same way. The form lives in sc (from NewFormScratch) until the
+// next call with it. Under a dead-unit mask the form depends on the mask,
+// so only forms computed without one may be stored.
 //
 // It factors the scan by stack. Between two distinct units the latency
 // depends only on their stacks, so per line it takes the minimum over the
@@ -162,13 +207,18 @@ func (c *CostModel) MemCostVec(lines []mem.Line) []float64 {
 //
 // — the same exact integer sum and single division as MemCost. Per line
 // that is stacks x (C+1) table reads plus C+1 corrections, instead of
-// units x (C+1).
-func (c *CostModel) MemCostVecInto(vec []float64, sc *VecScratch, lines []mem.Line) {
+// units x (C+1). A unit is listed when its value differs from its stack's.
+// No correction is positive, and int-to-float conversion and division by
+// the line count are monotone, so a listed value is below its stack's.
+func (c *CostModel) MemCostForm(sc *FormScratch, lines []mem.Line) StackForm {
+	stacks, per, pen, topo := c.stacks, c.perStack, c.campPenalty, c.topo
 	if len(lines) == 0 {
-		clear(vec)
-		return
+		sc.form = append(sc.form[:0], uint64(stacks))
+		for range stacks {
+			sc.form = append(sc.form, 0) // the bits of +0.0
+		}
+		return sc.form
 	}
-	stacks, per, pen := c.stacks, c.perStack, c.campPenalty
 	sum, best, corr := sc.stackSum, sc.best, sc.corr
 	clear(sum)
 	for _, l := range lines {
@@ -178,7 +228,7 @@ func (c *CostModel) MemCostVecInto(vec []float64, sc *VecScratch, lines []mem.Li
 		if len(locs) == 1 {
 			// Homes only: the home's row is the per-stack minimum, and
 			// the home itself is at distance zero.
-			hs := int(home) / per
+			hs := int(topo.StackOf(home))
 			row := c.stackLat[hs*stacks:][:stacks]
 			for s, lat := range row {
 				sum[s] += lat
@@ -186,9 +236,9 @@ func (c *CostModel) MemCostVecInto(vec []float64, sc *VecScratch, lines []mem.Li
 			corr[home] -= row[hs]
 			continue
 		}
-		copy(best, c.stackLat[int(home)/per*stacks:][:stacks])
+		copy(best, c.stackLat[int(topo.StackOf(home))*stacks:][:stacks])
 		for _, loc := range locs[1:] {
-			row := c.stackLat[int(loc)/per*stacks:][:stacks]
+			row := c.stackLat[int(topo.StackOf(loc))*stacks:][:stacks]
 			for s, lat := range row {
 				if lat += pen; lat < best[s] {
 					best[s] = lat
@@ -205,25 +255,45 @@ func (c *CostModel) MemCostVecInto(vec []float64, sc *VecScratch, lines []mem.Li
 		// location shares that stack. Given pen >= 0 and non-negative
 		// latencies, the home's exact minimum is 0 and a camp's is
 		// min(pen, best[its stack]).
-		corr[home] -= best[int(home)/per]
+		corr[home] -= best[topo.StackOf(home)]
 		for _, camp := range locs[1:] {
-			if b := best[int(camp)/per]; pen < b {
+			if b := best[topo.StackOf(camp)]; pen < b {
 				corr[camp] += pen - b
 			}
 		}
 	}
+	// The stack values, then the listed values as the units are found,
+	// with the units packed aside and appended behind them.
 	n := float64(len(lines))
+	f := sc.form[:1+stacks]
+	packed, w, listed := sc.packed[:0], uint64(0), 0
 	for s, base := range sum {
-		plain := float64(base) / n // the units without a correction
+		plain := float64(base) / n
+		f[1+s] = math.Float64bits(plain)
 		for u := s * per; u < (s+1)*per; u++ {
 			if corr[u] == 0 {
-				vec[u] = plain
 				continue
 			}
-			vec[u] = float64(base+corr[u]) / n
+			v := float64(base+corr[u]) / n
 			corr[u] = 0
+			if v == plain {
+				continue
+			}
+			f = append(f, math.Float64bits(v))
+			w |= uint64(u) << (16 * (listed % 4))
+			if listed++; listed%4 == 0 {
+				packed = append(packed, w)
+				w = 0
+			}
 		}
 	}
+	if listed%4 != 0 {
+		packed = append(packed, w)
+	}
+	f[0] = uint64(stacks) | uint64(listed)<<32
+	f = append(f, packed...)
+	sc.form, sc.packed = f, packed
+	return f
 }
 
 // liveLocations appends line l's data locations to dst as MemCost sees

@@ -20,16 +20,23 @@ func hintOver(sys *System, units ...uint64) *task.Task {
 	return &task.Task{Hint: task.Hint{Lines: lines}}
 }
 
-// A checkpoint miss that the store rejects allocates nothing: costVecFor
-// scores into the System's vector, and the shard copies the hint's lines
-// and the vector only for an entry it stores. A 1-byte cap rejects every
-// insert, so each call is a miss that computes, offers and drops its entry.
+// A checkpoint miss that the store rejects allocates nothing: placement
+// computes the costmem form into the scheduler's scratch, and the shard
+// makes a payload only for an entry it stores. A 1-byte cap rejects every
+// insert, so each placement is a miss that computes, offers and drops its
+// entry. Each run exchanges first, so origin 0's forwarded-load row stays
+// one entry long.
 func TestRejectedCheckpointMissAllocatesNothing(t *testing.T) {
 	sys := NewSystem(config.Default(), config.DesignO)
 	store := ckpt.NewStore(1)
 	sys.SetCheckpoint(store.Shard(sys.CheckpointKey("pr")))
 	tsk := hintOver(sys, 3, 40, 99, 127)
-	if n := testing.AllocsPerRun(100, func() { sys.costVecFor(tsk) }); n != 0 {
+	loads := make([]float64, sys.Topo.Units())
+	place := func() {
+		sys.Sched.Exchange(loads)
+		sys.Sched.Place(tsk, 0)
+	}
+	if n := testing.AllocsPerRun(100, place); n != 0 {
 		t.Errorf("a rejected miss allocated %v objects, want 0", n)
 	}
 	if st := store.Stats(); st.Inserts != 0 || st.Hits != 0 || st.Rejects == 0 {
@@ -38,24 +45,28 @@ func TestRejectedCheckpointMissAllocatesNothing(t *testing.T) {
 }
 
 // The shard stores copies: the stored entry outlives the next miss, which
-// overwrites the System's buffer, and the caller's hint lines, which are
-// recycled across barriers, and it equals what the kernel computes.
+// overwrites the scheduler's form scratch, and the caller's hint lines,
+// which are recycled across barriers, and it equals what the kernel
+// computes.
 func TestStoredCostVecOwnsItsCopy(t *testing.T) {
 	sys := NewSystem(config.Default(), config.DesignO)
 	sys.SetCheckpoint(ckpt.NewStore(0).Shard(sys.CheckpointKey("pr")))
 	a, b := hintOver(sys, 3, 40), hintOver(sys, 99, 127, 5)
 	lines := slices.Clone(a.Hint.Lines)
-	want := make([]float64, sys.Topo.Units())
-	sys.Cost.MemCostVecInto(want, sys.Cost.NewVecScratch(), lines)
-
-	sys.costVecFor(a) // miss: stored
-	sys.costVecFor(b) // miss: overwrites the System's buffer
-	a.Hint.Lines[0] = b.Hint.Lines[0]
-	got := sys.Checkpoint().MemVec(ckpt.HashLines(lines), lines)
-	if !slices.Equal(got, want) {
-		t.Fatalf("stored vector for hint a = %v, want the kernel's %v", got, want)
+	want := slices.Clone(sys.Cost.MemCostForm(sys.Cost.NewFormScratch(), lines))
+	bForm := sys.Cost.MemCostForm(sys.Cost.NewFormScratch(), b.Hint.Lines)
+	if slices.Equal(want, bForm) {
+		t.Fatal("hints a and b have equal forms: an alias could not show")
 	}
-	if &got[0] == &sys.ckptVec[0] {
-		t.Fatal("stored vector aliases the System's scoring buffer")
+
+	sys.Sched.Place(a, 0) // miss: stored
+	sys.Sched.Place(b, 0) // miss: overwrites the scheduler's form scratch
+	a.Hint.Lines[0] = b.Hint.Lines[0]
+	got := sys.Checkpoint().Get(lines)
+	if slices.Equal(got, bForm) {
+		t.Fatal("stored form aliases the scheduler's form scratch")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("stored form for hint a = %v, want the kernel's %v", got, want)
 	}
 }

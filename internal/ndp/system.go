@@ -136,9 +136,7 @@ type System struct {
 
 	// Checkpoint/delta re-simulation (internal/ckpt). Nil by default: a
 	// nil-shard run is the golden path. See speed.go.
-	ckptShard   *ckpt.Shard
-	ckptScratch *core.VecScratch // costVecFor's kernel scratch
-	ckptVec     []float64        // costVecFor's vector on a miss
+	ckptShard *ckpt.Shard
 
 	// Cached energy constants (pJ) and latencies (cycles).
 	sramHitCycles int64

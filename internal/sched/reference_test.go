@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"abndp/internal/config"
-	"abndp/internal/core"
 	"abndp/internal/mem"
 	"abndp/internal/task"
 	"abndp/internal/topology"
@@ -67,7 +66,7 @@ func refHybrid(s *Scheduler, t *task.Task, origin topology.UnitID) (topology.Uni
 
 // TestPlaceMatchesPerUnitReference replays seeded decision streams through
 // two schedulers: one running the policy's place function, whose costmem comes
-// from the stack-factored kernel (or a memoizing MemCostVec source), and
+// from the stack-factored kernel (or a memoizing form store), and
 // one running the per-unit reference above. Policies that never evaluate
 // costmem are their own reference. Streams mix random loads, exchanges,
 // origins, repeated hints and duplicate lines, and switch on a dead mask
@@ -97,15 +96,7 @@ func replayAgainstReference(t *testing.T, e *env, policy config.Policy, ref Plac
 	want := e.scheduler(policy, campAware)
 	want.place = ref
 	if source {
-		model := core.NewCostModel(e.noc, e.camps, campAware)
-		vecs := map[string][]float64{}
-		got.SetCostVecSource(func(tk *task.Task) []float64 {
-			key := fmt.Sprint(tk.Hint.Lines)
-			if vecs[key] == nil {
-				vecs[key] = model.MemCostVec(tk.Hint.Lines)
-			}
-			return vecs[key]
-		})
+		got.SetFormStore(newMemoForms())
 	}
 	type decision struct {
 		target    topology.UnitID

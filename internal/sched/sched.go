@@ -20,6 +20,7 @@ import (
 	"abndp/internal/check"
 	"abndp/internal/config"
 	"abndp/internal/core"
+	"abndp/internal/mem"
 	"abndp/internal/noc"
 	"abndp/internal/task"
 	"abndp/internal/topology"
@@ -28,12 +29,13 @@ import (
 // Scheduler scores candidate units for task placement with the place
 // function of the policy it was built for.
 type Scheduler struct {
-	place   PlaceFunc
-	cost    *core.CostModel
-	camps   *core.CampMap
-	noc     *noc.Model
-	units   int
-	hybridB float64
+	place    PlaceFunc
+	cost     *core.CostModel
+	camps    *core.CampMap
+	noc      *noc.Model
+	units    int
+	perStack int // stack s holds units s*perStack to (s+1)*perStack-1
+	hybridB  float64
 
 	// degraded counts load terms clamped because the effective load view
 	// turned non-finite — each one a placement decision whose load half was
@@ -51,13 +53,13 @@ type Scheduler struct {
 	snapW []float64
 	rows  [][]forward
 
-	// scratch buffers reused across Place calls: loadView's dense copy of
-	// one origin's row (all zeros between calls), the effective load view,
-	// and the costmem vector with its kernel's working memory.
-	fwdBuf     []float64
-	loadBuf    []float64
-	vecBuf     []float64
-	vecScratch *core.VecScratch
+	// scratch reused across Place calls: loadView's dense copy of one
+	// origin's row (all zeros between calls), the effective load view, and
+	// the costmem kernel's working memory, which holds the form it
+	// computed last.
+	fwdBuf  []float64
+	loadBuf []float64
+	form    *core.FormScratch
 
 	// dead, when non-nil, marks failed units (aliased from the fault
 	// injector): they are excluded from every candidate set, and a task
@@ -68,13 +70,12 @@ type Scheduler struct {
 	dead  []bool
 	rates []float64
 
-	// costVec, when non-nil, supplies a precomputed costmem vector for a
-	// task (core.MemCostVec, the kernel the inline path runs) or nil to
-	// fall back to inline evaluation. It is the checkpoint store's entry
-	// point into placement (internal/ckpt) and is consulted only while no
-	// dead-unit mask is installed — under faults costmem stops being a pure
-	// function of the hint and every placement computes its vector inline.
-	costVec func(t *task.Task) []float64
+	// store, when non-nil, memoizes costmem stack forms across runs: the
+	// checkpoint store's entry point into placement (internal/ckpt). It is
+	// consulted only while no dead-unit mask is installed — under faults
+	// costmem stops being a pure function of the hint and every placement
+	// computes its form.
+	store FormStore
 
 	// scoreHook, when non-nil, receives the score breakdown of every
 	// placement decision: the memory (remote-access cost) term and the
@@ -96,19 +97,20 @@ type Scheduler struct {
 // other design against homes. The hybrid weight B comes from
 // cfg.HybridAlpha.
 func New(policy config.Policy, cost *core.CostModel, camps *core.CampMap, n *noc.Model, cfg *config.Config) *Scheduler {
-	units := n.Topology().Units()
+	topo := n.Topology()
+	units := topo.Units()
 	return &Scheduler{
-		place:      placeFunc(policy),
-		cost:       cost,
-		camps:      camps,
-		noc:        n,
-		units:      units,
-		hybridB:    core.HybridWeight(n, cfg.HybridAlpha),
-		snapW:      make([]float64, units),
-		fwdBuf:     make([]float64, units),
-		loadBuf:    make([]float64, units),
-		vecBuf:     make([]float64, units),
-		vecScratch: cost.NewVecScratch(),
+		place:    placeFunc(policy),
+		cost:     cost,
+		camps:    camps,
+		noc:      n,
+		units:    units,
+		perStack: topo.Config().UnitsPerStack,
+		hybridB:  core.HybridWeight(n, cfg.HybridAlpha),
+		snapW:    make([]float64, units),
+		fwdBuf:   make([]float64, units),
+		loadBuf:  make([]float64, units),
+		form:     cost.NewFormScratch(),
 	}
 }
 
@@ -187,27 +189,36 @@ func (s *Scheduler) NearestLive(u topology.UnitID) topology.UnitID {
 	return best
 }
 
-// SetCostVecSource installs (or, with nil, removes) the precomputed
-// costmem-vector source. The source must return either nil (miss — the
-// scheduler evaluates costs inline) or a vector whose entries are
-// bit-identical to what the inline path would compute; under that contract
-// installing a source never changes which unit Place returns, which the
-// checkpoint parity tests enforce end to end via result hashes.
-func (s *Scheduler) SetCostVecSource(f func(t *task.Task) []float64) {
-	s.costVec = f
+// FormStore memoizes costmem stack forms (core.StackForm) across runs,
+// keyed by a hint's full line list; *ckpt.Shard is the one outside tests.
+// Get returns the stored form, or nil on a miss. Put offers the form the
+// scheduler computed after a miss; the store copies it if it keeps it. A
+// stored form must be bit-identical to the one the kernel computes for
+// the same lines; under that contract a store never changes which unit
+// Place returns, which the checkpoint parity tests enforce end to end via
+// result hashes.
+type FormStore interface {
+	Get(lines []mem.Line) []uint64
+	Put(lines []mem.Line, form []uint64)
 }
 
-// memVec returns t's costmem vector: the source's when it supplies one
-// (never while a dead mask is in force), else the kernel's, written into
-// the scheduler's reusable buffer.
-func (s *Scheduler) memVec(t *task.Task) []float64 {
-	if s.costVec != nil && s.dead == nil {
-		if vec := s.costVec(t); vec != nil {
-			return vec
-		}
+// SetFormStore installs (or, with nil, removes) the stack-form store.
+func (s *Scheduler) SetFormStore(st FormStore) { s.store = st }
+
+// memForm returns the costmem stack form of a hint: the store's when it
+// holds one (never consulted while a dead mask is in force), else the
+// kernel's, which lives in the scheduler's scratch until the next call and
+// is offered to the store.
+func (s *Scheduler) memForm(lines []mem.Line) core.StackForm {
+	if s.store == nil || s.dead != nil {
+		return s.cost.MemCostForm(s.form, lines)
 	}
-	s.cost.MemCostVecInto(s.vecBuf, s.vecScratch, t.Hint.Lines)
-	return s.vecBuf
+	if f := s.store.Get(lines); f != nil {
+		return f
+	}
+	f := s.cost.MemCostForm(s.form, lines)
+	s.store.Put(lines, f)
+	return f
 }
 
 // SetScoreHook installs (or, with nil, removes) the per-decision score
@@ -301,21 +312,106 @@ func (s *Scheduler) placeLowestDistance(t *task.Task, _ topology.UnitID) (topolo
 	// Ties break toward the main element's home: with symmetric data many
 	// units score equally, and a fixed lowest-ID tie-break would pile
 	// every such task onto unit 0.
-	best := s.camps.Home(t.Hint.Lines[0])
+	home := s.camps.Home(t.Hint.Lines[0])
 	if s.dead != nil {
-		best = s.NearestLive(best)
-		if best < 0 {
+		home = s.NearestLive(home)
+		if home < 0 {
 			return -1, 0, 0 // every unit is dead
 		}
 	}
-	vec := s.memVec(t)
-	bestCost := vec[best]
-	for u, c := range vec {
-		if c < bestCost && s.Alive(topology.UnitID(u)) {
-			best, bestCost = topology.UnitID(u), c
+	return s.argmin(s.memForm(t.Hint.Lines), home, 0, false)
+}
+
+// argmin returns the unit a costmem-reading policy places on, with its
+// memory cost and load term, from the task's stack form f. The result is
+// the dense strict-improvement loop's: start at home, then take each live
+// unit, in unit order, whose score is strictly lower. A unit's score is
+// its memory cost, plus its load term when hybrid. argmin reads f in
+// place, in two phases:
+//
+//   - Phase A scores every live unit at its stack's value and keeps the
+//     first, in unit order, that reaches the lowest score. Without a load
+//     term the live units of a stack score alike, so it scores the first
+//     of each stack only.
+//   - Phase B scores the listed live units at their own values and keeps
+//     the first that reaches the lowest score.
+//
+// This is exact. A unit that is not listed has its stack's value, and a
+// listed unit's value is below it, so phase A's score bounds each unit's
+// true score from above (fl(a+b) is monotone in a) and the true minimum m
+// is the lower of the two phases' minima. The dense loop returns home when
+// home scores m, else the lowest-ID unit that does. When phase A reaches
+// m, its unit scores m too, and no unlisted unit below it does; every
+// other unit that scores m is listed, and phase B's is the lowest of
+// those. Phase A's unit wins only when it is not listed: a listed unit
+// that scores m is also phase B's candidate, and phase B's unit is then no
+// higher, so the tie goes to phase B and its unit's own value.
+func (s *Scheduler) argmin(f core.StackForm, home topology.UnitID, mean float64, hybrid bool) (topology.UnitID, float64, float64) {
+	per, dead := s.perStack, s.dead
+	loads, weight := s.loadBuf, s.hybridB
+	a, aStack, aScore := -1, 0, math.Inf(1)
+	for st := range f.Stacks() {
+		v := f.Stack(st)
+		for u := st * per; u < (st+1)*per; u++ {
+			if dead != nil && dead[u] {
+				continue
+			}
+			if !hybrid {
+				if v < aScore {
+					a, aStack, aScore = u, st, v
+				}
+				break // the stack's other live units score alike
+			}
+			if score := v + loadTerm(weight, loads[u], mean); score < aScore {
+				a, aStack, aScore = u, st, score
+			}
 		}
 	}
-	return best, bestCost, 0
+
+	homeMem := f.Stack(int(s.noc.Topology().StackOf(home)))
+	b, bScore, bMem := topology.UnitID(-1), math.Inf(1), 0.0
+	ls := f.Listing()
+	for i := range ls.Len() {
+		u, v := ls.Unit(i), ls.Value(i)
+		if u == home {
+			homeMem = v
+		}
+		if dead != nil && dead[u] {
+			continue
+		}
+		score := v
+		if hybrid {
+			score += loadTerm(weight, loads[u], mean)
+		}
+		if score < bScore {
+			b, bScore, bMem = u, score, v
+		}
+	}
+
+	m := min(aScore, bScore)
+	homeScore, homeLoad := homeMem, 0.0
+	if hybrid {
+		homeLoad = loadTerm(weight, loads[home], mean)
+		homeScore = homeMem + homeLoad
+	}
+	if homeScore == m {
+		return home, homeMem, homeLoad
+	}
+	// The callers return early when every unit is dead, so a is a unit.
+	best, bestMem := b, bMem
+	if aScore == m && (bScore > m || topology.UnitID(a) < b) {
+		best, bestMem = topology.UnitID(a), f.Stack(aStack)
+	}
+	if !hybrid {
+		return best, bestMem, 0
+	}
+	return best, bestMem, loadTerm(weight, loads[best], mean)
+}
+
+// loadTerm is a unit's load term in a score: the weight B times the
+// relative excess of its effective load over the mean.
+func loadTerm(weight, load, mean float64) float64 {
+	return weight * (load/mean - 1)
 }
 
 // loadView fills s.loadBuf with origin's effective per-unit load — the
@@ -398,27 +494,14 @@ func (s *Scheduler) placeHybrid(t *task.Task, origin topology.UnitID) (topology.
 	}
 
 	// Ties break toward the main element's home, as in lowest-distance.
-	// The two score components are tracked separately so the observability
-	// hook can attribute each decision to its remote-cost vs. load term;
-	// their sum is the same arithmetic as before.
-	best := s.camps.Home(t.Hint.Lines[0])
+	// The two score components are returned separately so the
+	// observability hook can attribute each decision to its remote-cost
+	// vs. load term.
+	home := s.camps.Home(t.Hint.Lines[0])
 	if s.dead != nil {
-		best = s.NearestLive(best)
+		home = s.NearestLive(home)
 	}
-	vec := s.memVec(t)
-	bestMem := vec[best]
-	bestLoad := s.hybridB * (s.loadBuf[best]/mean - 1)
-	bestScore := bestMem + bestLoad
-	for u, mem := range vec {
-		if s.dead != nil && s.dead[u] {
-			continue
-		}
-		load := s.hybridB * (s.loadBuf[u]/mean - 1)
-		if score := mem + load; score < bestScore {
-			best, bestScore, bestMem, bestLoad = topology.UnitID(u), score, mem, load
-		}
-	}
-	return best, bestMem, bestLoad
+	return s.argmin(s.memForm(t.Hint.Lines), home, mean, true)
 }
 
 // placeLoadOnly is the loadonly policy: argmin over live units of the load
@@ -436,12 +519,12 @@ func (s *Scheduler) placeLoadOnly(t *task.Task, origin topology.UnitID) (topolog
 	if s.dead != nil {
 		best = s.NearestLive(best)
 	}
-	bestLoad := s.hybridB * (s.loadBuf[best]/mean - 1)
+	bestLoad := loadTerm(s.hybridB, s.loadBuf[best], mean)
 	for u := 0; u < s.units; u++ {
 		if s.dead != nil && s.dead[u] {
 			continue
 		}
-		if load := s.hybridB * (s.loadBuf[u]/mean - 1); load < bestLoad {
+		if load := loadTerm(s.hybridB, s.loadBuf[u], mean); load < bestLoad {
 			best, bestLoad = topology.UnitID(u), load
 		}
 	}

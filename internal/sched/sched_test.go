@@ -22,8 +22,10 @@ type env struct {
 	camps *core.CampMap
 }
 
-func newEnv() *env {
-	cfg := config.Default()
+func newEnv() *env { return newEnvFor(config.Default()) }
+
+// newEnvFor builds the machine cfg describes.
+func newEnvFor(cfg config.Config) *env {
 	topo := topology.New(topology.Config{
 		MeshX: cfg.MeshX, MeshY: cfg.MeshY,
 		UnitsPerStack: cfg.UnitsPerStack, Groups: cfg.Groups(),
