@@ -4,22 +4,22 @@
 // canonical request key (so dedup works fleet-wide), skipping backends
 // that health probes or a circuit breaker mark unhealthy or that are
 // draining; mid-flight failures re-dispatch to the next healthy backend
-// with jittered backoff, and re-dispatched results are cross-checked
-// against the dead owner's result_hash. A job whose second owner dies
-// with it is failed as poisoned instead of being dispatched again.
+// with jittered backoff, and a done status an owner reports after its job
+// was failed over is cross-checked against the result_hash the job
+// finished with. A job whose second owner dies with it is failed as
+// poisoned instead of being dispatched again.
 //
-// Completed results are additionally memoized in a fleet-wide shared
-// result store: after a failover (or a resubmission whose terminal job
-// aged out), the proxy answers from the store — hash-verified — and
-// replicates the memo to a live backend via POST /v1/runs/{id}/adopt
-// instead of recomputing. A draining backend finishes its queued jobs
-// itself; the proxy only stops routing new work to it.
+// The proxy's job table keeps each finished job's terminal status and
+// answers its later polls and duplicate submissions itself, so a result
+// outlives the backend that computed it; -job-cap bounds the finished
+// jobs it keeps. A draining backend finishes its queued jobs itself; the
+// proxy only stops routing new work to it.
 //
 // Usage:
 //
 //	abndpproxy -backends http://127.0.0.1:8081,http://127.0.0.1:8082
 //	abndpproxy -addr :8080 -backends ... -attempts 4
-//	abndpproxy -store-size 4096           # shared result store capacity
+//	abndpproxy -job-cap 4096              # finished jobs kept for polling
 //	abndpproxy -log text                  # human-readable logs
 //
 // Quick start (docs/SERVING.md, "Serving fleets"):
@@ -34,8 +34,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -49,67 +51,81 @@ import (
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", ":8080", "HTTP listen address")
-		backends = flag.String("backends", "", "comma-separated abndpserve base URLs (required)")
-		attempts = flag.Int("attempts", 3, "full-fleet dispatch rounds before rejecting a submission")
-		attemptT = flag.Duration("attempttimeout", 15*time.Second, "per-backend submit attempt deadline")
-		probeIv  = flag.Duration("probe", 500*time.Millisecond, "readiness-probe interval")
-		failThr  = flag.Int("failthreshold", 3, "consecutive failures that open a backend's circuit breaker")
-		halfOpen = flag.Duration("halfopen", 3*time.Second, "open-breaker cool-down before the half-open recovery trial")
-		storeSz  = flag.Int("store-size", 1024, "shared result store capacity in completed results (0 disables)")
-		jobCap   = flag.Int("job-cap", 1024, "terminal fleet jobs retained before LRU eviction (0 disables the cap)")
-		logFmt   = flag.String("log", "json", "structured log format on stderr: json or text")
-		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
-	logger, err := buildLogger(*logFmt, *logLevel)
-	if err != nil {
-		fatal(err)
+// run is main with injectable arguments and log stream, returning the exit
+// code: 2 for a usage error (a bad flag, no or a relative -backends URL,
+// a bad -log or -log-level value), 1 when listening or serving fails, 0
+// after a clean shutdown.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("abndpproxy", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr     = fs.String("addr", ":8080", "HTTP listen address")
+		backends = fs.String("backends", "", "comma-separated abndpserve base URLs (required)")
+		attempts = fs.Int("attempts", 3, "full-fleet dispatch rounds before rejecting a submission")
+		attemptT = fs.Duration("attempttimeout", 15*time.Second, "per-backend submit attempt deadline")
+		probeIv  = fs.Duration("probe", 500*time.Millisecond, "readiness-probe interval")
+		failThr  = fs.Int("failthreshold", 3, "consecutive failures that open a backend's circuit breaker")
+		halfOpen = fs.Duration("halfopen", 3*time.Second, "open-breaker cool-down before the half-open recovery trial")
+		jobCap   = fs.Int("job-cap", 1024, "terminal fleet jobs retained before LRU eviction (0 disables the cap)")
+		logFmt   = fs.String("log", "json", "structured log format on stderr: json or text")
+		logLevel = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
+	)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "abndpproxy:", err)
+		return 1
+	}
+
 	var urls []string
 	for _, raw := range strings.Split(*backends, ",") {
 		if raw = strings.TrimSpace(raw); raw != "" {
 			urls = append(urls, raw)
 		}
 	}
-	if len(urls) == 0 {
-		fatal(fmt.Errorf("at least one -backends URL is required"))
-	}
-
 	// Flag 0 means "off"; fleet.Config treats 0 as "default", so map it
 	// to the explicit disable value.
-	storeSize, jobs := *storeSz, *jobCap
-	if storeSize <= 0 {
-		storeSize = -1
-	}
+	jobs := *jobCap
 	if jobs <= 0 {
 		jobs = -1
 	}
-	coord, err := fleet.New(fleet.Config{
-		Backends:       urls,
-		ProbeInterval:  *probeIv,
-		FailThreshold:  *failThr,
-		HalfOpenAfter:  *halfOpen,
-		MaxAttempts:    *attempts,
-		AttemptTimeout: *attemptT,
-		StoreSize:      storeSize,
-		JobCap:         jobs,
-		Logger:         logger,
-	})
+	logger, err := buildLogger(stderr, *logFmt, *logLevel)
+	if err == nil && len(urls) == 0 {
+		err = errors.New("at least one -backends URL is required")
+	}
+	var coord *fleet.Coordinator
+	if err == nil {
+		// New fails only on a -backends URL that is not absolute.
+		coord, err = fleet.New(fleet.Config{
+			Backends:       urls,
+			ProbeInterval:  *probeIv,
+			FailThreshold:  *failThr,
+			HalfOpenAfter:  *halfOpen,
+			MaxAttempts:    *attempts,
+			AttemptTimeout: *attemptT,
+			JobCap:         jobs,
+			Logger:         logger,
+		})
+	}
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "abndpproxy:", err)
+		return 2
 	}
 	defer coord.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	httpSrv := &http.Server{Handler: coord.Handler()}
 	logger.Info("proxying", "addr", ln.Addr().String(), "backends", urls,
-		"attempts", *attempts, "store_size", storeSize, "job_cap", jobs)
+		"attempts", *attempts, "job_cap", jobs)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
@@ -119,7 +135,7 @@ func main() {
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
-		fatal(err)
+		return fail(err)
 	}
 	stop()
 
@@ -130,14 +146,15 @@ func main() {
 	defer cancel()
 	_ = httpSrv.Shutdown(sctx)
 	if err := <-serveErr; err != nil && err != http.ErrServerClosed {
-		fatal(err)
+		return fail(err)
 	}
 	logger.Info("stopped")
+	return 0
 }
 
-// buildLogger constructs the stderr slog logger from the -log/-log-level
+// buildLogger constructs the slog logger on w from the -log/-log-level
 // flags.
-func buildLogger(format, level string) (*slog.Logger, error) {
+func buildLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	var lv slog.Level
 	if err := lv.UnmarshalText([]byte(level)); err != nil {
 		return nil, fmt.Errorf("invalid -log-level %q: %w", level, err)
@@ -145,15 +162,10 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 	opts := &slog.HandlerOptions{Level: lv}
 	switch format {
 	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	default:
 		return nil, fmt.Errorf("invalid -log %q (json or text)", format)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "abndpproxy:", err)
-	os.Exit(1)
 }

@@ -22,9 +22,12 @@
 //     Retry-After; jobs whose owner dies mid-run re-dispatch transparently
 //     during the client's poll, at most until a second owner has died
 //     with the job (then it is poisoned: failed, never dispatched again);
-//   - integrity: when a job is re-dispatched after a backend death, the
-//     proxy cross-checks the new result_hash against any hash the dead
-//     owner already reported — the engine's FNV-1a determinism hash
+//   - finished jobs: the proxy's job table keeps each job's terminal
+//     status and answers every later poll and duplicate submission from
+//     it, with no backend call, so a finished job outlives its owner;
+//   - integrity: when an owner reports done after another poll has failed
+//     its job over, the proxy cross-checks that result_hash against the
+//     one the job finished with — the engine's FNV-1a determinism hash
 //     doubles as a fleet-level integrity check.
 //
 // See docs/SERVING.md ("Serving fleets") for the topology, admission
@@ -74,16 +77,11 @@ type Config struct {
 	// client.Backoff's defaults. Server Retry-After hints floor the delay.
 	Retry client.Backoff
 
-	// StoreSize bounds the shared result store — completed results kept
-	// proxy-side by route key so a warm result anywhere in the fleet
-	// serves failovers and re-submissions with zero recomputation.
-	// 0 means the default 1024; negative disables the store.
-	StoreSize int
-
-	// JobCap bounds the terminal fleet jobs the proxy retains for
-	// polling; beyond it the least recently touched terminal job is
-	// evicted (its result stays reachable through the result store by
-	// route key). In-flight jobs are never evicted.
+	// JobCap bounds the terminal fleet jobs the proxy retains, each
+	// answering its polls and duplicate submissions without a backend
+	// call; beyond it the least recently touched terminal job is evicted,
+	// and a later submission of its key is dispatched again. In-flight
+	// jobs are never evicted.
 	// 0 means the default 1024; negative disables eviction.
 	JobCap int
 
@@ -110,9 +108,6 @@ func (c *Config) fillDefaults() {
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 15 * time.Second
 	}
-	if c.StoreSize == 0 {
-		c.StoreSize = 1024
-	}
 	if c.JobCap == 0 {
 		c.JobCap = 1024
 	}
@@ -131,9 +126,6 @@ var (
 	fleetBreakerOpens   = obs.Published("fleet_breaker_opens_total")
 	fleetProbes         = obs.Published("fleet_probes_total")
 	fleetProbeFailures  = obs.Published("fleet_probe_failures_total")
-	fleetStoreHits      = obs.Published("fleet_store_hits_total")
-	fleetStoreEvictions = obs.Published("fleet_store_evictions_total")
-	fleetAdoptions      = obs.Published("fleet_adoptions_total")
 	fleetJobEvictions   = obs.Published("fleet_job_evictions_total")
 )
 
@@ -149,8 +141,6 @@ type Coordinator struct {
 	mux      *http.ServeMux
 
 	coordCounters // per-coordinator /healthz counters
-
-	store *resultStore // fleet-wide shared result store (nil-safe when disabled)
 
 	mu       sync.Mutex
 	jobs     map[string]*pjob        // by fleet job ID
@@ -181,7 +171,6 @@ func New(cfg Config) (*Coordinator, error) {
 		byKey:    make(map[string]*pjob),
 		termLRU:  list.New(),
 		termElem: make(map[*pjob]*list.Element),
-		store:    newResultStore(cfg.StoreSize),
 	}
 	urls := make([]string, 0, len(cfg.Backends))
 	for _, raw := range cfg.Backends {

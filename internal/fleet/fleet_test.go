@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,10 +24,10 @@ type stubBackend struct {
 	id       string
 	ready    atomic.Bool
 	submits  atomic.Int32
-	adopts   atomic.Int32
+	gets     atomic.Int32 // GET /v1/runs/{id}
+	calls    atomic.Int32 // every request but a /readyz probe
 	submitFn func(n int32, w http.ResponseWriter, r *http.Request)
 	getFn    func(w http.ResponseWriter, r *http.Request)
-	adoptFn  func(w http.ResponseWriter, r *http.Request) // nil: default 201 echo
 	srv      *httptest.Server
 }
 
@@ -49,26 +50,15 @@ func newStub(t *testing.T, id string) *stubBackend {
 		s.submitFn(s.submits.Add(1), w, r)
 	})
 	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		s.gets.Add(1)
 		s.getFn(w, r)
 	})
-	mux.HandleFunc("POST /v1/runs/{id}/adopt", func(w http.ResponseWriter, r *http.Request) {
-		s.adopts.Add(1)
-		if s.adoptFn != nil {
-			s.adoptFn(w, r)
-			return
+	s.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/readyz" {
+			s.calls.Add(1)
 		}
-		var req serve.AdoptRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			w.WriteHeader(http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-		_ = json.NewEncoder(w).Encode(serve.RunStatus{
-			ID: "run-" + s.id + "-adopted", Status: serve.StateDone,
-			ResultHash: req.ResultHash, Backend: s.id, Adopted: true, Result: req.Result,
-		})
-	})
-	s.srv = httptest.NewServer(mux)
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(s.srv.Close)
 	return s
 }
@@ -275,46 +265,50 @@ func TestSubmitRoutesAroundDeadBackend(t *testing.T) {
 	})
 }
 
-// TestFailoverHashMismatch is the integrity check's negative test: when a
-// re-dispatch after the owner's death produces a different result_hash
-// than the owner already reported, the proxy must refuse to serve either
-// answer (502) and count the violation.
+// TestFailoverHashMismatch is the integrity check's negative test. One
+// poll long-polls the owner b1 while another finds b1 failing and fails
+// the job over to b2, which finishes it with hash 2222. When b1 then
+// reports done with hash 1111, the proxy must refuse that answer (502)
+// and count the violation.
 func TestFailoverHashMismatch(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	var b1Gets atomic.Int32
 	b1 := newStub(t, "b1")
 	b1.submitFn = func(n int32, w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
 		_ = json.NewEncoder(w).Encode(serve.RunStatus{ID: "run-b1", Status: serve.StateQueued, Backend: "b1"})
 	}
 	b1.getFn = func(w http.ResponseWriter, r *http.Request) {
+		if b1Gets.Add(1) > 1 {
+			http.Error(w, "worker crashed", http.StatusInternalServerError)
+			return
+		}
+		close(held)
+		select {
+		case <-release:
+		case <-r.Context().Done():
+			return
+		}
 		_ = json.NewEncoder(w).Encode(serve.RunStatus{ID: "run-b1", Status: serve.StateDone, ResultHash: "1111", Backend: "b1"})
 	}
 	b2 := newStub(t, "b2")
-	b2.ready.Store(false) // held out of the fleet until b1 has answered
+	b2.ready.Store(false) // held out of the fleet until the job has landed on b1
 	b2.submitFn = func(n int32, w http.ResponseWriter, r *http.Request) {
 		// A corrupted twin: completes "the same" job with a different hash.
 		w.WriteHeader(http.StatusOK)
 		_ = json.NewEncoder(w).Encode(serve.RunStatus{ID: "run-b2", Status: serve.StateDone, ResultHash: "2222", Backend: "b2"})
 	}
-	b2.getFn = func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(serve.RunStatus{ID: "run-b2", Status: serve.StateDone, ResultHash: "2222", Backend: "b2"})
-	}
 
 	before := fleetHashMismatches.Value()
-	cfg := fastCfg(b1.srv.URL, b2.srv.URL)
-	cfg.StoreSize = -1 // force the poll path: the store would serve 1111 before b2 is ever asked
-	c, ts := newTestCoord(t, cfg)
+	c, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // before the servers close: a held GET would wedge them
+
 	st, resp := proxyPost(t, ts, `{"app":"pr","design":"O"}`)
 	if resp.StatusCode != http.StatusAccepted || st.Backend != "b1" {
 		t.Fatalf("submit: status %d backend %q, want 202 on b1 (%s)", resp.StatusCode, st.Backend, st.Error)
 	}
-	first, _ := proxyGet(t, ts, st.ID, "?wait=5s")
-	if first.Status != serve.StateDone || first.ResultHash != "1111" {
-		t.Fatalf("first completion %+v, want done/1111", first)
-	}
-
-	// Kill b1, admit b2, and poll again: the proxy fails over, b2 reports a
-	// conflicting hash, and the integrity check fires.
-	b1.srv.Close()
 	b2.ready.Store(true)
 	waitFor(t, "b2 to be admitted", func() bool {
 		for _, b := range c.Backends() {
@@ -324,15 +318,45 @@ func TestFailoverHashMismatch(t *testing.T) {
 		}
 		return false
 	})
-	bad, resp2 := proxyGet(t, ts, st.ID, "")
-	if resp2.StatusCode != http.StatusBadGateway {
-		t.Fatalf("mismatched re-completion: status %d (%+v), want 502", resp2.StatusCode, bad)
+
+	type answer struct {
+		code int
+		body string
+		err  error
 	}
-	if !strings.Contains(bad.Error, "integrity") {
-		t.Fatalf("502 body %q does not name the integrity violation", bad.Error)
+	late := make(chan answer, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/runs/" + st.ID + "?wait=5s")
+		if err != nil {
+			late <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		late <- answer{code: resp.StatusCode, body: string(raw)}
+	}()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the long-poll never reached b1")
 	}
-	if got := fleetHashMismatches.Value() - before; got < 1 {
-		t.Fatalf("fleet_hash_mismatches_total delta = %d, want >= 1", got)
+
+	over, resp2 := proxyGet(t, ts, st.ID, "")
+	if resp2.StatusCode != http.StatusOK || over.Status != serve.StateDone || over.ResultHash != "2222" ||
+		over.Backend != "b2" || over.Failovers != 1 {
+		t.Fatalf("poll that failed over: status %d %+v, want done/2222 on b2 after 1 failover", resp2.StatusCode, over)
+	}
+
+	unblock()
+	a := <-late
+	if a.err != nil {
+		t.Fatalf("long-poll: %v", a.err)
+	}
+	if a.code != http.StatusBadGateway || !strings.Contains(a.body, "integrity") {
+		t.Fatalf("b1's late done: status %d (%s), want 502 naming the integrity violation", a.code, a.body)
+	}
+	if got := fleetHashMismatches.Value() - before; got != 1 {
+		t.Fatalf("fleet_hash_mismatches_total delta = %d, want 1", got)
 	}
 }
 
@@ -470,9 +494,9 @@ func TestClientHangupIsNotOwnerDeath(t *testing.T) {
 }
 
 // TestFailoverBudgetPoisonsJob: a job whose owners keep dying is tried on
-// at most maxOwnerDeaths backends. After the second death (and a store
-// miss) it ends failed as poisoned, naming both backends, and later polls
-// return the same status without dispatching it again.
+// at most maxOwnerDeaths backends. After the second death it ends failed
+// as poisoned, naming both backends, and later polls return the same
+// status without dispatching it again.
 func TestFailoverBudgetPoisonsJob(t *testing.T) {
 	b1, b2 := newStub(t, "b1"), newStub(t, "b2")
 	for _, s := range []*stubBackend{b1, b2} {
@@ -572,7 +596,8 @@ func TestFleetHealthz(t *testing.T) {
 
 // TestRouteKeyAffinity checks fleet-wide dedup end to end: two identical
 // submissions through the proxy produce one backend job; the second
-// answers from the first's result with dedup set.
+// answers from the first's result with dedup set. Once the job has
+// finished, the duplicate and a later poll cost no backend call.
 func TestRouteKeyAffinity(t *testing.T) {
 	var made atomic.Int32
 	stub := newStub(t, "s1")
@@ -590,6 +615,7 @@ func TestRouteKeyAffinity(t *testing.T) {
 	if st, _ := proxyGet(t, ts, first.ID, "?wait=5s"); st.Status != serve.StateDone {
 		t.Fatalf("first job did not finish: %+v", st)
 	}
+	submits, gets := stub.submits.Load(), stub.gets.Load()
 	// Same spec spelled differently (an empty params block defaults to
 	// seed 42): joins, no new backend submit.
 	second, resp := proxyPost(t, ts, `{"app":"pr","design":"O","params":{}}`)
@@ -598,5 +624,11 @@ func TestRouteKeyAffinity(t *testing.T) {
 	}
 	if got := made.Load(); got != 1 {
 		t.Fatalf("backend saw %d distinct submissions, want 1", got)
+	}
+	if again, _ := proxyGet(t, ts, first.ID, ""); again.Status != serve.StateDone || again.ResultHash != "00cc" {
+		t.Fatalf("later poll: %+v, want done/00cc", again)
+	}
+	if s, g := stub.submits.Load()-submits, stub.gets.Load()-gets; s != 0 || g != 0 {
+		t.Fatalf("the duplicate and a later poll of a finished job cost %d submits and %d GETs, want 0 and 0", s, g)
 	}
 }

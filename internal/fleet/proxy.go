@@ -18,13 +18,14 @@ import (
 )
 
 // maxOwnerDeaths is the failover budget: once this many owners have died
-// holding a job and the result store has no answer for it, the job is
-// poisoned — ended failed and never dispatched again — so a request that
-// crashes its backend cannot walk the ring taking every backend down.
+// holding a job, the job is poisoned — ended failed and never dispatched
+// again — so a request that crashes its backend cannot walk the ring
+// taking every backend down.
 const maxOwnerDeaths = 2
 
 // pjob is one fleet-tracked job: the canonical submission body (kept for
-// re-dispatch), the current owning backend, and the integrity record.
+// re-dispatch), the current owning backend, and, once it has one, its
+// terminal status.
 type pjob struct {
 	id   string // fleet job ID ("job-000001")
 	key  string // serve.RouteKey — fleet dedup identity
@@ -34,7 +35,11 @@ type pjob struct {
 	owner      *Backend
 	ownerRunID string
 	dead       []string // IDs of the owners that died holding the job; len is its failover count
-	lastHash   string   // first result_hash seen; later completions must match
+	// final is the job's terminal status (done, failed or poisoned), set
+	// once by finish or by the death that poisons the job. It answers
+	// every later poll and duplicate submission, and a later done status
+	// must carry its result_hash.
+	final *serve.RunStatus
 }
 
 func newPJob(id, key string, body []byte) *pjob {
@@ -47,57 +52,64 @@ func (j *pjob) ownerInfo() (*Backend, string) {
 	return j.owner, j.ownerRunID
 }
 
+// state returns a copy of j's terminal status, or, while it has none, its
+// current owner and the owner's run ID.
+func (j *pjob) state() (*serve.RunStatus, *Backend, string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.final != nil {
+		st := copyStatus(j.final)
+		return &st, nil, ""
+	}
+	return nil, j.owner, j.ownerRunID
+}
+
 func (j *pjob) setOwner(b *Backend, runID string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.owner, j.ownerRunID = b, runID
 }
 
-// dropOwner clears the owner if it is still dead — a concurrent poll may
-// already have re-dispatched — and records the death. Reports whether
-// this call did the clearing (and so owns the failover accounting).
-func (j *pjob) dropOwner(dead *Backend) bool {
+// dropOwner clears the owner if it is still dead and the job is not yet
+// terminal — a concurrent poll may already have re-dispatched or finished
+// it — and records the death. Reports whether this call did the clearing
+// (and so owns the failover accounting). The death that spends the
+// failover budget poisons the job in the same step, so no other poll can
+// dispatch it again; that status is returned.
+func (j *pjob) dropOwner(dead *Backend) (dropped bool, poisoned *serve.RunStatus) {
 	id := dead.ID()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.owner != dead {
-		return false
+	if j.owner != dead || j.final != nil {
+		return false, nil
 	}
 	j.owner, j.ownerRunID = nil, ""
 	j.dead = append(j.dead, id)
-	return true
-}
-
-// poisoned returns j's terminal failed status once maxOwnerDeaths owners
-// have died holding it, nil while it has failover budget left. The status
-// is rebuilt from the death record, so every later poll sees the same one.
-func (j *pjob) poisoned() *serve.RunStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if len(j.dead) < maxOwnerDeaths {
-		return nil
+		return true, nil
 	}
-	return &serve.RunStatus{Status: serve.StateFailed, Error: fmt.Sprintf(
+	j.final = &serve.RunStatus{Status: serve.StateFailed, Error: fmt.Sprintf(
 		"job poisoned: its owners %s died holding it; it will not be dispatched again",
 		strings.Join(j.dead, " and "))}
-}
-
-func (j *pjob) recordHash(hash string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.lastHash = hash
-}
-
-func (j *pjob) hashSnapshot() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.lastHash
+	st := copyStatus(j.final)
+	return true, &st
 }
 
 func (j *pjob) snapshotFailovers() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.dead)
+}
+
+// copyStatus deep-copies a RunStatus, so a job's terminal status never
+// aliases a response the proxy rewrites (ID, Backend, Failovers, Dedup).
+func copyStatus(st *serve.RunStatus) serve.RunStatus {
+	out := *st
+	if st.Result != nil {
+		res := *st.Result
+		out.Result = &res
+	}
+	return out
 }
 
 // errLostRun marks a live backend that no longer knows the run (it
@@ -280,22 +292,20 @@ func isTerminal(status string) bool {
 	return status == serve.StateDone || status == serve.StateFailed
 }
 
-// await returns j's status, long-polling up to wait. The loop re-dispatches
-// around dead owners — serving straight from the shared result store when
-// it already holds the key's completed result, and giving up on a
-// poisoned job — and every terminal "done" passes the hash cross-check.
-// A caller that hangs up gets ctx.Err(): its owner is not failed over.
+// await returns j's status, long-polling up to wait. A job with a
+// terminal status is answered from it, with no backend call. Otherwise the
+// loop polls the owner, re-dispatching around dead owners, and every
+// terminal status a backend reports goes through finish. A caller that
+// hangs up gets ctx.Err(): its owner is not failed over.
 func (c *Coordinator) await(ctx context.Context, j *pjob, wait time.Duration) (*serve.RunStatus, error) {
 	deadline := time.Now().Add(wait)
 	for {
-		owner, runID := j.ownerInfo()
+		final, owner, runID := j.state()
+		if final != nil {
+			c.markTerminal(j) // a touch: JobCap evicts the least recently touched job
+			return final, nil
+		}
 		if owner == nil {
-			if st, err := c.serveFromStore(ctx, j, nil); err != nil || st != nil {
-				return st, err
-			}
-			if st := j.poisoned(); st != nil {
-				return st, nil
-			}
 			b, st, err := c.dispatch(ctx, j, nil)
 			if err != nil {
 				return nil, err
@@ -330,29 +340,25 @@ func (c *Coordinator) await(ctx context.Context, j *pjob, wait time.Duration) (*
 }
 
 // failover handles a dead or amnesiac owner: feed the breaker (unless the
-// backend merely lost the run), clear ownership, then answer from the
-// shared result store when it already holds the key's completed result —
-// zero recomputation — or else poison the job if its failover budget is
-// spent, or re-dispatch it elsewhere. A non-nil status is terminal and
-// the caller is done.
+// backend merely lost the run), clear ownership, then poison the job if
+// its failover budget is spent, or else re-dispatch it elsewhere. A
+// non-nil status is terminal and the caller is done.
 func (c *Coordinator) failover(ctx context.Context, j *pjob, owner *Backend, cause error) (*serve.RunStatus, error) {
 	if !errors.Is(cause, errLostRun) {
 		owner.Fail(cause.Error())
 	}
-	if !j.dropOwner(owner) {
-		return nil, nil // a concurrent poll already failed over; reuse its work
+	dropped, poisoned := j.dropOwner(owner)
+	if !dropped {
+		return nil, nil // a concurrent poll already failed over or finished the job; reuse its work
 	}
 	fleetFailovers.Add(1)
 	c.failoversN.Add(1)
 	c.log.Warn("failover", "job", j.id, "key", j.key, "dead", owner.ID(), "cause", cause.Error())
-	if st, err := c.serveFromStore(ctx, j, owner); err != nil || st != nil {
-		return st, err
-	}
-	if st := j.poisoned(); st != nil {
+	if poisoned != nil {
 		fleetPoisoned.Add(1)
-		c.log.Error("job poisoned", "job", j.id, "key", j.key, "err", st.Error)
+		c.log.Error("job poisoned", "job", j.id, "key", j.key, "err", poisoned.Error)
 		c.markTerminal(j)
-		return st, nil
+		return poisoned, nil
 	}
 	b, st, err := c.dispatch(ctx, j, owner)
 	if err != nil {
@@ -364,131 +370,50 @@ func (c *Coordinator) failover(ctx context.Context, j *pjob, owner *Backend, cau
 	return nil, nil
 }
 
-// serveFromStore answers j from the shared result store when it holds the
-// key's completed result: the warm memo that makes a failover or ring
-// rebalance free. The entry is hash-verified against the job's recorded
-// integrity hash, then replicated to a live backend (excluding a
-// just-dead owner) through POST /v1/runs/{id}/adopt so the new owner
-// serves future polls itself. Returns (nil, nil) on a store miss.
-func (c *Coordinator) serveFromStore(ctx context.Context, j *pjob, exclude *Backend) (*serve.RunStatus, error) {
-	st, hash, computedBy, ok := c.store.Get(j.key)
-	if !ok {
-		return nil, nil
-	}
-	if recorded := j.hashSnapshot(); recorded != "" && recorded != hash {
-		fleetHashMismatches.Add(1)
-		c.mismatchN.Add(1)
-		c.log.Error("fleet integrity violation (store)", "job", j.id, "key", j.key,
-			"store_hash", hash, "recorded", recorded)
-		return nil, &proxyError{
-			code: http.StatusBadGateway,
-			msg: fmt.Sprintf("integrity violation: result store holds hash %s for job %s, but %s was recorded earlier",
-				hash, j.id, recorded),
-		}
-	}
-	fleetStoreHits.Add(1)
-	c.storeHitsN.Add(1)
-	j.recordHash(hash)
-	st.FromStore = true
-	if st.Backend == "" {
-		st.Backend = computedBy
-	}
-	// Re-warm the fleet: replicate the memo onto a live backend so it
-	// owns the key again (polls and fleet-wide dedup keep a live owner).
-	// Failure to adopt is not failure to answer — the store's copy is
-	// authoritative either way.
-	if b := c.pick(j.key, func(x *Backend) bool { return x == exclude }); b != nil {
-		if runID, err := c.adopt(ctx, b, j, hash, st.Result); err == nil {
-			j.setOwner(b, runID)
-			st.Backend = b.ID()
-			fleetAdoptions.Add(1)
-			c.adoptionsN.Add(1)
-			c.log.Info("replicated stored result", "job", j.id, "key", j.key,
-				"to", b.ID(), "backend_run", runID)
-		} else {
-			c.log.Warn("adopt failed; serving from store unreplicated",
-				"job", j.id, "backend", b.ID(), "err", err.Error())
-		}
-	}
-	c.markTerminal(j)
-	c.log.Info("served from result store", "job", j.id, "key", j.key, "hash", hash)
-	return st, nil
-}
-
-// adopt replicates a completed result onto b via the backend's adopt
-// endpoint, returning the backend-local run ID of the adopted job.
-func (c *Coordinator) adopt(ctx context.Context, b *Backend, j *pjob, hash string, sum *serve.RunSummary) (string, error) {
-	var rr serve.RunRequest
-	if err := json.Unmarshal(j.body, &rr); err != nil {
-		return "", fmt.Errorf("adopt: replay body: %w", err)
-	}
-	body, err := json.Marshal(&serve.AdoptRequest{Request: rr, ResultHash: hash, Result: sum})
-	if err != nil {
-		return "", err
-	}
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.URL+"/v1/runs/"+j.id+"/adopt", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	t0 := time.Now()
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b.hist().ObserveSince(t0)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		return "", fmt.Errorf("adopt: HTTP %d from %s", resp.StatusCode, b.ID())
-	}
-	var st serve.RunStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return "", fmt.Errorf("adopt: decode response: %w", err)
-	}
-	return st.ID, nil
-}
-
-// finish applies the fleet integrity check to a terminal status: once any
-// backend has reported a result_hash for this job, every later completion
-// — a re-dispatch after a backend death, a dedup join — must report the
-// byte-identical hash. The engine's deterministic FNV-1a result hash
-// makes equality the correct invariant: same spec, same hash, on any
-// healthy backend.
+// finish records st, the terminal status backend b reported for j, as j's
+// terminal status, and returns it. The first terminal status stands: a
+// later one — an owner that reports late, after another poll has failed
+// the job over — gets the recorded status back, unless both are done with
+// different result hashes. That is the fleet integrity check: the engine's
+// deterministic FNV-1a result hash makes equality the correct invariant
+// (same spec, same hash, on any healthy backend).
 func (c *Coordinator) finish(j *pjob, b *Backend, st *serve.RunStatus) (*serve.RunStatus, error) {
-	if st.Status != serve.StateDone {
-		c.markTerminal(j) // failed: terminal too, so it ages out of the maps
-		return st, nil
+	if st.Backend == "" {
+		st.Backend = b.ID()
 	}
 	j.mu.Lock()
-	prev := j.lastHash
-	if prev != "" && st.ResultHash != prev {
-		j.mu.Unlock()
+	prev := j.final
+	if prev == nil {
+		final := copyStatus(st)
+		final.Dedup = false // a property of one answer, not of the job
+		j.final = &final
+	}
+	j.mu.Unlock()
+	c.markTerminal(j)
+	if prev == nil {
+		return st, nil
+	}
+	if prev.Status == serve.StateDone && st.Status == serve.StateDone && st.ResultHash != prev.ResultHash {
 		fleetHashMismatches.Add(1)
 		c.mismatchN.Add(1)
 		c.log.Error("fleet integrity violation", "job", j.id, "key", j.key,
-			"backend", b.ID(), "hash", st.ResultHash, "recorded", prev)
+			"backend", b.ID(), "hash", st.ResultHash, "recorded", prev.ResultHash)
 		return nil, &proxyError{
 			code: http.StatusBadGateway,
 			msg: fmt.Sprintf("integrity violation: backend %s reports result_hash %s for job %s, but %s was recorded earlier",
-				b.ID(), st.ResultHash, j.id, prev),
+				b.ID(), st.ResultHash, j.id, prev.ResultHash),
 		}
 	}
-	j.lastHash = st.ResultHash
-	j.mu.Unlock()
-	// Every completion the proxy observes lands in the shared result
-	// store: from here on, this key's result survives its backend.
-	c.store.Put(j.key, st, b.ID())
-	c.markTerminal(j)
-	return st, nil
+	out := copyStatus(prev)
+	return &out, nil
 }
 
-// markTerminal registers j in the terminal-job LRU and evicts beyond
-// JobCap: a long-running proxy must not grow its jobs/byKey maps without
-// bound as jobs complete. An evicted job's result stays
-// reachable — by route key — through the shared result store; only the
-// fleet job ID forgets. In-flight jobs are never evicted.
+// markTerminal registers j in the terminal-job LRU (or moves it to the
+// front) and evicts beyond JobCap: a long-running proxy must not grow its
+// jobs/byKey maps without bound as jobs complete. The proxy forgets an
+// evicted job: a later submission of its key is dispatched again, and the
+// key's ring owner answers it from its own job table. In-flight jobs are
+// never evicted.
 func (c *Coordinator) markTerminal(j *pjob) {
 	if c.cfg.JobCap < 0 {
 		return
@@ -528,7 +453,7 @@ func (c *Coordinator) rewrite(j *pjob, b *Backend, st *serve.RunStatus) *serve.R
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req serve.RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("invalid request body: %v", err)})
@@ -565,23 +490,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.byKey[key] = j
 	c.mu.Unlock()
 
-	// Cold-owner store check: the fleet already completed this key once
-	// (its terminal job has since been evicted, or its owner has died).
-	// Serve the memo and re-adopt it onto the ring owner — no backend
-	// computes anything.
-	if st, serr := c.serveFromStore(r.Context(), j, nil); serr != nil {
-		c.mu.Lock()
-		delete(c.jobs, j.id)
-		delete(c.byKey, key)
-		c.mu.Unlock()
-		c.writeError(w, serr)
-		return
-	} else if st != nil {
-		owner, _ := j.ownerInfo()
-		writeJSON(w, http.StatusOK, c.rewrite(j, owner, st))
-		return
-	}
-
 	b, st, err := c.dispatch(r.Context(), j, nil)
 	if err != nil {
 		// Unplaced jobs must not poison the key: the next submission
@@ -593,8 +501,8 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, err)
 		return
 	}
-	// A synchronously-terminal dispatch (memo-warm backend) goes through
-	// the same integrity check and result-store feed as a polled one.
+	// A synchronously-terminal dispatch (memo-warm backend) becomes the
+	// job's terminal status like a polled one.
 	if isTerminal(st.Status) {
 		if st, err = c.finish(j, b, st); err != nil {
 			c.writeError(w, err)
@@ -680,12 +588,6 @@ type FleetHealth struct {
 	Deduped        int64 `json:"jobs_deduped"`
 	Failovers      int64 `json:"failovers"`
 	HashMismatches int64 `json:"hash_mismatches"`
-
-	// Shared result store counters.
-	StoreEntries   int   `json:"store_entries"`
-	StoreHits      int64 `json:"store_hits"`
-	StoreEvictions int64 `json:"store_evictions,omitempty"`
-	Adoptions      int64 `json:"adoptions"`
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -696,10 +598,6 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Deduped:        c.dedupedN.Load(),
 		Failovers:      c.failoversN.Load(),
 		HashMismatches: c.mismatchN.Load(),
-		StoreEntries:   c.store.Len(),
-		StoreHits:      c.storeHitsN.Load(),
-		StoreEvictions: c.store.Evictions(),
-		Adoptions:      c.adoptionsN.Load(),
 	}
 	for _, b := range c.backends {
 		if b.Admitted(now) {
@@ -753,5 +651,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // process-global and shared across Coordinators in tests).
 type coordCounters struct {
 	submittedN, dedupedN, failoversN, mismatchN atomic.Int64
-	storeHitsN, adoptionsN                      atomic.Int64
 }

@@ -11,6 +11,10 @@ import (
 	"abndp/internal/fault"
 )
 
+// MaxRequestBytes bounds a POST /v1/runs body, on a backend and on the
+// fleet proxy alike: a longer body is a 400, read no further than the cap.
+const MaxRequestBytes = 1 << 20
+
 // RunRequest is the POST /v1/runs body: one fully specified simulation
 // job. Omitted params take the benchmark sizing for the workload (quick
 // sizing when the server runs -quick), so the canonical cache keys line up
@@ -92,17 +96,6 @@ type RunStatus struct {
 	// canonical key instead of costing a new simulation.
 	Dedup bool `json:"dedup,omitempty"`
 
-	// FromStore marks a status served from the fleet proxy's shared
-	// result store instead of a live backend computation — a warm result
-	// somewhere in the fleet answered after the computing backend died or
-	// the fleet job was evicted. Set only by abndpproxy.
-	FromStore bool `json:"from_store,omitempty"`
-
-	// Adopted marks a job this backend did not compute: the result was
-	// replicated into it via POST /v1/runs/{id}/adopt (fleet result
-	// replication after a failover or ring rebalance).
-	Adopted bool `json:"adopted,omitempty"`
-
 	// ResultHash is the FNV-1a fingerprint of every deterministic result
 	// field (%016x), identical across reruns of the same spec anywhere —
 	// clients verify determinism against local abndpsim runs.
@@ -132,31 +125,6 @@ type RunSummary struct {
 	Imbalance     float64 `json:"imbalance"`
 	CacheHitRate  float64 `json:"cache_hit_rate"`
 	Unrecoverable string  `json:"unrecoverable,omitempty"`
-}
-
-// AdoptRequest is the POST /v1/runs/{id}/adopt body: a completed result
-// another backend (or the fleet proxy's result store) already holds,
-// replicated into this backend so polls and dedup'd submissions for the
-// same canonical key are answered here without recomputation. The {id}
-// path element names the fleet-level job being adopted (attribution in
-// logs); the backend assigns its own run ID to the adopted job.
-//
-// Adoption registers a terminal job under the request's canonical cache
-// key — it does not warm the engine-level memo cache, so an adopted
-// backend serves the *result* instantly while a genuinely new
-// simulation of the same spec elsewhere still computes (and is then
-// integrity-checked against the adopted hash by the proxy).
-type AdoptRequest struct {
-	// Request is the original submission, re-validated here so the
-	// adopted job lands under the same canonical key a direct submit
-	// would use.
-	Request RunRequest `json:"request"`
-	// ResultHash is the FNV-1a result fingerprint (%016x) the computing
-	// backend reported. Required; it is the integrity record future
-	// completions are checked against.
-	ResultHash string `json:"result_hash"`
-	// Result is the completed run's summary. Required.
-	Result *RunSummary `json:"result"`
 }
 
 // Ready is the GET /readyz body: the readiness half of the health split.
@@ -192,9 +160,6 @@ type Health struct {
 	Rejected  int64 `json:"jobs_rejected"`
 	Completed int64 `json:"jobs_completed"`
 	Failed    int64 `json:"jobs_failed"`
-	// Adopted counts results replicated into this backend via the adopt
-	// endpoint (fleet result replication), which cost no simulation.
-	Adopted int64 `json:"jobs_adopted,omitempty"`
 
 	// Runs counts simulations actually executed (memo cache misses): the
 	// gap between jobs_completed and runs is the work the warm cache and

@@ -127,7 +127,7 @@ type Server struct {
 	wg       sync.WaitGroup // worker pool
 	renderMu sync.Mutex     // serializes experiment renders
 
-	submitted, deduped, rejected, completed, failed, adopted atomic.Int64
+	submitted, deduped, rejected, completed, failed atomic.Int64
 }
 
 // job is one tracked simulation. Mutable fields are guarded by Server.mu;
@@ -150,13 +150,6 @@ type job struct {
 	hung               bool
 	violations         int
 	traceFile          string
-
-	// Adopted jobs carry a replicated result (POST /v1/runs/{id}/adopt)
-	// instead of a local *ndp.Result: the summary and hash another
-	// backend computed, registered here so polls and dedup hits for the
-	// key are served without a simulation.
-	adopted bool
-	summary *RunSummary
 }
 
 // Process-wide service counters on /debug/vars and /metrics. Registered
@@ -168,7 +161,6 @@ var (
 	expRejected  = obs.Published("serve_jobs_rejected")
 	expCompleted = obs.Published("serve_jobs_completed")
 	expFailed    = obs.Published("serve_jobs_failed")
-	expAdopted   = obs.Published("serve_jobs_adopted")
 )
 
 // Request-lifecycle latency histograms, exposed on /metrics in Prometheus
@@ -220,7 +212,6 @@ func New(cfg Config) *Server {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleRun)
-	s.mux.HandleFunc("POST /v1/runs/{id}/adopt", s.handleAdopt)
 	s.mux.HandleFunc("GET /v1/experiments/{name}", s.handleExperiment)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -384,7 +375,7 @@ func (s *Server) execute(j *job) {
 // backpressure when the bounded queue is full.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "invalid request body: %v", err)
@@ -486,90 +477,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	st := s.statusLocked(j)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)
-}
-
-// handleAdopt replicates a completed result into this backend: the fleet
-// proxy pushes a (request, result_hash, summary) triple it already holds
-// — from a peer backend or its shared result store — and the server
-// registers a terminal job under the request's canonical key. Later
-// polls and dedup'd submissions for that key are answered here without a
-// simulation; the engine-level memo cache is untouched, so a mismatched
-// recomputation elsewhere is still caught by the proxy's integrity
-// cross-check. The {id} path element is the fleet job being adopted,
-// used for log attribution only; the backend assigns its own run ID.
-func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
-	fleetJob := r.PathValue("id")
-	var req AdoptRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid adopt body: %v", err)
-		return
-	}
-	if req.ResultHash == "" || req.Result == nil {
-		httpError(w, http.StatusBadRequest, "adopt requires result_hash and result")
-		return
-	}
-	hash, err := strconv.ParseUint(req.ResultHash, 16, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid result_hash %q: %v", req.ResultHash, err)
-		return
-	}
-	spec, err := s.buildSpec(&req.Request)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := spec.Key()
-	rid := fmt.Sprintf("req-%06d", s.nextReq.Add(1))
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		s.log.Info("adopt rejected", "request_id", rid, "reason", "draining", "fleet_job", fleetJob)
-		return
-	}
-	if existing := s.byKey[key]; existing != nil {
-		// The key already lives here (possibly still computing): adoption
-		// is a no-op join, never an overwrite — a local result outranks a
-		// replica.
-		st := s.statusLocked(existing)
-		s.mu.Unlock()
-		st.Dedup = true
-		writeJSON(w, http.StatusOK, st)
-		s.log.Info("adopt joined existing job", "request_id", rid, "job", st.ID,
-			"fleet_job", fleetJob, "key", key)
-		return
-	}
-	now := time.Now()
-	sum := *req.Result
-	j := &job{
-		reqID:     rid,
-		spec:      spec,
-		key:       key,
-		done:      make(chan struct{}),
-		state:     StateDone,
-		submitted: now,
-		finished:  now,
-		hash:      hash,
-		adopted:   true,
-		summary:   &sum,
-		trace:     obs.NewReqTrace(rid),
-	}
-	close(j.done) // terminal from birth: ?wait polls return immediately
-	s.nextID++
-	j.id = fmt.Sprintf("run-%06d", s.nextID)
-	s.jobs[j.id] = j
-	s.byKey[key] = j
-	st := s.statusLocked(j)
-	s.mu.Unlock()
-	s.adopted.Add(1)
-	expAdopted.Add(1)
-	writeJSON(w, http.StatusCreated, st)
-	s.log.Info("adopted result", "request_id", rid, "job", j.id, "fleet_job", fleetJob,
-		"key", key, "hash", req.ResultHash)
 }
 
 // handleExperiment renders one paper table/figure on demand from the warm
@@ -683,7 +590,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Rejected:   s.rejected.Load(),
 		Completed:  s.completed.Load(),
 		Failed:     s.failed.Load(),
-		Adopted:    s.adopted.Load(),
 		Runs:       s.runner.RunsExecuted(),
 	}
 	if snap := histRequest.Snapshot(); snap.Count > 0 {
@@ -719,13 +625,6 @@ func (s *Server) statusLocked(j *job) *RunStatus {
 		SubmittedAt:     rfc3339(j.submitted),
 		StartedAt:       rfc3339(j.started),
 		FinishedAt:      rfc3339(j.finished),
-	}
-	if j.adopted {
-		st.Adopted = true
-		st.ResultHash = fmt.Sprintf("%016x", j.hash)
-		sum := *j.summary
-		st.Result = &sum
-		return st
 	}
 	if j.state == StateDone {
 		st.ResultHash = fmt.Sprintf("%016x", j.hash)

@@ -470,6 +470,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"camps cannot tile", `{"app":"pr","design":"O","config":{"campcount":2}}`, "cannot tile"},
 		{"mesh cannot tile", `{"app":"pr","design":"O","config":{"mesh":3}}`, "cannot tile"},
 		{"mesh too large", `{"app":"pr","design":"O","config":{"mesh":64}}`, "MaxUnits"},
+		// The cap holds before the body is decoded: a valid request
+		// behind MaxRequestBytes of whitespace is refused.
+		{"body over the cap", strings.Repeat(" ", MaxRequestBytes) + `{"app":"pr","design":"O"}`, "request body too large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
