@@ -1,6 +1,9 @@
 package abndp
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func smallConfig() Config {
 	cfg := DefaultConfig()
@@ -36,6 +39,19 @@ func TestRunRejectsHostDesign(t *testing.T) {
 func TestRunRejectsUnknownWorkload(t *testing.T) {
 	if _, err := Run("nope", DesignO, smallConfig(), smallParams()); err == nil {
 		t.Fatal("Run must reject unknown workloads")
+	}
+}
+
+// TestRunRejectsAStarWithoutGrid: astar's grid side is 2^(scale/2)-1, so
+// scale 1 leaves no vertex; Run reports that as an error instead of
+// panicking in Setup. Scale 2, the smallest grid, runs.
+func TestRunRejectsAStarWithoutGrid(t *testing.T) {
+	_, err := Run("astar", DesignO, DefaultConfig(), Params{Scale: 1})
+	if err == nil || !strings.Contains(err.Error(), "astar needs a scale of at least 2") {
+		t.Fatalf("astar at scale 1: err %v, want the scale error", err)
+	}
+	if _, err := Run("astar", DesignO, smallConfig(), Params{Scale: 2}); err != nil {
+		t.Fatalf("astar at scale 2: %v", err)
 	}
 }
 

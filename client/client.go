@@ -272,8 +272,9 @@ func (c *Client) Wait(ctx context.Context, id string) (*RunStatus, error) {
 // SubmitWait submits req, retrying queue-full (and, with a bounded
 // policy, draining) rejections under the Retry policy — jittered
 // exponential backoff floored by the server's Retry-After hint,
-// interruptible by ctx — then waits for the job to finish. The job may
-// still have failed — check Status and Error on the returned RunStatus.
+// interruptible by ctx — then waits for the job to finish, unless the
+// submission already returned it finished. The job may still have failed
+// — check Status and Error on the returned RunStatus.
 func (c *Client) SubmitWait(ctx context.Context, req RunRequest) (*RunStatus, error) {
 	var st *RunStatus
 	for attempt := 0; ; attempt++ {
@@ -295,6 +296,9 @@ func (c *Client) SubmitWait(ctx context.Context, req RunRequest) (*RunStatus, er
 		if serr := c.Retry.Sleep(ctx, attempt, ae.RetryAfter); serr != nil {
 			return nil, serr
 		}
+	}
+	if st.Status == serve.StateDone || st.Status == serve.StateFailed {
+		return st, nil
 	}
 	return c.Wait(ctx, st.ID)
 }

@@ -266,3 +266,51 @@ func TestBackoffSleepClamp(t *testing.T) {
 		t.Fatalf("canceled no-deadline sleep err = %v, want Canceled", err)
 	}
 }
+
+// TestSubmitWaitTerminalSubmitSkipsWait: a submission answered with a
+// terminal status (a repeat of a finished job) costs one POST and no
+// poll; a queued one still long-polls until the job is done.
+func TestSubmitWaitTerminalSubmitSkipsWait(t *testing.T) {
+	for _, tc := range []struct {
+		submitted string // the POST's status
+		wantGets  int32
+	}{
+		{serve.StateDone, 0},
+		{serve.StateFailed, 0},
+		{serve.StateQueued, 1},
+	} {
+		t.Run(tc.submitted, func(t *testing.T) {
+			var posts, gets atomic.Int32
+			var waited atomic.Bool
+			h := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost {
+					posts.Add(1)
+					_, _ = w.Write([]byte(`{"id":"run-000001","status":"` + tc.submitted + `"}`))
+					return
+				}
+				gets.Add(1)
+				waited.Store(r.URL.Query().Get("wait") != "")
+				_, _ = w.Write([]byte(`{"id":"run-000001","status":"done","result_hash":"abc"}`))
+			}))
+			defer h.Close()
+
+			st, err := New(h.URL).SubmitWait(context.Background(), RunRequest{App: "pr", Design: "O"})
+			if err != nil {
+				t.Fatalf("SubmitWait: %v", err)
+			}
+			want := tc.submitted
+			if tc.wantGets > 0 {
+				want = serve.StateDone
+			}
+			if st.Status != want {
+				t.Fatalf("status %q, want %q", st.Status, want)
+			}
+			if posts.Load() != 1 || gets.Load() != tc.wantGets {
+				t.Fatalf("%d POSTs and %d GETs, want 1 and %d", posts.Load(), gets.Load(), tc.wantGets)
+			}
+			if tc.wantGets > 0 && !waited.Load() {
+				t.Fatal("the poll of a queued job did not long-poll (no ?wait)")
+			}
+		})
+	}
+}

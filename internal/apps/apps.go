@@ -99,7 +99,11 @@ func build(name string, p Params) (ndp.App, error) {
 	case "sssp":
 		return NewSSSP(p), nil
 	case "astar":
-		return NewAStar(p), nil
+		a := NewAStar(p)
+		if err := a.check(); err != nil {
+			return nil, err
+		}
+		return a, nil
 	case "gcn":
 		return NewGCN(p), nil
 	case "kmeans":

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"math/rand"
 
 	"abndp/internal/graph"
@@ -43,6 +44,15 @@ type AStar struct {
 // 32 concurrent searches.
 func NewAStar(p Params) *AStar {
 	return &AStar{p: p.withDefaults(12, 4, 1)}
+}
+
+// check rejects a scale whose grid has no vertex: the grid side is
+// 2^(scale/2)-1, which is 0 below scale 2.
+func (a *AStar) check() error {
+	if a.p.Scale < 2 {
+		return fmt.Errorf("apps: astar needs a scale of at least 2 (or 0 for the default), got %d: its grid would have no vertex", a.p.Scale)
+	}
+	return nil
 }
 
 func (a *AStar) Name() string { return "astar" }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"abndp/internal/obs"
@@ -44,10 +45,19 @@ type Backend struct {
 	lastErr  string
 
 	// Queue geometry from the last successful /readyz probe, reported in
-	// the proxy's /healthz (not used for routing).
+	// the proxy's /healthz. Routing reads workers alone (see full).
 	queueDepth, queueCap, workers int
 	meanRunSeconds                float64
 	completed                     int64
+
+	// h is the request-latency histogram labeled with id, resolved on
+	// first use and again after a probe changes id.
+	h *obs.SyncHist
+
+	// inflight counts this proxy's jobs on the backend that are not yet
+	// terminal: a pjob adds one when a dispatch leaves it queued or running
+	// here and takes it back exactly once (pjob.counted).
+	inflight atomic.Int64
 }
 
 func newBackend(rawURL string, failThreshold int, halfOpenAfter time.Duration) (*Backend, error) {
@@ -73,12 +83,28 @@ func (b *Backend) ID() string {
 }
 
 // hist returns the backend's labeled request-latency histogram on
-// /metrics. Looked up per observation so the label follows the
-// discovered ID (registration is permanent per label value).
+// /metrics. The label follows the discovered ID: a probe that changes the
+// ID drops the cached histogram, and the next call registers the new
+// label (registration is permanent per label value).
 func (b *Backend) hist() *obs.SyncHist {
-	return obs.PublishedHistLabel("fleet_backend_request_seconds",
-		"Latency of requests the proxy forwarded to this backend.", 1e-6,
-		"backend", b.ID())
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.h == nil {
+		b.h = obs.PublishedHistLabel("fleet_backend_request_seconds",
+			"Latency of requests the proxy forwarded to this backend.", 1e-6,
+			"backend", b.id)
+	}
+	return b.h
+}
+
+// full reports whether this proxy's jobs in flight on the backend number
+// at least the workers its last /readyz reported. A backend not yet
+// probed reports no workers and counts as full.
+func (b *Backend) full() bool {
+	b.mu.Lock()
+	workers := b.workers
+	b.mu.Unlock()
+	return b.inflight.Load() >= int64(workers)
 }
 
 // Admitted reports whether new work may be routed to the backend: breaker
@@ -155,8 +181,8 @@ func (b *Backend) Probe(ctx context.Context, hc *http.Client) error {
 	b.mu.Lock()
 	b.ready = rd.Status == "ready"
 	b.draining = rd.Status == "draining"
-	if rd.BackendID != "" {
-		b.id = rd.BackendID
+	if rd.BackendID != "" && rd.BackendID != b.id {
+		b.id, b.h = rd.BackendID, nil
 	}
 	b.queueDepth, b.queueCap, b.workers = rd.QueueDepth, rd.QueueCap, rd.Workers
 	b.meanRunSeconds = rd.MeanRunSeconds

@@ -4,13 +4,18 @@
 // engine — crashed, hung, and draining backends.
 //
 // The design dogfoods the paper's thesis. ABNDP routes a task to the unit
-// whose caches are warm for its data; the fleet routes a submission to
-// the backend whose memo and checkpoint caches are warm for its canonical
-// key unless that backend's health says otherwise:
+// that holds its data unless that unit's load makes another one cheaper;
+// the fleet routes a submission to the backend whose memo and checkpoint
+// caches are warm for its canonical key unless that backend is unhealthy
+// or has no free worker:
 //
 //   - consistent-hash routing on serve.RouteKey — identical submissions
 //     from different clients land on one backend and join one job, so
 //     dedup works fleet-wide, not just per-process;
+//   - load: the proxy counts its own jobs in flight on each backend, and
+//     a new job skips, in ring order, a backend whose count has reached
+//     the workers its /readyz reports; when every admitted backend is
+//     full the job goes to the first admitted one, as if none were;
 //   - admission in the TiProxy style: per-backend readiness probes
 //     (/readyz), a consecutive-failure circuit breaker with half-open
 //     recovery, and drain detection — a sick backend is routed around
@@ -127,6 +132,7 @@ var (
 	fleetProbes         = obs.Published("fleet_probes_total")
 	fleetProbeFailures  = obs.Published("fleet_probe_failures_total")
 	fleetJobEvictions   = obs.Published("fleet_job_evictions_total")
+	fleetLoadReroutes   = obs.Published("fleet_load_reroutes_total")
 )
 
 // Coordinator fronts the backend fleet. Create with New, mount Handler,
@@ -255,23 +261,27 @@ func (c *Coordinator) probeAll() {
 	wg.Wait()
 }
 
-// pick returns the first admitted backend (breaker, readiness, drain) in
-// key's ring order: the ring owner for cache affinity unless it is
-// unhealthy. exclude removes backends from consideration (e.g. the owner
-// that just died during failover). Returns nil when no backend is
-// admissible.
-func (c *Coordinator) pick(key string, exclude func(*Backend) bool) *Backend {
+// pick walks key's ring order over the admitted backends (breaker,
+// readiness, drain). first is the first of them, the ring owner for cache
+// affinity unless it is unhealthy, and nil when no backend is admissible.
+// free is the first of them with a free worker (Backend.full), nil when
+// every admitted backend is full. exclude removes backends from
+// consideration (e.g. the owner that just died during failover).
+func (c *Coordinator) pick(key string, exclude func(*Backend) bool) (first, free *Backend) {
 	now := time.Now()
 	for _, idx := range c.ring.order(key) {
 		b := c.backends[idx]
-		if exclude != nil && exclude(b) {
+		if (exclude != nil && exclude(b)) || !b.Admitted(now) {
 			continue
 		}
-		if b.Admitted(now) {
-			return b
+		if first == nil {
+			first = b
+		}
+		if !b.full() {
+			return first, b
 		}
 	}
-	return nil
+	return first, nil
 }
 
 func errStr(err error) string {

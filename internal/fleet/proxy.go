@@ -24,8 +24,9 @@ import (
 const maxOwnerDeaths = 2
 
 // pjob is one fleet-tracked job: the canonical submission body (kept for
-// re-dispatch), the current owning backend, and, once it has one, its
-// terminal status.
+// re-dispatch), the current owning backend, whether the job counts against
+// that backend's in-flight jobs, and, once it has one, its terminal
+// status.
 type pjob struct {
 	id   string // fleet job ID ("job-000001")
 	key  string // serve.RouteKey — fleet dedup identity
@@ -34,6 +35,7 @@ type pjob struct {
 	mu         sync.Mutex
 	owner      *Backend
 	ownerRunID string
+	counted    bool     // j is one of owner.inflight; release clears it
 	dead       []string // IDs of the owners that died holding the job; len is its failover count
 	// final is the job's terminal status (done, failed or poisoned), set
 	// once by finish or by the death that poisons the job. It answers
@@ -64,18 +66,37 @@ func (j *pjob) state() (*serve.RunStatus, *Backend, string) {
 	return nil, j.owner, j.ownerRunID
 }
 
-func (j *pjob) setOwner(b *Backend, runID string) {
+// setOwner records b as j's owner under run runID. Unless the dispatch
+// came back terminal, or j already is, j counts against b's in-flight jobs
+// until finish or dropOwner releases it. A job that still counts against
+// an earlier owner (two polls dispatched it at once) releases that count
+// first, so a job counts on one backend at most.
+func (j *pjob) setOwner(b *Backend, runID string, terminal bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.release()
 	j.owner, j.ownerRunID = b, runID
+	if !terminal && j.final == nil {
+		b.inflight.Add(1)
+		j.counted = true
+	}
+}
+
+// release takes j's count back from its owner, once. j.mu must be held.
+func (j *pjob) release() {
+	if j.counted {
+		j.owner.inflight.Add(-1)
+		j.counted = false
+	}
 }
 
 // dropOwner clears the owner if it is still dead and the job is not yet
 // terminal — a concurrent poll may already have re-dispatched or finished
-// it — and records the death. Reports whether this call did the clearing
-// (and so owns the failover accounting). The death that spends the
-// failover budget poisons the job in the same step, so no other poll can
-// dispatch it again; that status is returned.
+// it — releases the job's count on it and records the death. Reports
+// whether this call did the clearing (and so owns the failover
+// accounting). The death that spends the failover budget poisons the job
+// in the same step, so no other poll can dispatch it again; that status is
+// returned.
 func (j *pjob) dropOwner(dead *Backend) (dropped bool, poisoned *serve.RunStatus) {
 	id := dead.ID()
 	j.mu.Lock()
@@ -83,6 +104,7 @@ func (j *pjob) dropOwner(dead *Backend) (dropped bool, poisoned *serve.RunStatus
 	if j.owner != dead || j.final != nil {
 		return false, nil
 	}
+	j.release()
 	j.owner, j.ownerRunID = nil, ""
 	j.dead = append(j.dead, id)
 	if len(j.dead) < maxOwnerDeaths {
@@ -217,12 +239,13 @@ func retryAfterOf(resp *http.Response) time.Duration {
 // Dispatch: route a submission to a healthy backend, retrying around
 // failures and explicit rejections.
 
-// dispatch places j on a backend: ring-order candidates per round,
-// failures feed the breaker, explicit 429/503 rejections move on to the
-// next candidate and set the backoff floor between rounds. A caller that
-// hangs up ends it with ctx.Err() and feeds no breaker. exclude removes a
-// just-died owner from the first re-dispatch so failover cannot bounce
-// straight back.
+// dispatch places j on a backend: ring-order candidates per round, each
+// attempt on the first admitted backend with a free worker, or on the
+// first admitted one when all are full (pick). Failures feed the breaker,
+// explicit 429/503 rejections move on to the next candidate and set the
+// backoff floor between rounds. A caller that hangs up ends it with
+// ctx.Err() and feeds no breaker. exclude removes a just-died owner from
+// the first re-dispatch so failover cannot bounce straight back.
 func (c *Coordinator) dispatch(ctx context.Context, j *pjob, exclude *Backend) (*Backend, *serve.RunStatus, error) {
 	var hint time.Duration
 	for round := 0; round < c.cfg.MaxAttempts; round++ {
@@ -235,7 +258,10 @@ func (c *Coordinator) dispatch(ctx context.Context, j *pjob, exclude *Backend) (
 		}
 		tried := map[*Backend]bool{}
 		for {
-			b := c.pick(j.key, func(b *Backend) bool { return tried[b] || b == exclude })
+			first, b := c.pick(j.key, func(b *Backend) bool { return tried[b] || b == exclude })
+			if b == nil {
+				b = first
+			}
 			if b == nil {
 				break
 			}
@@ -263,9 +289,12 @@ func (c *Coordinator) dispatch(ctx context.Context, j *pjob, exclude *Backend) (
 			}
 			b.OK()
 			fleetDispatches.Add(1)
-			j.setOwner(b, st.ID)
+			if b != first {
+				fleetLoadReroutes.Add(1) // first was full
+			}
+			j.setOwner(b, st.ID, isTerminal(st.Status))
 			c.log.Info("dispatched", "job", j.id, "key", j.key, "backend", b.ID(),
-				"backend_run", st.ID, "dedup", st.Dedup)
+				"backend_run", st.ID, "dedup", st.Dedup, "rerouted", b != first)
 			return b, st, nil
 		}
 		// After the final round there is no one left to wait for.
@@ -371,12 +400,13 @@ func (c *Coordinator) failover(ctx context.Context, j *pjob, owner *Backend, cau
 }
 
 // finish records st, the terminal status backend b reported for j, as j's
-// terminal status, and returns it. The first terminal status stands: a
-// later one — an owner that reports late, after another poll has failed
-// the job over — gets the recorded status back, unless both are done with
-// different result hashes. That is the fleet integrity check: the engine's
-// deterministic FNV-1a result hash makes equality the correct invariant
-// (same spec, same hash, on any healthy backend).
+// terminal status, releases j's in-flight count, and returns it. The first
+// terminal status stands: a later one — an owner that reports late, after
+// another poll has failed the job over — gets the recorded status back,
+// unless both are done with different result hashes. That is the fleet
+// integrity check: the engine's deterministic FNV-1a result hash makes
+// equality the correct invariant (same spec, same hash, on any healthy
+// backend).
 func (c *Coordinator) finish(j *pjob, b *Backend, st *serve.RunStatus) (*serve.RunStatus, error) {
 	if st.Backend == "" {
 		st.Backend = b.ID()
@@ -387,6 +417,7 @@ func (c *Coordinator) finish(j *pjob, b *Backend, st *serve.RunStatus) (*serve.R
 		final := copyStatus(st)
 		final.Dedup = false // a property of one answer, not of the job
 		j.final = &final
+		j.release()
 	}
 	j.mu.Unlock()
 	c.markTerminal(j)
@@ -544,7 +575,7 @@ func (c *Coordinator) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	tried := map[*Backend]bool{}
 	for {
-		b := c.pick("exp|"+name, func(b *Backend) bool { return tried[b] })
+		b, _ := c.pick("exp|"+name, func(b *Backend) bool { return tried[b] })
 		if b == nil {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no backend available for render"})
 			return

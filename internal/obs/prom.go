@@ -112,11 +112,13 @@ func PublishedHistLabel(name, help string, scale float64, label, value string) *
 	return h
 }
 
+// labelEscaper escapes a label value per the exposition format. Built once:
+// a Replacer is safe for concurrent use, and building one costs a 256-entry
+// table.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // escapeLabel escapes a label value per the exposition format.
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
 
 // promName sanitizes an expvar name into the Prometheus metric-name
 // alphabet [a-zA-Z0-9_:], mapping every other byte to '_'.

@@ -306,5 +306,9 @@ func (s *Server) buildSpec(req *RunRequest) (bench.Spec, error) {
 			return bench.Spec{}, fmt.Errorf("params must be non-negative: %+v", *req.Params)
 		}
 	}
+	// The workload's own parameter checks (astar's grid needs scale 2).
+	if _, err := apps.New(req.App, p); err != nil {
+		return bench.Spec{}, err
+	}
 	return bench.Spec{App: req.App, Design: d, Config: cfg, Params: p}, nil
 }

@@ -470,6 +470,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"camps cannot tile", `{"app":"pr","design":"O","config":{"campcount":2}}`, "cannot tile"},
 		{"mesh cannot tile", `{"app":"pr","design":"O","config":{"mesh":3}}`, "cannot tile"},
 		{"mesh too large", `{"app":"pr","design":"O","config":{"mesh":64}}`, "MaxUnits"},
+		// astar at scale 1 has a grid side of 0 and used to panic in Setup.
+		{"astar without a grid", `{"app":"astar","design":"O","params":{"scale":1}}`, "astar needs a scale of at least 2"},
 		// The cap holds before the body is decoded: a valid request
 		// behind MaxRequestBytes of whitespace is refused.
 		{"body over the cap", strings.Repeat(" ", MaxRequestBytes) + `{"app":"pr","design":"O"}`, "request body too large"},
