@@ -24,6 +24,7 @@
 package ckpt
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -217,22 +218,17 @@ func entryBytes(n int) int64 { return int64(n)*8 + entryOverhead }
 // Key returns the shard's prefix key.
 func (sh *Shard) Key() string { return sh.key }
 
-// hashLines fingerprints a hint's line list (FNV-1a over the 64-bit line
-// values). Collisions are safe — a lookup compares the full list — so the
-// hash only needs to be cheap and well-distributed.
+// hashLines fingerprints a hint's line list, one multiply per line: each
+// step rotates the running hash, mixes the 64-bit line in and multiplies
+// by an odd constant (the FxHash step). Every step is a bijection of the
+// running hash and of the line, so two lists of one length that differ in
+// one line never collide. Collisions are safe anyway — a lookup compares
+// the full list — so the hash only needs to be cheap and to spread lists
+// over keys; the shard's map hashes the key again.
 func hashLines(lines []mem.Line) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(14695981039346656037) // any nonzero start: {} and {0} differ
 	for _, l := range lines {
-		v := uint64(l)
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
+		h = (bits.RotateLeft64(h, 5) ^ uint64(l)) * 0x517cc1b727220a95
 	}
 	return h
 }

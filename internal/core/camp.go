@@ -25,18 +25,34 @@ type CampMap struct {
 	space    *mem.Space
 	skewed   bool
 	perGroup uint64
+	mask     uint64 // perGroup-1 when perGroup is a power of two above 1, else 0
 }
 
 // NewCampMap builds the mapping. skewed selects the paper's skewed
 // per-group mapping; false gives the "identical" baseline of Figure 11
 // where every group uses the same hash slice.
 func NewCampMap(topo *topology.Topology, space *mem.Space, skewed bool) *CampMap {
-	return &CampMap{
+	m := &CampMap{
 		topo:     topo,
 		space:    space,
 		skewed:   skewed,
 		perGroup: uint64(topo.UnitsPerGroup()),
 	}
+	if m.perGroup&(m.perGroup-1) == 0 {
+		m.mask = m.perGroup - 1
+	}
+	return m
+}
+
+// index returns the in-group unit index a hash slice selects, h mod the
+// group size. Every camp lookup takes one per group, so when the group
+// size is a power of two (every stock configuration) it is a mask, not a
+// 64-bit division, as mem.Space.HomeOf shifts.
+func (m *CampMap) index(h uint64) uint64 {
+	if m.mask != 0 {
+		return h & m.mask
+	}
+	return h % m.perGroup
 }
 
 // splitmix64 is the standard 64-bit finalizer used to decorrelate the
@@ -68,8 +84,7 @@ func (m *CampMap) Camp(l mem.Line, g int) topology.UnitID {
 	if m.skewed {
 		shift = (g * groupBits) % 48
 	}
-	idx := (h >> uint(shift)) % m.perGroup
-	return m.topo.GroupUnits(g)[idx]
+	return m.topo.GroupUnits(g)[m.index(h>>uint(shift))]
 }
 
 // AppendLocations appends line l's possible data locations — the home plus
@@ -90,7 +105,7 @@ func (m *CampMap) AppendLocations(dst []topology.UnitID, l mem.Line) []topology.
 		if m.skewed {
 			shift = (g * groupBits) % 48
 		}
-		dst = append(dst, m.topo.GroupUnits(g)[(h>>uint(shift))%m.perGroup])
+		dst = append(dst, m.topo.GroupUnits(g)[m.index(h>>uint(shift))])
 	}
 	return dst
 }
@@ -129,7 +144,7 @@ func (m *CampMap) Nearest(n *noc.Model, l mem.Line, from topology.UnitID) (loc t
 		if m.skewed {
 			shift = (g * groupBits) % 48
 		}
-		c := m.topo.GroupUnits(g)[(h>>uint(shift))%m.perGroup]
+		c := m.topo.GroupUnits(g)[m.index(h>>uint(shift))]
 		lat := row[m.topo.StackOf(c)]
 		if c == from {
 			lat = 0

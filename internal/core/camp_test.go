@@ -73,24 +73,38 @@ func TestOneLocationPerGroup(t *testing.T) {
 
 // AppendLocations and Nearest inline Camp's per-group index arithmetic
 // (hoisting the per-line hash out of their group loops); this cross-check
-// pins the inlined copies to Camp itself for both mapping modes.
+// pins the inlined copies to Camp itself for both mapping modes, on the
+// default machine, whose 32-unit groups take the in-group index by a
+// mask, and on one with 6 units per stack, whose 24-unit groups take it
+// by a remainder.
 func TestLocationsMatchCampPerGroup(t *testing.T) {
-	for _, skewed := range []bool{true, false} {
-		e, cm := newEnv(skewed)
-		for i := 0; i < 2000; i++ {
-			l := mem.Line(i * 6151)
-			locs := cm.Locations(l)
-			for _, u := range locs {
-				if cm.Camp(l, e.topo.GroupOf(u)) != u {
-					t.Fatalf("skewed=%v line %d: location %d != Camp in group %d",
-						skewed, l, u, e.topo.GroupOf(u))
-				}
+	perStack6 := config.Default()
+	perStack6.UnitsPerStack = 6
+	for _, cfg := range []config.Config{config.Default(), perStack6} {
+		for _, skewed := range []bool{true, false} {
+			checkLocationsMatchCamp(t, newEnvFor(cfg), skewed)
+		}
+	}
+}
+
+func checkLocationsMatchCamp(t *testing.T, e *env, skewed bool) {
+	t.Helper()
+	cm := NewCampMap(e.topo, e.space, skewed)
+	totalLines := e.space.TotalBytes() / mem.LineSize
+	for i := 0; i < 2000; i++ {
+		l := mem.Line(uint64(i*6151) % totalLines)
+		locs := cm.Locations(l)
+		for _, u := range locs {
+			if g := e.topo.GroupOf(u); g != int(u)/e.topo.UnitsPerGroup() || cm.Camp(l, g) != u {
+				t.Fatalf("%d units per group, skewed=%v line %d: location %d is not Camp in group %d",
+					e.topo.UnitsPerGroup(), skewed, l, u, g)
 			}
-			from := topology.UnitID(i % e.topo.Units())
-			near, _ := cm.Nearest(e.noc, l, from)
-			if cm.Camp(l, e.topo.GroupOf(near)) != near {
-				t.Fatalf("skewed=%v line %d: Nearest %d is not that group's camp", skewed, l, near)
-			}
+		}
+		from := topology.UnitID(i % e.topo.Units())
+		near, _ := cm.Nearest(e.noc, l, from)
+		if cm.Camp(l, e.topo.GroupOf(near)) != near {
+			t.Fatalf("%d units per group, skewed=%v line %d: Nearest %d is not that group's camp",
+				e.topo.UnitsPerGroup(), skewed, l, near)
 		}
 	}
 }
@@ -174,15 +188,17 @@ func TestSkewedMappingDiffersAcrossGroups(t *testing.T) {
 // TestNearestMatchesBruteForce holds Nearest to its definition over every
 // location by noc.Latency: the home when it is among the closest, else the
 // lowest-ID closest camp. It runs on the default machine, an 8x8 mesh, a
-// torus, 1 unit per stack and the identical camp mapping, over random
-// lines, from random units, the home and a camp.
+// torus, 1 unit per stack, 6 units per stack (groups of 24 units, not a
+// power of two) and the identical camp mapping, over random lines, from
+// random units, the home and a camp.
 func TestNearestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	def := config.Default()
-	mesh8, torus, perStack1 := def, def, def
+	mesh8, torus, perStack1, perStack6 := def, def, def, def
 	mesh8.MeshX, mesh8.MeshY = 8, 8
 	torus.Torus = true
 	perStack1.UnitsPerStack = 1
+	perStack6.UnitsPerStack = 6
 	for _, tc := range []struct {
 		name   string
 		cfg    config.Config
@@ -192,6 +208,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 		{"mesh8", mesh8, true},
 		{"torus", torus, true},
 		{"perstack1", perStack1, true},
+		{"perstack6", perStack6, true},
 		{"identical", def, false},
 	} {
 		e := newEnvFor(tc.cfg)

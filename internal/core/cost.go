@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"abndp/internal/mem"
 	"abndp/internal/noc"
@@ -167,22 +168,26 @@ func (l Listing) Value(i int) float64 { return math.Float64frombits(l.vals[i]) }
 // sized once for one topology, so a call never allocates. Reuse it across
 // calls; it must not be shared between goroutines.
 type FormScratch struct {
-	stackSum []int64 // per stack: Σ over lines of the stack-level minimum
-	best     []int64 // per stack: the current line's minimum
-	corr     []int64 // per unit: exact correction of location units, zero between calls
+	stackSum []int64  // per stack: Σ over lines of the stack-level minimum
+	best     []int64  // per stack: the current line's minimum
+	corr     []int64  // per unit: exact correction of location units, zero between calls
+	touched  []uint64 // bit u set when corr[u] was written, zero between calls
 	locs     []topology.UnitID
+	rows     [][]int64 // the current line's locations' stackLat rows
 	packed   []uint64  // the listed unit IDs of the form being built, packed
 	form     StackForm // room for every unit listed
 }
 
 // NewFormScratch allocates a MemCostForm scratch for c's topology.
 func (c *CostModel) NewFormScratch() *FormScratch {
-	units := c.stacks * c.perStack
+	units, groups := c.stacks*c.perStack, c.camps.Topology().Groups()
 	return &FormScratch{
 		stackSum: make([]int64, c.stacks),
 		best:     make([]int64, c.stacks),
 		corr:     make([]int64, units),
-		locs:     make([]topology.UnitID, 0, c.camps.Topology().Groups()),
+		touched:  make([]uint64, (units+63)/64),
+		locs:     make([]topology.UnitID, 0, groups),
+		rows:     make([][]int64, 0, groups),
 		packed:   make([]uint64, 0, (units+3)/4),
 		form:     make(StackForm, 0, 1+c.stacks+units+(units+3)/4),
 	}
@@ -197,11 +202,11 @@ func (c *CostModel) NewFormScratch() *FormScratch {
 // It factors the scan by stack. Between two distinct units the latency
 // depends only on their stacks, so per line it takes the minimum over the
 // line's locations once per stack from stackLat and adds it to a per-stack
-// int64 sum. Only a location unit itself sees a different latency (zero to
-// itself instead of the same-stack one), so each location unit gets the
-// difference between its exact minimum and its stack's as a correction,
-// read from the stack minimum. Because a stack's units are numbered
-// consecutively, unit u's value is then
+// int64 sum, in one pass over the stacks. Only a location unit itself sees
+// a different latency (zero to itself instead of the same-stack one), so
+// each location unit gets the difference between its exact minimum and its
+// stack's as a correction, read from the stack minimum. Because a stack's
+// units are numbered consecutively, unit u's value is then
 //
 //	float64(stackSum[stack(u)] + corr[u]) / float64(len(lines))
 //
@@ -210,8 +215,11 @@ func (c *CostModel) NewFormScratch() *FormScratch {
 // units x (C+1). A unit is listed when its value differs from its stack's.
 // No correction is positive, and int-to-float conversion and division by
 // the line count are monotone, so a listed value is below its stack's.
+// Only a unit whose correction was written can be listed, so the listing
+// visits the units marked in a bitmap as their corrections are written,
+// in ascending order, instead of every unit's correction.
 func (c *CostModel) MemCostForm(sc *FormScratch, lines []mem.Line) StackForm {
-	stacks, per, pen, topo := c.stacks, c.perStack, c.campPenalty, c.topo
+	stacks, pen, topo := c.stacks, c.campPenalty, c.topo
 	if len(lines) == 0 {
 		sc.form = append(sc.form[:0], uint64(stacks))
 		for range stacks {
@@ -219,12 +227,13 @@ func (c *CostModel) MemCostForm(sc *FormScratch, lines []mem.Line) StackForm {
 		}
 		return sc.form
 	}
-	sum, best, corr := sc.stackSum, sc.best, sc.corr
+	sum, best, corr, touched := sc.stackSum, sc.best, sc.corr, sc.touched
 	clear(sum)
 	for _, l := range lines {
 		locs := c.liveLocations(sc.locs[:0], l)
 		sc.locs = locs
 		home := locs[0]
+		touched[home>>6] |= 1 << (home & 63)
 		if len(locs) == 1 {
 			// Homes only: the home's row is the per-stack minimum, and
 			// the home itself is at distance zero.
@@ -236,18 +245,12 @@ func (c *CostModel) MemCostForm(sc *FormScratch, lines []mem.Line) StackForm {
 			corr[home] -= row[hs]
 			continue
 		}
-		copy(best, c.stackLat[int(topo.StackOf(home))*stacks:][:stacks])
-		for _, loc := range locs[1:] {
-			row := c.stackLat[int(topo.StackOf(loc))*stacks:][:stacks]
-			for s, lat := range row {
-				if lat += pen; lat < best[s] {
-					best[s] = lat
-				}
-			}
+		rows := sc.rows[:0]
+		for _, loc := range locs {
+			rows = append(rows, c.stackLat[int(topo.StackOf(loc))*stacks:][:stacks])
 		}
-		for s, b := range best {
-			sum[s] += b
-		}
+		sc.rows = rows
+		lineMinima(best, sum, rows, pen)
 		// A location unit's exact minimum differs from its stack's in one
 		// term only: its own, zero to itself instead of the same-stack
 		// latency. The locations lie in pairwise-distinct stacks (one per
@@ -259,24 +262,30 @@ func (c *CostModel) MemCostForm(sc *FormScratch, lines []mem.Line) StackForm {
 		for _, camp := range locs[1:] {
 			if b := best[topo.StackOf(camp)]; pen < b {
 				corr[camp] += pen - b
+				touched[camp>>6] |= 1 << (camp & 63)
 			}
 		}
 	}
-	// The stack values, then the listed values as the units are found,
-	// with the units packed aside and appended behind them.
+	// The stack values, then the listed values as the marked units are
+	// found, with the units packed aside and appended behind them.
 	n := float64(len(lines))
 	f := sc.form[:1+stacks]
-	packed, w, listed := sc.packed[:0], uint64(0), 0
 	for s, base := range sum {
-		plain := float64(base) / n
-		f[1+s] = math.Float64bits(plain)
-		for u := s * per; u < (s+1)*per; u++ {
-			if corr[u] == 0 {
+		f[1+s] = math.Float64bits(float64(base) / n)
+	}
+	packed, w, listed := sc.packed[:0], uint64(0), 0
+	for i, word := range touched {
+		touched[i] = 0
+		for ; word != 0; word &= word - 1 {
+			u := i<<6 | bits.TrailingZeros64(word)
+			cu := corr[u]
+			if cu == 0 {
 				continue
 			}
-			v := float64(base+corr[u]) / n
 			corr[u] = 0
-			if v == plain {
+			s := topo.StackOf(topology.UnitID(u))
+			v := float64(sum[s]+cu) / n
+			if v == math.Float64frombits(f[1+s]) {
 				continue
 			}
 			f = append(f, math.Float64bits(v))
@@ -294,6 +303,39 @@ func (c *CostModel) MemCostForm(sc *FormScratch, lines []mem.Line) StackForm {
 	f = append(f, packed...)
 	sc.form, sc.packed = f, packed
 	return f
+}
+
+// lineMinima sets best[s] to the minimum over the location rows of stack
+// s's latency, each camp's (rows[1:]) plus pen, and adds it to sum[s], in
+// one pass over the stacks. Up to three camps (the paper's C) it reads
+// their rows side by side, standing the home's row in for a missing camp:
+// home[s]+pen cannot lower a minimum that home[s] bounds, given pen >= 0.
+func lineMinima(best, sum []int64, rows [][]int64, pen int64) {
+	home := rows[0]
+	if len(rows) > 4 {
+		for s, b := range home {
+			for _, row := range rows[1:] {
+				b = min(b, row[s]+pen)
+			}
+			best[s] = b
+			sum[s] += b
+		}
+		return
+	}
+	var r [3][]int64
+	for i := range r {
+		r[i] = home
+		if 1+i < len(rows) {
+			r[i] = rows[1+i]
+		}
+	}
+	r1, r2, r3 := r[0][:len(home)], r[1][:len(home)], r[2][:len(home)]
+	best, sum = best[:len(home)], sum[:len(home)]
+	for s, b := range home {
+		b = min(b, r1[s]+pen, r2[s]+pen, r3[s]+pen)
+		best[s] = b
+		sum[s] += b
+	}
 }
 
 // liveLocations appends line l's data locations to dst as MemCost sees

@@ -22,13 +22,15 @@ import (
 // below it.
 //
 // It is a seeded property test over random hints of 1-40 lines (duplicates
-// included) across machine shapes (mesh 2x2, 4x4, 8x8; torus on and off;
-// 1 or 8 units per stack; 1, 3 or 15 camps), both camp mappings, camp-aware
+// included, and one hint per case that repeats a single line) across
+// machine shapes (mesh 2x2, 4x4, 8x8; torus on and off; 1 or 8 units per
+// stack; 1, 3 or 15 camps; 6 units per stack, whose groups are not a power
+// of two in size; and 4 camps on a 5x2 mesh), both camp mappings, camp-aware
 // and homes-only models, crossbar latencies of zero, the default and above
 // the mesh hop, and no dead mask or random dead masks that include dead
 // homes. One scratch serves every hint of a model, so a correction left
 // behind by one call would show in the next; a fresh scratch must give the
-// same words.
+// same words, and a call must leave no correction or mark behind.
 func TestMemCostVecBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	def := config.Default()
@@ -52,6 +54,11 @@ func TestMemCostVecBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	perStack6, camps4 := def, def
+	perStack6.UnitsPerStack = 6 // 24 units per group
+	checkMemCostForm(t, rng, perStack6, "mesh4/perstack6/camps3")
+	camps4.MeshX, camps4.MeshY, camps4.CampCount = 5, 2, 4 // one stack more than lineMinima reads side by side
+	checkMemCostForm(t, rng, camps4, "mesh5x2/camps4")
 }
 
 func checkMemCostForm(t *testing.T, rng *rand.Rand, cfg config.Config, name string) {
@@ -65,12 +72,15 @@ func checkMemCostForm(t *testing.T, rng *rand.Rand, cfg config.Config, name stri
 			model := NewCostModel(e.noc, cm, campAware)
 			sc := model.NewFormScratch()
 			for _, masked := range []bool{false, true} {
-				for h := 0; h < 3; h++ {
+				for h := 0; h < 4; h++ {
 					lines := make([]mem.Line, 1+rng.Intn(40))
 					for i := range lines {
-						if i > 0 && rng.Intn(4) == 0 {
+						switch {
+						case h == 3 && i > 0:
+							lines[i] = lines[0] // one line, repeated
+						case i > 0 && rng.Intn(4) == 0:
 							lines[i] = lines[rng.Intn(i)] // a duplicate line
-						} else {
+						default:
 							lines[i] = mem.Line(rng.Int63n(totalLines))
 						}
 					}
@@ -89,6 +99,10 @@ func checkMemCostForm(t *testing.T, rng *rand.Rand, cfg config.Config, name stri
 					f := model.MemCostForm(sc, lines)
 					if fresh := model.MemCostForm(model.NewFormScratch(), lines); !slices.Equal(f, fresh) {
 						t.Fatalf("%s: reused scratch gave %v, a fresh one %v", where, f, fresh)
+					}
+					if slices.ContainsFunc(sc.corr, func(c int64) bool { return c != 0 }) ||
+						slices.ContainsFunc(sc.touched, func(w uint64) bool { return w != 0 }) {
+						t.Fatalf("%s: the call left corrections or marks behind", where)
 					}
 					checkFormLayout(t, f, stacks, units, where)
 					vec := expandForm(f, cfg.UnitsPerStack, units)

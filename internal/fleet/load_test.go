@@ -293,12 +293,24 @@ func TestInFlightCountReleased(t *testing.T) {
 	if got := fleetPoisoned.Value() - poisoned; got != perKind {
 		t.Errorf("fleet_jobs_poisoned_total delta = %d, want %d", got, perKind)
 	}
-	// Two deaths per poisoned job and one per fail-over job with a single
-	// submitter; one with two may have been dispatched twice at once, and
-	// its surviving copy need not fail over.
-	if got, want := fleetFailovers.Value()-failovers, int64(2*perKind+perKind-dups); got < want {
-		t.Errorf("fleet_failovers_total delta = %d, want >= %d", got, want)
+	// Two deaths per poisoned job and one per fail-over job: one dispatch
+	// of a job runs at a time, so a job with two submitters has one owner
+	// at a time as well.
+	if got, want := fleetFailovers.Value()-failovers, int64(2*perKind+perKind); got != want {
+		t.Errorf("fleet_failovers_total delta = %d, want %d", got, want)
 	}
+	// Each job reached the backends once per owner: the poisoned and
+	// fail-over jobs twice, the rest once.
+	takes.Range(func(k, v any) bool {
+		want := int32(1)
+		if kind := k.(int64) / 100; kind == 2 || kind == 3 {
+			want = 2
+		}
+		if got := v.(*atomic.Int32).Load(); got != want {
+			t.Errorf("seed %d was posted %d times, want %d", k, got, want)
+		}
+		return true
+	})
 }
 
 // TestLoadRoutingRealBackends runs the free-worker rule on two real

@@ -25,8 +25,8 @@ const maxOwnerDeaths = 2
 
 // pjob is one fleet-tracked job: the canonical submission body (kept for
 // re-dispatch), the current owning backend, whether the job counts against
-// that backend's in-flight jobs, and, once it has one, its terminal
-// status.
+// that backend's in-flight jobs, whether a dispatch of it is in flight,
+// and, once it has one, its terminal status.
 type pjob struct {
 	id   string // fleet job ID ("job-000001")
 	key  string // serve.RouteKey — fleet dedup identity
@@ -37,6 +37,19 @@ type pjob struct {
 	ownerRunID string
 	counted    bool     // j is one of owner.inflight; release clears it
 	dead       []string // IDs of the owners that died holding the job; len is its failover count
+	// dispatching is non-nil while one caller dispatches the job, which
+	// then has no owner: the submission that created it, a poll that
+	// found it without one, or the failover that dropped its dead owner.
+	// setOwner closes and clears it in the step that sets the owner, and
+	// endDispatch when the dispatch sets none. Another poll or duplicate
+	// submission waits on it and then reads the owner that dispatch set,
+	// so the job is never dispatched twice at once.
+	dispatching chan struct{}
+	// unplaced is set when the submission that created the job failed to
+	// place it: the job has left the proxy's tables, and every caller that
+	// joined it gets this error instead of dispatching a job that no poll
+	// could find again.
+	unplaced error
 	// final is the job's terminal status (done, failed or poisoned), set
 	// once by finish or by the death that poisons the job. It answers
 	// every later poll and duplicate submission, and a later done status
@@ -44,8 +57,9 @@ type pjob struct {
 	final *serve.RunStatus
 }
 
+// newPJob returns a job that its creator is dispatching.
 func newPJob(id, key string, body []byte) *pjob {
-	return &pjob{id: id, key: key, body: body}
+	return &pjob{id: id, key: key, body: body, dispatching: make(chan struct{})}
 }
 
 func (j *pjob) ownerInfo() (*Backend, string) {
@@ -66,15 +80,71 @@ func (j *pjob) state() (*serve.RunStatus, *Backend, string) {
 	return nil, j.owner, j.ownerRunID
 }
 
-// setOwner records b as j's owner under run runID. Unless the dispatch
-// came back terminal, or j already is, j counts against b's in-flight jobs
-// until finish or dropOwner releases it. A job that still counts against
-// an earlier owner (two polls dispatched it at once) releases that count
-// first, so a job counts on one backend at most.
+// claim marks j as dispatching by the caller when it has no owner, no
+// terminal status and no dispatch in flight, and reports whether it did;
+// the caller then dispatches j, and calls endDispatch if that fails.
+// While another dispatch is in flight it returns that dispatch's channel,
+// closed when it ends. A job its creator failed to place returns that
+// error.
+func (j *pjob) claim() (claimed bool, busy <-chan struct{}, err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch {
+	case j.unplaced != nil:
+		return false, nil, j.unplaced
+	case j.final != nil || j.owner != nil:
+		return false, nil, nil
+	case j.dispatching != nil:
+		return false, j.dispatching, nil
+	}
+	j.dispatching = make(chan struct{})
+	return true, nil, nil
+}
+
+// abandon ends the creating submission's dispatch, which failed with err,
+// after the job left the proxy's tables. The callers that joined the job
+// wake to the same error: a 503 with a Retry-After (a resubmission starts
+// a fresh job) or the backend's own client error. A creator that hung up
+// leaves them a 503 too.
+func (j *pjob) abandon(err error) {
+	var pe *proxyError
+	if !errors.As(err, &pe) {
+		pe = &proxyError{code: http.StatusServiceUnavailable, retryAfter: time.Second,
+			msg: fmt.Sprintf("job %s was not placed: %v", j.id, err)}
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.unplaced = pe
+	j.endDispatchLocked()
+}
+
+// endDispatch ends a dispatch its caller claimed that set no owner,
+// waking the polls that wait on it: one of them claims the next dispatch.
+// A dispatch that sets an owner ends in setOwner instead; until then no
+// one else can start a dispatch of j, so the channel is its caller's.
+func (j *pjob) endDispatch() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.endDispatchLocked()
+}
+
+func (j *pjob) endDispatchLocked() {
+	if j.dispatching != nil {
+		close(j.dispatching)
+		j.dispatching = nil
+	}
+}
+
+// setOwner records b as j's owner under run runID and ends the dispatch
+// in flight, in one step: a poll that then finds b dead may fail j over
+// and start the next dispatch. Unless the dispatch came back terminal, or
+// j already is, j counts against b's in-flight jobs until finish or
+// dropOwner releases it. Only one dispatch of j runs at a time, and it
+// starts with no owner, so j counts on one backend at most.
 func (j *pjob) setOwner(b *Backend, runID string, terminal bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.release()
+	j.endDispatchLocked()
 	j.owner, j.ownerRunID = b, runID
 	if !terminal && j.final == nil {
 		b.inflight.Add(1)
@@ -94,9 +164,10 @@ func (j *pjob) release() {
 // terminal — a concurrent poll may already have re-dispatched or finished
 // it — releases the job's count on it and records the death. Reports
 // whether this call did the clearing (and so owns the failover
-// accounting). The death that spends the failover budget poisons the job
-// in the same step, so no other poll can dispatch it again; that status is
-// returned.
+// accounting). Unless the death poisons the job, the caller has then
+// claimed its re-dispatch (see claim). The death that spends the failover
+// budget poisons the job in the same step, so no other poll can dispatch
+// it again; that status is returned.
 func (j *pjob) dropOwner(dead *Backend) (dropped bool, poisoned *serve.RunStatus) {
 	id := dead.ID()
 	j.mu.Lock()
@@ -108,6 +179,7 @@ func (j *pjob) dropOwner(dead *Backend) (dropped bool, poisoned *serve.RunStatus
 	j.owner, j.ownerRunID = nil, ""
 	j.dead = append(j.dead, id)
 	if len(j.dead) < maxOwnerDeaths {
+		j.dispatching = make(chan struct{})
 		return true, nil
 	}
 	j.final = &serve.RunStatus{Status: serve.StateFailed, Error: fmt.Sprintf(
@@ -324,8 +396,10 @@ func isTerminal(status string) bool {
 // await returns j's status, long-polling up to wait. A job with a
 // terminal status is answered from it, with no backend call. Otherwise the
 // loop polls the owner, re-dispatching around dead owners, and every
-// terminal status a backend reports goes through finish. A caller that
-// hangs up gets ctx.Err(): its owner is not failed over.
+// terminal status a backend reports goes through finish. A job without an
+// owner is dispatched by one caller at a time: the others wait for that
+// dispatch and poll the owner it set. A caller that hangs up gets
+// ctx.Err(): its owner is not failed over.
 func (c *Coordinator) await(ctx context.Context, j *pjob, wait time.Duration) (*serve.RunStatus, error) {
 	deadline := time.Now().Add(wait)
 	for {
@@ -335,8 +409,23 @@ func (c *Coordinator) await(ctx context.Context, j *pjob, wait time.Duration) (*
 			return final, nil
 		}
 		if owner == nil {
+			claimed, busy, err := j.claim()
+			if err != nil {
+				return nil, err
+			}
+			if busy != nil {
+				select {
+				case <-busy:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			if !claimed {
+				continue
+			}
 			b, st, err := c.dispatch(ctx, j, nil)
 			if err != nil {
+				j.endDispatch()
 				return nil, err
 			}
 			if isTerminal(st.Status) {
@@ -391,6 +480,7 @@ func (c *Coordinator) failover(ctx context.Context, j *pjob, owner *Backend, cau
 	}
 	b, st, err := c.dispatch(ctx, j, owner)
 	if err != nil {
+		j.endDispatch()
 		return nil, err
 	}
 	if isTerminal(st.Status) {
@@ -529,6 +619,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		delete(c.jobs, j.id)
 		delete(c.byKey, key)
 		c.mu.Unlock()
+		j.abandon(err)
 		c.writeError(w, err)
 		return
 	}

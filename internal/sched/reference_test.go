@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"abndp/internal/config"
+	"abndp/internal/core"
 	"abndp/internal/mem"
 	"abndp/internal/task"
 	"abndp/internal/topology"
@@ -37,10 +38,10 @@ func refLowestDistance(s *Scheduler, t *task.Task, _ topology.UnitID) (topology.
 }
 
 // refHybrid is the per-unit definition of the hybrid policy: the argmin
-// over live units of MemCost + B * load term.
+// over live units of MemCost + B * load term, on the dense load view.
 func refHybrid(s *Scheduler, t *task.Task, origin topology.UnitID) (topology.UnitID, float64, float64) {
 	_, cands := s.cost.Candidates(t.Hint.Lines, nil, nil)
-	mean, live := s.loadView(origin)
+	mean, live := denseLoads(s, origin)
 	if live == 0 {
 		return -1, 0, 0
 	}
@@ -64,36 +65,106 @@ func refHybrid(s *Scheduler, t *task.Task, origin topology.UnitID) (topology.Uni
 	return best, bestMem, bestLoad
 }
 
+// denseLoads is the references' load view: the dense path, after building
+// the forwarded-load rows as loadView does.
+func denseLoads(s *Scheduler, origin topology.UnitID) (mean float64, live int) {
+	if s.rows == nil {
+		s.rows = make([][]forward, s.units)
+	}
+	return s.denseView(origin)
+}
+
+// refLoadOnly is the per-unit definition of the loadonly policy: the
+// argmin over live units of the load term, on the dense load view.
+func refLoadOnly(s *Scheduler, t *task.Task, origin topology.UnitID) (topology.UnitID, float64, float64) {
+	mean, live := denseLoads(s, origin)
+	if live == 0 {
+		return -1, 0, 0
+	}
+	best := s.camps.Home(t.Hint.Lines[0])
+	if s.dead != nil {
+		best = s.NearestLive(best)
+	}
+	bestLoad := s.hybridB * (s.loadBuf[best]/mean - 1)
+	for u := 0; u < s.units; u++ {
+		if s.dead != nil && s.dead[u] {
+			continue
+		}
+		if load := s.hybridB * (s.loadBuf[u]/mean - 1); load < bestLoad {
+			best, bestLoad = topology.UnitID(u), load
+		}
+	}
+	return best, 0, bestLoad
+}
+
+// viewCases counts the decisions of TestPlaceMatchesPerUnitReference by
+// the load view they read.
+type viewCases struct {
+	exact, dense int
+	toDense      int // a dense decision after an exact one in the same interval
+	toExact      int // an interval's first decision is exact, the last interval's last was dense
+}
+
 // TestPlaceMatchesPerUnitReference replays seeded decision streams through
 // two schedulers: one running the policy's place function, whose costmem comes
-// from the stack-factored kernel (or a memoizing form store), and
-// one running the per-unit reference above. Policies that never evaluate
-// costmem are their own reference. Streams mix random loads, exchanges,
-// origins, repeated hints and duplicate lines, and switch on a dead mask
-// (with service rates) halfway, killing more units as they go. Every
-// decision must agree on the target and, bit for bit, on the memory cost
-// and load term the score hook reports.
+// from the stack-factored kernel (or a memoizing form store) and whose
+// loads from the exact view while an interval allows it, and one running
+// the per-unit reference above, which reads the dense view. home places
+// without either and is its own reference. Streams mix random integer
+// loads, exchanges, origins (half of them from four units, so that rows
+// fill), repeated hints and duplicate lines, and one task in four carries
+// a fractional workload, which switches its interval to the dense view
+// when its origin places again; then they switch on a dead mask (with
+// service rates) halfway, killing more units as they go. Every decision
+// must agree on the target and, bit for bit, on the memory cost and load
+// term the score hook reports. Under hybrid and loadonly, both views must
+// serve decisions, and intervals must switch from exact to dense and back;
+// both run with the default weight and with B = 0, where every load term
+// is ±0 and the first unit of a stack ties with its least-loaded one.
 func TestPlaceMatchesPerUnitReference(t *testing.T) {
-	refs := map[config.Policy]PlaceFunc{"lowestdist": refLowestDistance, "hybrid": refHybrid}
+	refs := map[config.Policy]PlaceFunc{"lowestdist": refLowestDistance, "hybrid": refHybrid, "loadonly": refLoadOnly}
 	e := newEnv()
 	for _, name := range config.Policies {
 		ref := refs[name]
 		if ref == nil {
 			ref = placeFunc(name)
 		}
+		alphas := []float64{-1}
+		if name == config.PolicyHybrid || name == config.PolicyLoadOnly {
+			alphas = append(alphas, 0) // B = 0: every load term is ±0, and scores tie
+		}
 		for _, campAware := range []bool{false, true} {
 			for _, source := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/campaware=%v/source=%v", name, campAware, source), func(t *testing.T) {
-					replayAgainstReference(t, e, name, ref, campAware, source)
-				})
+				for _, alpha := range alphas {
+					sub := fmt.Sprintf("%s/campaware=%v/source=%v", name, campAware, source)
+					if alpha == 0 {
+						sub += "/zeroweight"
+					}
+					t.Run(sub, func(t *testing.T) {
+						c := replayAgainstReference(t, e, name, ref, campAware, source, alpha)
+						if name != config.PolicyHybrid && name != config.PolicyLoadOnly {
+							return
+						}
+						t.Logf("%+v", c)
+						for what, n := range map[string]int{
+							"exact": c.exact, "dense": c.dense, "toDense": c.toDense, "toExact": c.toExact,
+						} {
+							if n < 5 {
+								t.Errorf("%s decisions occurred %d times, want at least 5", what, n)
+							}
+						}
+					})
+				}
 			}
 		}
 	}
 }
 
-func replayAgainstReference(t *testing.T, e *env, policy config.Policy, ref PlaceFunc, campAware, source bool) {
-	got := e.scheduler(policy, campAware)
-	want := e.scheduler(policy, campAware)
+func replayAgainstReference(t *testing.T, e *env, policy config.Policy, ref PlaceFunc, campAware, source bool, alpha float64) viewCases {
+	cfg := e.cfg
+	cfg.HybridAlpha = alpha
+	got := New(policy, core.NewCostModel(e.noc, e.camps, campAware), e.camps, e.noc, &cfg)
+	want := New(policy, core.NewCostModel(e.noc, e.camps, campAware), e.camps, e.noc, &cfg)
 	want.place = ref
 	if source {
 		got.SetFormStore(newMemoForms())
@@ -118,8 +189,12 @@ func replayAgainstReference(t *testing.T, e *env, policy config.Policy, ref Plac
 	}
 	var hints [][]mem.Line
 	deadPlaced := 0
+	var c viewCases
+	var last viewState     // the view the last decision read
+	intervalExact := false // a decision of this interval read the exact view
 	for i := 0; i < 600; i++ {
 		if i%25 == 0 {
+			intervalExact = false
 			for u := range w {
 				if rng.Intn(8) > 0 {
 					w[u] = float64(rng.Intn(500))
@@ -164,8 +239,27 @@ func replayAgainstReference(t *testing.T, e *env, policy config.Policy, ref Plac
 			tk.Hint.Workload = 1 + 40*rng.Float64()
 		}
 		origin := topology.UnitID(rng.Intn(units))
+		if rng.Intn(2) == 0 {
+			origin = topology.UnitID(rng.Intn(4))
+		}
 		gotD, wantD = decision{}, decision{}
+		first := i%25 == 0
 		a, b := got.Place(tk, origin), want.Place(tk, origin)
+		switch got.view {
+		case viewExact:
+			c.exact++
+			if first && last == viewDense {
+				c.toExact++
+			}
+			intervalExact, last = true, viewExact
+		case viewDense:
+			c.dense++
+			if intervalExact && got.dead == nil {
+				c.toDense++
+				intervalExact = false
+			}
+			last = viewDense
+		}
 		if a != b {
 			t.Fatalf("step %d: placed on %d, reference on %d", i, a, b)
 		}
@@ -181,4 +275,5 @@ func replayAgainstReference(t *testing.T, e *env, policy config.Policy, ref Plac
 	if deadPlaced == 0 {
 		t.Fatal("no task had a dead home — the dead-mask phase exercised nothing")
 	}
+	return c
 }

@@ -61,6 +61,21 @@ type Scheduler struct {
 	loadBuf []float64
 	form    *core.FormScratch
 
+	// The exact view (see loadView). view says what loadBuf holds between
+	// placements. While it is viewExact, loadBuf is the snapshot except
+	// the targets of patchedOrigin's first patchedN row entries, which
+	// hold that origin's view; snapSum and snapAbs are the snapshot's
+	// exact sum and absolute sum; and least[st] is stack st's first unit
+	// of least load in loadBuf, snapLeast[st] in the snapshot. The first
+	// exact view allocates least and snapLeast.
+	view          viewState
+	snapSum       int64
+	snapAbs       int64
+	patchedOrigin topology.UnitID
+	patchedN      int
+	least         []topology.UnitID
+	snapLeast     []topology.UnitID
+
 	// dead, when non-nil, marks failed units (aliased from the fault
 	// injector): they are excluded from every candidate set, and a task
 	// whose home died is redirected to the nearest live unit. rates, when
@@ -129,12 +144,14 @@ type forward struct {
 }
 
 // Exchange installs a fresh workload snapshot (the periodic hierarchical
-// exchange of §5.2) and empties the per-origin rows, if any exist.
+// exchange of §5.2) and empties the per-origin rows, if any exist. The next
+// loadView builds the interval's view from the snapshot.
 func (s *Scheduler) Exchange(trueW []float64) {
 	copy(s.snapW, trueW)
 	for o, row := range s.rows {
 		s.rows[o] = row[:0]
 	}
+	s.view = viewStale
 	if s.audit != nil {
 		s.audit.Tick()
 		for u, w := range s.snapW {
@@ -332,7 +349,11 @@ func (s *Scheduler) placeLowestDistance(t *task.Task, _ topology.UnitID) (topolo
 //   - Phase A scores every live unit at its stack's value and keeps the
 //     first, in unit order, that reaches the lowest score. Without a load
 //     term the live units of a stack score alike, so it scores the first
-//     of each stack only.
+//     of each stack only. Under an exact view it scores each stack's
+//     least-loaded unit, and only when that beats the running minimum
+//     the units before it, for the first that ties it: with B >= 0 and
+//     mean > 0 the score is monotone in the load, so no unit of the
+//     stack scores below its least-loaded one.
 //   - Phase B scores the listed live units at their own values and keeps
 //     the first that reaches the lowest score.
 //
@@ -352,6 +373,13 @@ func (s *Scheduler) argmin(f core.StackForm, home topology.UnitID, mean float64,
 	a, aStack, aScore := -1, 0, math.Inf(1)
 	for st := range f.Stacks() {
 		v := f.Stack(st)
+		if hybrid && s.view == viewExact {
+			low := v + loadTerm(weight, loads[s.least[st]], mean)
+			if low < aScore {
+				a, aStack, aScore = s.firstAt(st, v, low, mean), st, low
+			}
+			continue
+		}
 		for u := st * per; u < (st+1)*per; u++ {
 			if dead != nil && dead[u] {
 				continue
@@ -414,6 +442,38 @@ func loadTerm(weight, load, mean float64) float64 {
 	return weight * (load/mean - 1)
 }
 
+// firstAt returns the first unit of stack st whose score, v plus its
+// load term, equals low, the score of the stack's least-loaded unit under
+// the exact view: the first unit of the stack to reach its lowest score.
+// Only the units before the least-loaded one need a look.
+func (s *Scheduler) firstAt(st int, v, low, mean float64) int {
+	least := int(s.least[st])
+	for u := st * s.perStack; u < least; u++ {
+		if v+loadTerm(s.hybridB, s.loadBuf[u], mean) == low {
+			return u
+		}
+	}
+	return least
+}
+
+// viewState is what loadBuf holds between placements.
+type viewState uint8
+
+const (
+	// viewStale: an Exchange installed a snapshot that no view has read.
+	viewStale viewState = iota
+	// viewExact: the snapshot, patched with the last view's targets.
+	viewExact
+	// viewDense: whatever the dense path wrote; dense until the next
+	// Exchange.
+	viewDense
+)
+
+// exactLimit bounds the absolute loads an exact view sums: integers of
+// magnitude below 2^53 are floats, and every sum of them whose absolute
+// terms stay below 2^53 is exact in any order.
+const exactLimit = 1 << 53
+
 // loadView fills s.loadBuf with origin's effective per-unit load — the
 // snapshot plus what origin has forwarded since, amplified by the unit
 // count as a mean-field correction — and returns the floored live-unit
@@ -425,10 +485,128 @@ func loadTerm(weight, load, mean float64) float64 {
 // origin's worth. The mean is floored at hybridMeanFloor: with near-empty
 // queues a one-task difference is quantization noise, not imbalance, and
 // must not dominate the other score terms.
+//
+// Between two exchanges the view changes only at origin's few targets, so
+// while the interval qualifies it is kept exactly instead of rebuilt:
+// every effective load is an integer, their absolute values sum below
+// 2^53 (exactLimit), no dead mask or service rates are installed, and B is
+// finite. Every built-in workload qualifies without a fault plan. The
+// first view of an interval copies the snapshot into loadBuf and takes its
+// exact integer sum and each stack's least-loaded unit (buildExact). Each
+// view then puts the snapshot's loads and least-loaded units back where
+// the last view patched them, patches in origin's targets, adjusts the sum
+// by their deltas and finds the least-loaded unit again in their stacks
+// (patchView). The integer sum is the dense path's float sum, which is
+// exact, so the mean is bit-identical, and so is every load. An interval
+// that does not qualify, from the view that finds it so (the first
+// fractional forwarded load, say) to the next exchange, takes the dense
+// path below, which is also the reference.
 func (s *Scheduler) loadView(origin topology.UnitID) (mean float64, live int) {
 	if s.rows == nil {
 		s.rows = make([][]forward, s.units)
 	}
+	if s.dead == nil && s.rates == nil {
+		if s.view == viewStale {
+			s.buildExact()
+		}
+		if s.view == viewExact {
+			if sum, ok := s.patchView(origin); ok {
+				return floorMean(float64(sum) / float64(s.units)), s.units
+			}
+		}
+	}
+	s.view = viewDense
+	return s.denseView(origin)
+}
+
+// buildExact starts an exact interval from the snapshot when it
+// qualifies (see loadView), and leaves the view dense when it does not.
+func (s *Scheduler) buildExact() {
+	s.view = viewDense
+	if !(s.hybridB >= 0 && s.hybridB <= math.MaxFloat64) {
+		return // an infinite or NaN weight breaks the monotone score
+	}
+	var sum, abs int64
+	for u, w := range s.snapW {
+		// NaN fails the first test and ±Inf the second.
+		if w != math.Trunc(w) || math.Abs(w) >= exactLimit {
+			return
+		}
+		n := int64(w)
+		if abs += max(n, -n); abs >= exactLimit {
+			return
+		}
+		sum += n
+		s.loadBuf[u] = float64(n) // -0 reads as +0, as the dense path's w + 0 does
+	}
+	if s.least == nil {
+		s.least = make([]topology.UnitID, s.units/s.perStack)
+		s.snapLeast = make([]topology.UnitID, len(s.least))
+	}
+	for st := range s.least {
+		s.setLeast(st)
+	}
+	copy(s.snapLeast, s.least)
+	s.snapSum, s.snapAbs = sum, abs
+	s.patchedOrigin, s.patchedN = 0, 0
+	s.view = viewExact
+}
+
+// patchView turns the exact view into origin's and returns its exact
+// load sum. It reports false, with loadBuf half patched, when a patched
+// load is not an integer or the absolute loads reach exactLimit; the
+// caller then takes the dense path for the rest of the interval.
+func (s *Scheduler) patchView(origin topology.UnitID) (int64, bool) {
+	old, row := s.rows[s.patchedOrigin][:s.patchedN], s.rows[origin]
+	for _, f := range old {
+		s.loadBuf[f.target] = float64(int64(s.snapW[f.target]))
+	}
+	amp := float64(s.units)
+	sum, abs := s.snapSum, s.snapAbs
+	for _, f := range row {
+		w := s.snapW[f.target] + f.load*amp
+		if w != math.Trunc(w) || math.Abs(w) >= exactLimit {
+			return 0, false
+		}
+		o, n := int64(s.snapW[f.target]), int64(w)
+		sum += n - o
+		abs += max(n, -n) - max(o, -o)
+		s.loadBuf[f.target] = w
+	}
+	if abs >= exactLimit {
+		return 0, false
+	}
+	// The last view's stacks hold the snapshot again unless a target of
+	// origin's is in them too, and those are scanned after. A row holds a
+	// few targets, so a stack holding two is scanned twice.
+	topo := s.noc.Topology()
+	for _, f := range old {
+		st := topo.StackOf(f.target)
+		s.least[st] = s.snapLeast[st]
+	}
+	for _, f := range row {
+		s.setLeast(int(topo.StackOf(f.target)))
+	}
+	s.patchedOrigin, s.patchedN = origin, len(row)
+	return sum, true
+}
+
+// setLeast sets stack st's least-loaded unit from loadBuf: the first of
+// its units whose load is least.
+func (s *Scheduler) setLeast(st int) {
+	lo := st * s.perStack
+	least := lo
+	for u := lo + 1; u < lo+s.perStack; u++ {
+		if s.loadBuf[u] < s.loadBuf[least] {
+			least = u
+		}
+	}
+	s.least[st] = topology.UnitID(least)
+}
+
+// denseView is loadView's dense path: it reads every unit, clamps
+// non-finite loads and divides by the service rates.
+func (s *Scheduler) denseView(origin topology.UnitID) (mean float64, live int) {
 	// Spread origin's row over the zeroed scratch, so the loop below reads
 	// every unit's forwarded load by index, and zero it again after.
 	d, row := s.fwdBuf, s.rows[origin]
@@ -472,11 +650,12 @@ func (s *Scheduler) loadView(origin topology.UnitID) (mean float64, live int) {
 	if live == 0 {
 		return 0, 0
 	}
-	mean = sum / float64(live)
-	if mean < hybridMeanFloor {
-		mean = hybridMeanFloor
-	}
-	return mean, live
+	return floorMean(sum / float64(live)), live
+}
+
+// floorMean floors a mean load at hybridMeanFloor.
+func floorMean(mean float64) float64 {
+	return max(mean, hybridMeanFloor)
 }
 
 // hybridMeanFloor, the floor of the load-reading policies' mean load, is

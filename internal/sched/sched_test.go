@@ -378,7 +378,9 @@ func TestPlaceAllUnitsDeadReturnsVerdict(t *testing.T) {
 // the silent-degradation bug: before the degraded counter existed, a run
 // without an armed checker clamped the load half of the policy away with
 // no trace at all — DegradedLoads must now count every clamp whether or
-// not the checker is armed.
+// not the checker is armed. The poisoned load arrives through Exchange,
+// the snapshot's only way in, so the interval takes the dense view, the
+// one that clamps; Exchange's own audit of the snapshot reports it too.
 func TestHybridClampsNonFiniteLoad(t *testing.T) {
 	for _, policy := range []config.Policy{"hybrid", "loadonly"} {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -389,8 +391,8 @@ func TestHybridClampsNonFiniteLoad(t *testing.T) {
 			for i := range w {
 				w[i] = 100
 			}
+			w[7] = bad
 			s.Exchange(w)
-			s.snapW[7] = bad // corrupt after Exchange so only Place sees it
 			tsk := &task.Task{Hint: task.Hint{Lines: []mem.Line{e.lineOn(42)}}}
 			got := s.Place(tsk, 0)
 			if got < 0 {
@@ -424,8 +426,8 @@ func TestDegradedLoadsCountsWithoutAudit(t *testing.T) {
 	for i := range w {
 		w[i] = 100
 	}
+	w[7] = math.NaN()
 	s.Exchange(w)
-	s.snapW[7] = math.NaN()
 	tsk := &task.Task{Hint: task.Hint{Lines: []mem.Line{e.lineOn(42)}}}
 	for i := 0; i < 3; i++ {
 		if got := s.Place(tsk, 0); got < 0 {

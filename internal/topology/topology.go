@@ -41,6 +41,7 @@ type Topology struct {
 	units      int
 	perGroup   int        // units per group
 	unitStack  []StackID  // unit -> stack
+	unitGroup  []int32    // unit -> group
 	stackCoord [][2]int   // stack -> (x, y) mesh coordinate
 	stackAt    []StackID  // y*MeshX + x -> stack
 	hops       [][]int    // [stackA][stackB] Manhattan distance
@@ -70,8 +71,10 @@ func New(cfg Config) *Topology {
 	t.units = t.stacks * cfg.UnitsPerStack
 	t.perGroup = t.units / cfg.Groups
 	t.unitStack = make([]StackID, t.units)
+	t.unitGroup = make([]int32, t.units)
 	for u := range t.unitStack {
 		t.unitStack[u] = StackID(u / cfg.UnitsPerStack)
+		t.unitGroup[u] = int32(u / t.perGroup)
 	}
 
 	// Enumerate stacks group-tile by group-tile (row-major over tiles,
@@ -183,8 +186,9 @@ func (t *Topology) Diameter() int { return t.diameter }
 // lookup a load instead of a division.
 func (t *Topology) StackOf(u UnitID) StackID { return t.unitStack[u] }
 
-// GroupOf returns the localized group containing unit u.
-func (t *Topology) GroupOf(u UnitID) int { return int(u) / t.perGroup }
+// GroupOf returns the localized group containing unit u. Like StackOf it
+// reads a table: every camp lookup asks for its home's group.
+func (t *Topology) GroupOf(u UnitID) int { return int(t.unitGroup[u]) }
 
 // GroupUnits returns the member units of group g. The returned slice must
 // not be modified.
