@@ -10,7 +10,7 @@
 //	abndpbench -j 1            # one run at a time (same output, slower)
 //	abndpbench -benchjson f    # write the harness counters to f
 //	abndpbench -check          # audit every run (invariants + dual-run hash)
-//	abndpbench -remote URL     # render on a running abndpserve instead
+//	abndpbench -remote URL     # render on a running abndpserve instead (with -exp only)
 //
 // Simulation runs are planned up front and executed on a worker pool
 // (GOMAXPROCS-wide by default); each run stays single-goroutine, so the
@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("abndpbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exps   = fs.String("exp", "all", "comma-separated experiments (tab1 tab2 fig2 fig6..fig18, ablrepl ablprobe ablhint abltopo, resilience) or 'all'")
+		exps   = fs.String("exp", "all", "comma-separated experiments (tab1 tab2 fig2 fig6..fig18, ablrepl ablprobe ablhint abltopo ablsteal ablwindow, resilience) or 'all'")
 		quick  = fs.Bool("quick", false, "shrink workloads for a fast smoke run")
 		svg    = fs.String("svg", "", "also render the figures as SVG files into this directory")
 		jobs   = fs.Int("j", 0, "worker goroutines for simulation runs (0 = GOMAXPROCS, 1 = one run at a time)")
@@ -70,16 +70,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	// The service renders with its own settings, so with -remote any flag
+	// but -exp would be dropped: refuse it as a usage error instead.
+	if *remote != "" {
+		var local []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "remote" && f.Name != "exp" {
+				local = append(local, "-"+f.Name)
+			}
+		})
+		if len(local) > 0 {
+			fmt.Fprintf(stderr, "abndpbench: %s cannot be used with -remote, which takes only -exp\n", strings.Join(local, ", "))
+			return 2
+		}
+		return runRemote(*remote, *exps, stdout, stderr)
+	}
+
 	// Validate the worker count before doing any work: a negative -j is a
 	// 2-exit usage error, not a silent clamp (the same rule abndpserve
 	// applies).
 	if err := bench.ValidateWorkers(*jobs); err != nil {
 		fmt.Fprintln(stderr, "abndpbench:", err)
 		return 2
-	}
-
-	if *remote != "" {
-		return runRemote(*remote, *exps, stdout, stderr)
 	}
 
 	if *srv != "" {

@@ -40,3 +40,44 @@ func TestNegativeWorkersExit2(t *testing.T) {
 		t.Fatalf("a usage error printed tables:\n%s", stdout.String())
 	}
 }
+
+// -remote renders on the service with the service's settings, so every
+// other flag but -exp is a usage error: exit 2, naming the flag, before
+// the server is contacted and with nothing on stdout.
+func TestRemoteRejectsLocalFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-quick", []string{"-quick"}},
+		{"-svg", []string{"-svg", filepath.Join(dir, "svg")}},
+		{"-j", []string{"-j", "2"}},
+		{"-benchjson", []string{"-benchjson", filepath.Join(dir, "b.json")}},
+		{"-progress", []string{"-progress"}},
+		{"-pprof", []string{"-pprof", "127.0.0.1:0"}},
+		{"-cpuprofile", []string{"-cpuprofile", filepath.Join(dir, "cpu.prof")}},
+		{"-memprofile", []string{"-memprofile", filepath.Join(dir, "mem.prof")}},
+		{"-rundeadline", []string{"-rundeadline", "1m"}},
+		{"-check", []string{"-check"}},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			// Port 1 on the loopback answers nothing: a client that got
+			// that far would fail with exit 1.
+			args := append([]string{"-remote", "http://127.0.0.1:1", "-exp", "tab2"}, tc.args...)
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2\nstderr: %s", code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.flag) {
+				t.Fatalf("the usage error does not name %s: %s", tc.flag, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("a usage error printed to stdout:\n%s", stdout.String())
+			}
+		})
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("rejected runs wrote %d files", len(entries))
+	}
+}

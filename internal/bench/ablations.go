@@ -20,9 +20,6 @@ import (
 //   - abltopo:  §2.1 topology-independence — mesh vs torus inter-stack
 //     network under design O vs B.
 
-// AblationExperiments lists the extra experiments in display order.
-var AblationExperiments = []string{"ablrepl", "ablprobe", "ablhint", "abltopo", "ablsteal", "ablwindow"}
-
 // runP is run with an additional workload-parameter mutation.
 func (r *Runner) runP(app string, d config.Design, cfgMut func(*config.Config), pMut func(*apps.Params)) *ndp.Result {
 	cfg := r.base
@@ -36,125 +33,112 @@ func (r *Runner) runP(app string, d config.Design, cfgMut func(*config.Config), 
 	return r.runCfg(runSpec{app: app, d: d, cfg: cfg, p: p})
 }
 
-// AblationReplacement compares random vs LRU Traveller Cache replacement.
-func (r *Runner) AblationReplacement() {
-	r.header("Ablation: Traveller replacement policy (§4.4; normalized to random)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\tpolicy\tspeedup\thops\n")
+// ablationReplacement compares random vs LRU Traveller Cache replacement.
+func (r *Runner) ablationReplacement() *table {
+	t := newTable("Ablation: Traveller replacement policy (§4.4; normalized to random)",
+		labels("app", "policy"), nums("%.3f", "speedup", "hops"))
 	for _, app := range figureApps {
 		ref := r.run(app, config.DesignO, nil)
 		for _, repl := range []config.Replacement{config.ReplaceRandom, config.ReplaceLRU} {
-			repl := repl
 			res := r.run(app, config.DesignO, func(c *config.Config) { c.Replacement = repl })
-			fmt.Fprintf(w, "%s\t%s\t%.3f\t%.3f\n", app, repl,
+			t.add(app, repl.String(),
 				float64(ref.Makespan)/float64(res.Makespan),
 				float64(res.InterHops)/float64(ref.InterHops))
 		}
 	}
-	w.Flush()
+	return t
 }
 
-// AblationProbeAll compares nearest-camp-only probing against chasing every
-// camp in distance order before going home.
-func (r *Runner) AblationProbeAll() {
-	r.header("Ablation: nearest-only vs probe-all camp misses (§4.3; normalized to nearest)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\tpolicy\tspeedup\thops\tcache hit rate\n")
+// ablationProbeAll compares nearest-camp-only probing against chasing
+// every camp in distance order before going home.
+func (r *Runner) ablationProbeAll() *table {
+	t := newTable("Ablation: nearest-only vs probe-all camp misses (§4.3; normalized to nearest)",
+		labels("app", "policy"), nums("%.3f", "speedup", "hops", "cache hit rate"))
 	for _, app := range figureApps {
 		ref := r.run(app, config.DesignO, nil)
 		for _, all := range []bool{false, true} {
-			all := all
 			name := "nearest"
 			if all {
 				name = "probe-all"
 			}
 			res := r.run(app, config.DesignO, func(c *config.Config) { c.ProbeAllCamps = all })
-			fmt.Fprintf(w, "%s\t%s\t%.3f\t%.3f\t%.3f\n", app, name,
+			t.add(app, name,
 				float64(ref.Makespan)/float64(res.Makespan),
 				float64(res.InterHops)/float64(ref.InterHops),
 				res.Stats.CacheHitRate())
 		}
 	}
-	w.Flush()
+	return t
 }
 
-// AblationHints compares estimated workload hints against exact ones.
-func (r *Runner) AblationHints() {
-	r.header("Ablation: estimated vs exact workload hints (§3.1; normalized to estimated)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\thints\tspeedup\timbalance\n")
+// ablationHints compares estimated workload hints against exact ones.
+func (r *Runner) ablationHints() *table {
+	t := newTable("Ablation: estimated vs exact workload hints (§3.1; normalized to estimated)",
+		labels("app", "hints"), nums("%.3f", "speedup"), nums("%.2f", "imbalance"))
 	for _, app := range figureApps {
 		ref := r.run(app, config.DesignO, nil)
 		for _, perfect := range []bool{false, true} {
-			perfect := perfect
 			name := "estimated"
 			if perfect {
 				name = "exact"
 			}
 			res := r.runP(app, config.DesignO, nil, func(p *apps.Params) { p.PerfectHints = perfect })
-			fmt.Fprintf(w, "%s\t%s\t%.3f\t%.2f\n", app, name,
+			t.add(app, name,
 				float64(ref.Makespan)/float64(res.Makespan),
 				res.Stats.ImbalanceRatio())
 		}
 	}
-	w.Flush()
+	return t
 }
 
-// AblationStealing compares random victim selection (Blumofe-Leiserson)
+// ablationStealing compares random victim selection (Blumofe-Leiserson)
 // against snapshot-informed victim selection for design Sl.
-func (r *Runner) AblationStealing() {
-	r.header("Ablation: random vs snapshot-informed work stealing (design Sl; normalized to random)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\tvictim policy\tspeedup\timbalance\thops\n")
+func (r *Runner) ablationStealing() *table {
+	t := newTable("Ablation: random vs snapshot-informed work stealing (design Sl; normalized to random)",
+		labels("app", "victim policy"), nums("%.3f", "speedup"), nums("%.2f", "imbalance"), nums("%.3f", "hops"))
 	for _, app := range figureApps {
 		ref := r.run(app, config.DesignSl, nil)
 		for _, informed := range []bool{false, true} {
-			informed := informed
 			name := "random"
 			if informed {
 				name = "informed"
 			}
 			res := r.run(app, config.DesignSl, func(c *config.Config) { c.InformedStealing = informed })
-			fmt.Fprintf(w, "%s\t%s\t%.3f\t%.2f\t%.3f\n", app, name,
+			t.add(app, name,
 				float64(ref.Makespan)/float64(res.Makespan),
 				res.Stats.ImbalanceRatio(),
 				float64(res.InterHops)/float64(ref.InterHops))
 		}
 	}
-	w.Flush()
+	return t
 }
 
-// AblationWindow compares instantaneous task placement against the
+// ablationWindow compares instantaneous task placement against the
 // asynchronous hardware scheduling window of Figure 4 (several window
 // sizes at the default 64-cycle scheduler period).
-func (r *Runner) AblationWindow() {
-	r.header("Ablation: scheduling window (Figure 4; design O; normalized to instantaneous)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\twindow\tspeedup\n")
+func (r *Runner) ablationWindow() *table {
+	t := newTable("Ablation: scheduling window (Figure 4; design O; normalized to instantaneous)",
+		labels("app", "window"), nums("%.3f", "speedup"))
 	for _, app := range figureApps {
 		ref := r.run(app, config.DesignO, nil)
 		for _, win := range []int{0, 2, 8, 32} {
-			win := win
 			name := "instant"
 			if win > 0 {
 				name = fmt.Sprintf("%d/period", win)
 			}
 			res := r.run(app, config.DesignO, func(c *config.Config) { c.SchedulingWindow = win })
-			fmt.Fprintf(w, "%s\t%s\t%.3f\n", app, name,
-				float64(ref.Makespan)/float64(res.Makespan))
+			t.add(app, name, float64(ref.Makespan)/float64(res.Makespan))
 		}
 	}
-	w.Flush()
+	return t
 }
 
-// AblationTopology compares the O-over-B gain on a mesh and on a torus.
-func (r *Runner) AblationTopology() {
-	r.header("Ablation: mesh vs torus inter-stack network (O speedup over B on each)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\ttopology\tO/B speedup\tO hops/B hops\n")
+// ablationTopology compares the O-over-B gain on a mesh and on a torus.
+func (r *Runner) ablationTopology() *table {
+	t := newTable("Ablation: mesh vs torus inter-stack network (O speedup over B on each)",
+		labels("app", "topology"), nums("%.3f", "O/B speedup", "O hops/B hops"))
 	for _, app := range figureApps {
 		for _, torus := range []bool{false, true} {
-			torus := torus
 			name := "mesh"
 			if torus {
 				name = "torus"
@@ -162,10 +146,10 @@ func (r *Runner) AblationTopology() {
 			mut := func(c *config.Config) { c.Torus = torus }
 			base := r.run(app, config.DesignB, mut)
 			opt := r.run(app, config.DesignO, mut)
-			fmt.Fprintf(w, "%s\t%s\t%.3f\t%.3f\n", app, name,
+			t.add(app, name,
 				float64(base.Makespan)/float64(opt.Makespan),
 				float64(opt.InterHops)/float64(base.InterHops))
 		}
 	}
-	w.Flush()
+	return t
 }

@@ -1,16 +1,21 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§7): it runs the right (workload, design, configuration)
-// grid for each experiment, derives the same normalized metrics the paper
-// plots, and prints them as text tables. cmd/abndpbench and the root
-// bench_test.go both drive this package.
+// grid for each experiment and derives the same normalized metrics the
+// paper plots. cmd/abndpbench and the root bench_test.go both drive this
+// package.
+//
+// Each experiment (experiments.go) computes its numbers once, as a table
+// of labelled rows and columns. The text renderer prints that table
+// (table.go), and the experiment's chart, if it has one, plots it as an
+// SVG (svg.go); no chart makes a run of its own.
 //
 // Execution is split into plan and execute phases: each experiment's
-// rendering code is first replayed against a placeholder result to collect
-// the exact (app, design, config, params) run set it needs, the
-// deduplicated union of all requested runs is simulated by a worker pool
-// across GOMAXPROCS goroutines (every simulation stays single-goroutine,
-// so per-run determinism is untouched), and the tables are then rendered
-// in paper order from the completed results — byte-identical to serial
+// table builder is first run against a placeholder result to collect the
+// exact (app, design, config, params) run set it needs, the deduplicated
+// union of all requested runs is simulated by a worker pool across
+// GOMAXPROCS goroutines (every simulation stays single-goroutine, so
+// per-run determinism is untouched), and the tables are then built in
+// display order from the completed results — byte-identical to serial
 // execution. See pool.go.
 package bench
 
@@ -22,7 +27,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 	"time"
 
 	"abndp/internal/apps"
@@ -41,7 +45,8 @@ type Runner struct {
 	base     config.Config
 	quick    bool
 	workers  int
-	progress io.Writer // nil: no live progress reporting
+	progress io.Writer  // nil: no live progress reporting
+	progMu   sync.Mutex // workers report too: one line is written at a time
 
 	cache *memo[*ndp.Result]
 	fcach *memo[*ndp.FunctionalResult]
@@ -135,7 +140,9 @@ func (r *Runner) SetProgress(w io.Writer) { r.progress = w }
 // progressf prints one progress line when reporting is enabled.
 func (r *Runner) progressf(format string, args ...any) {
 	if r.progress != nil {
+		r.progMu.Lock()
 		fmt.Fprintf(r.progress, format, args...)
+		r.progMu.Unlock()
 	}
 }
 
@@ -285,8 +292,8 @@ func (r *Runner) functional(app string) *ndp.FunctionalResult {
 }
 
 // planResult is what run returns while planning: every metric the
-// rendering code might read is populated and nonzero, so replaying the
-// render math against it cannot panic. Placeholders are never cached.
+// table builders might read is populated and nonzero, so building a table
+// against it cannot panic. Placeholders are never cached.
 var planResult = func() *ndp.Result {
 	st := stats.NewSystem(1, 1)
 	st.Units[0].ActiveCycles[0] = 1
@@ -307,108 +314,6 @@ func (r *Runner) hostSeconds(app string) float64 {
 
 // figureApps are the representative workloads of Figures 8, 9, 11-18.
 var figureApps = []string{"pr", "bfs", "gcn", "knn", "spmv"}
-
-func (r *Runner) tw() *tabwriter.Writer {
-	return tabwriter.NewWriter(r.out, 2, 4, 2, ' ', 0)
-}
-
-func (r *Runner) header(title string) {
-	fmt.Fprintf(r.out, "\n=== %s ===\n", title)
-}
-
-// Experiment names in paper order.
-var Experiments = []string{
-	"tab1", "tab2", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-}
-
-// Run executes one experiment by name: its run set is simulated by the
-// worker pool, then the tables are rendered from the completed results.
-func (r *Runner) Run(name string) error {
-	if err := r.planAndExecute(name); err != nil {
-		return err
-	}
-	return r.render(name)
-}
-
-// render dispatches one experiment's table/figure output. All simulation
-// requests it makes hit the warmed cache after planAndExecute (a miss
-// falls back to simulating inline, so partial plans stay correct).
-func (r *Runner) render(name string) error {
-	if !r.planning {
-		r.progressf("render %s\n", name)
-	}
-	switch name {
-	case "tab1":
-		r.Table1()
-	case "tab2":
-		r.Table2()
-	case "fig2":
-		r.Figure2()
-	case "fig6":
-		r.Figure6()
-	case "fig7":
-		r.Figure7()
-	case "fig8":
-		r.Figure8()
-	case "fig9":
-		r.Figure9()
-	case "fig10":
-		r.Figure10()
-	case "fig11":
-		r.Figure11()
-	case "fig12":
-		r.Figure12()
-	case "fig13":
-		r.Figure13()
-	case "fig14":
-		r.Figure14()
-	case "fig15":
-		r.Figure15()
-	case "fig16":
-		r.Figure16()
-	case "fig17":
-		r.Figure17()
-	case "fig18":
-		r.Figure18()
-	case "ablrepl":
-		r.AblationReplacement()
-	case "ablprobe":
-		r.AblationProbeAll()
-	case "ablhint":
-		r.AblationHints()
-	case "abltopo":
-		r.AblationTopology()
-	case "ablsteal":
-		r.AblationStealing()
-	case "ablwindow":
-		r.AblationWindow()
-	case "resilience":
-		r.Resilience()
-	default:
-		return fmt.Errorf("bench: unknown experiment %q", name)
-	}
-	return nil
-}
-
-// RunAll executes every experiment in paper order, then the ablations. The
-// union of every experiment's run set is deduplicated and simulated up
-// front, so overlapping experiments (most share the design-O defaults)
-// simulate once and the pool sees the widest possible parallelism.
-func (r *Runner) RunAll() {
-	names := make([]string, 0, len(Experiments)+len(AblationExperiments)+len(ResilienceExperiments))
-	names = append(names, Experiments...)
-	names = append(names, AblationExperiments...)
-	names = append(names, ResilienceExperiments...)
-	if err := r.planAndExecute(names...); err != nil {
-		panic(err)
-	}
-	for _, e := range names {
-		if err := r.render(e); err != nil {
-			panic(err)
-		}
-	}
-}
 
 // loadCurve summarizes a Figure 9 curve: selected quantiles of per-core
 // active cycles normalized to the design's mean.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"abndp/internal/config"
 	"abndp/internal/mem"
@@ -9,38 +10,35 @@ import (
 	"abndp/internal/traveller"
 )
 
-// Table1 prints the system configuration (paper Table 1).
-func (r *Runner) Table1() {
-	r.header("Table 1: System configurations")
+// table1 lists the system configuration (paper Table 1).
+func (r *Runner) table1() *table {
 	c := r.base
-	w := r.tw()
-	fmt.Fprintf(w, "NDP system\t%dx%d stacks in mesh, %d NDP units per stack; %d GB total, %d MB per unit\n",
+	t := newTable("Table 1: System configurations", labels("", ""))
+	t.add("NDP system", fmt.Sprintf("%dx%d stacks in mesh, %d NDP units per stack; %d GB total, %d MB per unit",
 		c.MeshX, c.MeshY, c.UnitsPerStack,
-		uint64(c.Units())*c.UnitBytes>>30, c.UnitBytes>>20)
-	fmt.Fprintf(w, "NDP core\t%.0f GHz, %d cores per NDP unit (%d in total)\n",
-		c.CoreGHz, c.CoresPerUnit, c.Units()*c.CoresPerUnit)
-	fmt.Fprintf(w, "L1-D cache\t%d kB, %d-way, 64 B cachelines, LRU\n", c.L1DBytes>>10, c.L1DWays)
-	fmt.Fprintf(w, "L1-I cache\t%d kB, %d-way, 64 B cachelines, LRU\n", c.L1IBytes>>10, c.L1IWays)
-	fmt.Fprintf(w, "Prefetch buffer\t%d kB, 64 B blocks, FIFO\n", c.PrefetchBufBytes>>10)
-	fmt.Fprintf(w, "DRAM channel\ttCAS=tRCD=tRP=%.0f ns; %.1f pJ/bit RD/WR, %.1f pJ ACT/PRE\n",
-		c.TCASns, c.DRAMPJPerBit, c.DRAMActPrePJ)
-	fmt.Fprintf(w, "Intra-stack net\t%.1f ns/hop; %.1f pJ/bit\n", c.IntraHopNS, c.IntraPJPerBit)
-	fmt.Fprintf(w, "Inter-stack net\t%.0f ns/hop; %.1f pJ/bit\n", c.InterHopNS, c.InterPJPerBit)
-	fmt.Fprintf(w, "Traveller Cache\t1/%d of local mem, %d-way; C=%d camps; random repl., %.0f%% bypass\n",
-		c.CacheRatio, c.CacheWays, c.CampCount, c.BypassProb*100)
-	fmt.Fprintf(w, "Scheduler\t%d-cycle workload exchange; hybrid weight B = 3*Dinter\n",
-		c.ExchangeInterval)
+		uint64(c.Units())*c.UnitBytes>>30, c.UnitBytes>>20))
+	t.add("NDP core", fmt.Sprintf("%.0f GHz, %d cores per NDP unit (%d in total)",
+		c.CoreGHz, c.CoresPerUnit, c.Units()*c.CoresPerUnit))
+	t.add("L1-D cache", fmt.Sprintf("%d kB, %d-way, 64 B cachelines, LRU", c.L1DBytes>>10, c.L1DWays))
+	t.add("L1-I cache", fmt.Sprintf("%d kB, %d-way, 64 B cachelines, LRU", c.L1IBytes>>10, c.L1IWays))
+	t.add("Prefetch buffer", fmt.Sprintf("%d kB, 64 B blocks, FIFO", c.PrefetchBufBytes>>10))
+	t.add("DRAM channel", fmt.Sprintf("tCAS=tRCD=tRP=%.0f ns; %.1f pJ/bit RD/WR, %.1f pJ ACT/PRE",
+		c.TCASns, c.DRAMPJPerBit, c.DRAMActPrePJ))
+	t.add("Intra-stack net", fmt.Sprintf("%.1f ns/hop; %.1f pJ/bit", c.IntraHopNS, c.IntraPJPerBit))
+	t.add("Inter-stack net", fmt.Sprintf("%.0f ns/hop; %.1f pJ/bit", c.InterHopNS, c.InterPJPerBit))
+	t.add("Traveller Cache", fmt.Sprintf("1/%d of local mem, %d-way; C=%d camps; random repl., %.0f%% bypass",
+		c.CacheRatio, c.CacheWays, c.CampCount, c.BypassProb*100))
+	t.add("Scheduler", fmt.Sprintf("%d-cycle workload exchange; hybrid weight B = 3*Dinter",
+		c.ExchangeInterval))
 	sets := int(c.CacheBytes()) / mem.LineSize / c.CacheWays
-	fmt.Fprintf(w, "SRAM tags\t%d bits/entry (15 without camp restriction)\n",
-		traveller.TagBits(uint64(c.Units())*c.UnitBytes, sets, c.Units()/c.Groups()))
-	w.Flush()
+	t.add("SRAM tags", fmt.Sprintf("%d bits/entry (15 without camp restriction)",
+		traveller.TagBits(uint64(c.Units())*c.UnitBytes, sets, c.Units()/c.Groups())))
+	return t
 }
 
-// Table2 prints the evaluated design matrix (paper Table 2).
-func (r *Runner) Table2() {
-	r.header("Table 2: Evaluated system designs")
-	w := r.tw()
-	fmt.Fprintf(w, "Design\tTask scheduling\tDRAM caches\n")
+// table2 lists the evaluated design matrix (paper Table 2).
+func (r *Runner) table2() *table {
+	t := newTable("Table 2: Evaluated system designs", labels("Design", "Task scheduling", "DRAM caches"))
 	for _, d := range config.AllDesigns {
 		cache := "No"
 		if d.UsesCache() {
@@ -49,18 +47,17 @@ func (r *Runner) Table2() {
 		if d == config.DesignH {
 			cache = "-"
 		}
-		fmt.Fprintf(w, "%s\t%s\t%s\n", d, d.SchedulingName(), cache)
+		t.add(d.String(), d.SchedulingName(), cache)
 	}
-	w.Flush()
+	return t
 }
 
-// Figure2 reproduces the motivation experiment: lowest-distance mapping
+// figure2 reproduces the motivation experiment: lowest-distance mapping
 // (LDM = Sm) and work stealing (WS = Sl) on Page Rank — interconnect hops
 // and the per-unit execution-cycle distribution, relative to the baseline.
-func (r *Runner) Figure2() {
-	r.header("Figure 2: LDM/WS tradeoff on Page Rank (normalized to BASE)")
-	w := r.tw()
-	fmt.Fprintf(w, "design\thops\tunit-cycles min\tq25\tq75\tmax\n")
+func (r *Runner) figure2() *table {
+	t := newTable("Figure 2: LDM/WS tradeoff on Page Rank (normalized to BASE)",
+		labels("design"), nums("%.3f", "hops", "unit-cycles min", "q25", "q75", "max"))
 	base := r.run("pr", config.DesignB, nil)
 	for _, row := range []struct {
 		label string
@@ -75,28 +72,31 @@ func (r *Runner) Figure2() {
 			}
 			return x / bb.Max
 		}
-		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\n",
-			row.label,
+		t.add(row.label,
 			float64(res.InterHops)/float64(base.InterHops),
 			norm(b.Min), norm(b.Q1), norm(b.Q3), norm(b.Max))
 	}
-	w.Flush()
+	return t
 }
 
-// Figure6 prints the overall speedup of every design over B for all eight
-// workloads plus the geomean.
-func (r *Runner) Figure6() {
-	r.header("Figure 6: Overall speedup (normalized to B)")
-	w := r.tw()
-	fmt.Fprintf(w, "app")
-	for _, d := range config.AllDesigns {
-		fmt.Fprintf(w, "\t%s", d)
+// designNames returns the designs' names, in order.
+func designNames(ds []config.Design) []string {
+	names := make([]string, len(ds))
+	for i, d := range ds {
+		names[i] = d.String()
 	}
-	fmt.Fprintln(w)
+	return names
+}
+
+// figure6 computes the overall speedup of every design over B for all
+// eight workloads, plus each design's geomean.
+func (r *Runner) figure6() *table {
+	t := newTable("Figure 6: Overall speedup (normalized to B)",
+		labels("app"), nums("%.2f", designNames(config.AllDesigns)...))
 	speedups := map[config.Design][]float64{}
 	for _, app := range appsList() {
 		base := r.run(app, config.DesignB, nil)
-		fmt.Fprintf(w, "%s", app)
+		row := []any{app}
 		for _, d := range config.AllDesigns {
 			var s float64
 			if d == config.DesignH {
@@ -108,93 +108,109 @@ func (r *Runner) Figure6() {
 				s = float64(base.Makespan) / float64(res.Makespan)
 			}
 			speedups[d] = append(speedups[d], s)
-			fmt.Fprintf(w, "\t%.2f", s)
+			row = append(row, s)
 		}
-		fmt.Fprintln(w)
+		t.add(row...)
 	}
-	fmt.Fprintf(w, "geomean")
+	row := []any{"geomean"}
 	for _, d := range config.AllDesigns {
-		fmt.Fprintf(w, "\t%.2f", stats.Geomean(speedups[d]))
+		row = append(row, stats.Geomean(speedups[d]))
 	}
-	fmt.Fprintln(w)
-	w.Flush()
+	t.add(row...)
+	return t
 }
 
-// Figure7 prints the four-component energy breakdown normalized to B.
-func (r *Runner) Figure7() {
-	r.header("Figure 7: Energy breakdown (normalized to B)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\tdesign\tstatic\tDRAM\tinterconnect\tcore+SRAM\ttotal\n")
+// figure7 computes the four-component energy breakdown normalized to B.
+func (r *Runner) figure7() *table {
+	t := newTable("Figure 7: Energy breakdown (normalized to B)",
+		labels("app", "design"), nums("%.3f", "static", "DRAM", "interconnect", "core+SRAM", "total"))
 	for _, app := range appsList() {
 		ref := r.run(app, config.DesignB, nil).Energy
 		for _, d := range config.NDPDesigns {
 			e := r.run(app, d, nil).Energy.NormalizedTo(ref)
-			fmt.Fprintf(w, "%s\t%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\n",
-				app, d, e.Static, e.DRAM, e.Interconnect, e.CoreSRAM, e.Total())
+			t.add(app, d.String(), e.Static, e.DRAM, e.Interconnect, e.CoreSRAM, e.Total())
 		}
 	}
-	w.Flush()
+	return t
 }
 
-// Figure8 prints remote accesses (total inter-stack hops) normalized to B.
-func (r *Runner) Figure8() {
-	r.header("Figure 8: Remote accesses in inter-stack hops (normalized to B)")
-	w := r.tw()
-	fmt.Fprintf(w, "app")
-	for _, d := range config.NDPDesigns {
-		fmt.Fprintf(w, "\t%s", d)
-	}
-	fmt.Fprintln(w)
+// figure8 computes remote accesses (total inter-stack hops) normalized to B.
+func (r *Runner) figure8() *table {
+	t := newTable("Figure 8: Remote accesses in inter-stack hops (normalized to B)",
+		labels("app"), nums("%.3f", designNames(config.NDPDesigns)...))
 	for _, app := range figureApps {
 		base := r.run(app, config.DesignB, nil)
-		fmt.Fprintf(w, "%s", app)
+		row := []any{app}
 		for _, d := range config.NDPDesigns {
 			res := r.run(app, d, nil)
-			fmt.Fprintf(w, "\t%.3f", float64(res.InterHops)/float64(base.InterHops))
+			row = append(row, float64(res.InterHops)/float64(base.InterHops))
 		}
-		fmt.Fprintln(w)
+		t.add(row...)
 	}
-	w.Flush()
+	return t
 }
 
-// Figure9 prints the workload distribution across NDP cores: quantiles of
-// per-core active cycles, normalized to each design's mean.
-func (r *Runner) Figure9() {
-	r.header("Figure 9: Active-cycle distribution across cores (per-design mean = 1)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\tdesign\tmin\tq25\tmedian\tq75\tmax\n")
+// figure9 computes the workload distribution across NDP cores. The first
+// table holds quantiles of per-core active cycles, normalized to each
+// design's mean; the second, which only the chart plots, holds Page
+// Rank's whole curve: every core's cycles over the mean, sorted ascending,
+// one column per design.
+func (r *Runner) figure9() []*table {
+	quantiles := newTable("Figure 9: Active-cycle distribution across cores (per-design mean = 1)",
+		labels("app", "design"), nums("%.2f", "min", "q25", "median", "q75", "max"))
 	for _, app := range figureApps {
 		for _, d := range config.NDPDesigns {
 			res := r.run(app, d, nil)
 			mn, q1, md, q3, mx := loadCurve(res.Stats)
-			fmt.Fprintf(w, "%s\t%s\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
-				app, d, mn, q1, md, q3, mx)
+			quantiles.add(app, d.String(), mn, q1, md, q3, mx)
 		}
 	}
-	w.Flush()
+
+	curve := newTable("Figure 9: sorted per-core active cycles on Page Rank (per-design mean = 1)",
+		labels("core"), nums("%.3f", designNames(config.NDPDesigns)...))
+	var cols [][]float64
+	for _, d := range config.NDPDesigns {
+		cycles := r.run("pr", d, nil).Stats.CoreActiveCycles()
+		var sum int64
+		for _, c := range cycles {
+			sum += c
+		}
+		mean := float64(sum) / float64(len(cycles))
+		vals := make([]float64, len(cycles))
+		for i, c := range cycles {
+			vals[i] = float64(c) / mean
+		}
+		cols = append(cols, vals)
+	}
+	for i := range cols[0] {
+		row := []any{strconv.Itoa(i)}
+		for _, vals := range cols {
+			row = append(row, vals[i])
+		}
+		curve.add(row...)
+	}
+	return []*table{quantiles, curve}
 }
 
-// Figure10 prints Page Rank speedup and energy at 2x2, 4x4, and 8x8 stack
-// scales, normalized to B at each scale.
-func (r *Runner) Figure10() {
-	r.header("Figure 10: Scalability on Page Rank (normalized to B at each scale)")
-	w := r.tw()
-	fmt.Fprintf(w, "scale\tdesign\tspeedup\tenergy\n")
+// figure10 computes Page Rank speedup and energy at 2x2, 4x4, and 8x8
+// stack scales, normalized to B at each scale.
+func (r *Runner) figure10() *table {
+	t := newTable("Figure 10: Scalability on Page Rank (normalized to B at each scale)",
+		labels("scale", "design"), nums("%.2f", "speedup"), nums("%.3f", "energy"))
 	for _, mesh := range []int{2, 4, 8} {
 		mut := func(c *config.Config) { c.MeshX, c.MeshY = mesh, mesh }
 		base := r.run("pr", config.DesignB, mut)
 		for _, d := range config.NDPDesigns {
 			res := r.run("pr", d, mut)
-			fmt.Fprintf(w, "%dx%d\t%s\t%.2f\t%.3f\n", mesh, mesh, d,
+			t.add(fmt.Sprintf("%dx%d", mesh, mesh), d.String(),
 				float64(base.Makespan)/float64(res.Makespan),
 				res.Energy.Total()/base.Energy.Total())
 		}
 	}
-	w.Flush()
+	return t
 }
 
-// appsList returns the full workload list (shrunk in quick mode to keep
-// harness smoke tests fast).
+// appsList returns the eight workloads of Figures 6 and 7.
 func appsList() []string {
 	return []string{"pr", "bfs", "sssp", "astar", "gcn", "kmeans", "knn", "spmv"}
 }

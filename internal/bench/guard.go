@@ -120,14 +120,14 @@ func (h *halter) halt() {
 
 // runGuarded executes fn with crash isolation: fn runs on its own
 // goroutine, a panic becomes a recorded RunFailure instead of unwinding the
-// worker (which would also poison the memo cache's sync.Once), and a run
-// exceeding the deadline is abandoned and recorded as hung. fn registers
-// the Systems it builds with its halter, and an abandoned run's Systems
-// are halted: each stops at its next event and its goroutine exits, so it
-// does not keep a core. Input generation (an app's Setup) runs before the
-// first event and is not interrupted. On failure the sentinel is returned
-// and cached, so every later lookup of the same key sees the same failed
-// placeholder and the sweep's remaining rows render unchanged.
+// worker, and a run exceeding the deadline is abandoned and recorded as
+// hung. fn registers the Systems it builds with its halter, and an
+// abandoned run's Systems are halted: each stops at its next event and its
+// goroutine exits, so it does not keep a core. Input generation (an app's
+// Setup) runs before the first event and is not interrupted. On failure
+// the sentinel is returned and cached, so every later lookup of the same
+// key sees the same failed placeholder and the sweep's remaining rows
+// render unchanged.
 func runGuarded[V any](r *Runner, f RunFailure, sentinel V, fn func(*halter) V) V {
 	ch := make(chan guardOutcome[V], 1) // buffered: a timed-out run's late send must not leak its goroutine
 	h := &halter{}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -21,13 +20,17 @@ func runExperiments(t *testing.T, workers int, names []string) (string, map[stri
 	if names == nil {
 		r.RunAll()
 	} else {
-		if err := r.planAndExecute(names...); err != nil {
-			t.Fatal(err)
-		}
+		var exps []*experiment
 		for _, n := range names {
-			if err := r.render(n); err != nil {
+			e, err := lookup(n)
+			if err != nil {
 				t.Fatal(err)
 			}
+			exps = append(exps, e)
+		}
+		r.planAndExecute(exps...)
+		for _, e := range exps {
+			r.render(buf, e)
 		}
 	}
 	digests := make(map[string]string)
@@ -147,25 +150,22 @@ func TestRunKeyDistinguishesConfigs(t *testing.T) {
 	}
 }
 
-// TestPlanningCollectsWithoutSimulating replays an experiment in planning
-// mode and checks that specs are recorded, nothing is cached, and no
-// placeholder leaks into the memo.
+// TestPlanningCollectsWithoutSimulating plans an experiment and checks
+// that specs are recorded, nothing is cached, and no placeholder leaks into
+// the memo.
 func TestPlanningCollectsWithoutSimulating(t *testing.T) {
-	r, buf := quickRunner()
-	r.planned = make(map[string]runSpec)
-	r.plannedF = make(map[string]funcSpec)
-	out := r.out
-	r.out, r.planning = &bytes.Buffer{}, true
-	if err := r.render("fig8"); err != nil {
+	r, _ := quickRunner()
+	e, err := lookup("fig8")
+	if err != nil {
 		t.Fatal(err)
 	}
-	r.out, r.planning = out, false
+	planned, _ := r.plan([]*experiment{e})
 
 	// Figure 8: figureApps x NDPDesigns, deduplicated (B appears both as
 	// base and as a column).
 	want := len(figureApps) * len(config.NDPDesigns)
-	if len(r.planned) != want {
-		t.Fatalf("planned %d runs, want %d", len(r.planned), want)
+	if len(planned) != want {
+		t.Fatalf("planned %d runs, want %d", len(planned), want)
 	}
 	r.cache.mu.Lock()
 	n := len(r.cache.m)
@@ -173,7 +173,7 @@ func TestPlanningCollectsWithoutSimulating(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("planning cached %d results; placeholders must not be cached", n)
 	}
-	if buf.Len() != 0 {
-		t.Fatal("planning wrote to the runner's real output")
+	if r.planning || r.planned != nil {
+		t.Fatal("planning state outlived the plan")
 	}
 }

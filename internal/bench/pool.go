@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,8 +42,7 @@ type funcSpec struct {
 }
 
 // memo is a concurrency-safe, singleflight memoization cache: concurrent
-// do calls for the same key run fn exactly once and share the result. It
-// replaces the Runner's former unsynchronized map[string]*ndp.Result.
+// do calls for the same key run fn exactly once and share the result.
 //
 // Entries complete by closing their done channel, not via sync.Once: a
 // computation that panics removes its entry before the panic unwinds, so
@@ -130,34 +128,30 @@ func (c *memo[V]) cached(key string) bool {
 	return c.m[key] != nil
 }
 
-// planAndExecute collects the run set of the named experiments by
-// replaying their rendering code against placeholder results (output goes
-// to io.Discard), then simulates the deduplicated union on the worker
-// pool. With a single worker there is nothing to overlap, so planning is
-// skipped and runs happen lazily inside render, exactly as the serial
-// harness always has.
-func (r *Runner) planAndExecute(names ...string) error {
+// planAndExecute simulates the run set of the given experiments on the
+// worker pool. With a single worker there is nothing to overlap, so
+// planning is skipped and runs happen lazily as the tables are built,
+// exactly as the serial harness always has.
+func (r *Runner) planAndExecute(exps ...*experiment) {
 	if r.Workers() <= 1 {
-		return nil
+		return
 	}
+	r.executePlan(r.plan(exps))
+}
+
+// plan collects the run set of the experiments by building their tables
+// against placeholder results, which it drops.
+func (r *Runner) plan(exps []*experiment) (map[string]runSpec, map[string]funcSpec) {
 	r.planned = make(map[string]runSpec)
 	r.plannedF = make(map[string]funcSpec)
-	out := r.out
-	r.out, r.planning = io.Discard, true
-	var err error
-	for _, name := range names {
-		if err = r.render(name); err != nil {
-			break
-		}
+	r.planning = true
+	for _, e := range exps {
+		e.build(r)
 	}
-	r.out, r.planning = out, false
+	r.planning = false
 	planned, plannedF := r.planned, r.plannedF
 	r.planned, r.plannedF = nil, nil
-	if err != nil {
-		return err
-	}
-	r.executePlan(planned, plannedF)
-	return nil
+	return planned, plannedF
 }
 
 // executePlan warms the result caches with every planned run that is not

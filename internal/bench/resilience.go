@@ -7,11 +7,6 @@ import (
 	"abndp/internal/fault"
 )
 
-// ResilienceExperiments lists the fault-injection sweep, kept separate from
-// the paper's figure list (Experiments) because it has no counterpart in
-// the paper: it exercises the internal/fault degradation axis instead.
-var ResilienceExperiments = []string{"resilience"}
-
 // resilienceScenario is one fault plan of the sweep, identified by name.
 type resilienceScenario struct {
 	name string
@@ -36,20 +31,19 @@ func (r *Runner) resilienceScenarios() []resilienceScenario {
 	}
 }
 
-// Resilience sweeps the fault scenarios over the scheduling designs on the
+// resilience sweeps the fault scenarios over the scheduling designs on the
 // PageRank workload: per design, each scenario's makespan inflation over
 // that design's healthy run, alongside the recovery-event counts. A row
 // with a verdict other than "-" gave up (unrecoverable) at the reported
 // makespan cycle.
-func (r *Runner) Resilience() {
-	r.header("Resilience: injected faults vs graceful degradation (pr; slowdown vs same-design healthy)")
-	w := r.tw()
-	fmt.Fprintf(w, "design\tscenario\tslowdown\tdram retries\treexec\tmoved\trerouted\tverdict\n")
+func (r *Runner) resilience() *table {
+	t := newTable("Resilience: injected faults vs graceful degradation (pr; slowdown vs same-design healthy)",
+		labels("design", "scenario"), nums("%.3f", "slowdown"),
+		nums("%.0f", "dram retries", "reexec", "moved", "rerouted"), labels("verdict"))
 	designs := []config.Design{config.DesignB, config.DesignSm, config.DesignSl, config.DesignSh, config.DesignO}
 	for _, d := range designs {
 		healthy := r.run("pr", d, nil)
 		for _, sc := range r.resilienceScenarios() {
-			sc := sc
 			res := r.run("pr", d, func(c *config.Config) {
 				if sc.spec != "" {
 					c.Faults = fault.MustParse(sc.spec)
@@ -60,10 +54,11 @@ func (r *Runner) Resilience() {
 				verdict = res.Unrecoverable
 			}
 			f := res.Stats.Faults
-			fmt.Fprintf(w, "%s\t%s\t%.3f\t%d\t%d\t%d\t%d\t%s\n", d, sc.name,
+			t.add(d.String(), sc.name,
 				float64(res.Makespan)/float64(healthy.Makespan),
-				f.DRAMRetries, f.TasksReExecuted, f.TasksRedistributed, f.ReroutedMsgs, verdict)
+				float64(f.DRAMRetries), float64(f.TasksReExecuted), float64(f.TasksRedistributed), float64(f.ReroutedMsgs),
+				verdict)
 		}
 	}
-	w.Flush()
+	return t
 }

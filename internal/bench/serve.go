@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"abndp/internal/apps"
 	"abndp/internal/config"
@@ -106,18 +105,6 @@ func (r *Runner) EngineTotals() (events int64, seconds float64) {
 		seconds += st.seconds
 	}
 	return events, seconds
-}
-
-// RenderTo renders one experiment into w instead of the Runner's
-// construction-time writer. Like Run it must not overlap itself, Run, or
-// RunAll on the same Runner (the serving layer serializes renders); it may
-// overlap RunOne calls, which share the memo cache but never touch the
-// planning state.
-func (r *Runner) RenderTo(w io.Writer, name string) error {
-	prev := r.out
-	r.out = w
-	defer func() { r.out = prev }()
-	return r.Run(name)
 }
 
 // SetSimHook installs a hook called before every guarded simulation with

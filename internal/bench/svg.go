@@ -7,15 +7,26 @@ import (
 
 	"abndp/internal/config"
 	"abndp/internal/plot"
-	"abndp/internal/stats"
 )
 
-// SVG figure generation: each figure of the text harness can also be
-// rendered as a standalone SVG (abndpbench -svg DIR). Two entity families
-// keep fixed hue assignments across every figure they appear in: the
-// Table 2 designs (comparison figures) and the workloads (sweep figures).
-// The companion text tables are the table view backing the palette's
-// low-contrast slots.
+// SVG figure generation: the experiments with a chart can also be rendered
+// as standalone SVGs (abndpbench -svg DIR). Each chart plots its
+// experiment's tables, so a chart shows the numbers the text prints. Two
+// entity families keep fixed hue assignments across every figure they
+// appear in: the Table 2 designs (comparison figures) and the workloads
+// (sweep figures). The text tables are the table view backing the
+// palette's low-contrast slots.
+
+// chart declares one experiment's SVG: its file name (without ".svg"), the
+// plot form (plot.Bar, plot.StackedBar or plot.Line), the title, subtitle,
+// y-label and width in head, and data, which reads the categories and the
+// series out of the experiment's tables.
+type chart struct {
+	file string
+	draw func(*plot.Chart) (string, error)
+	head plot.Chart
+	data func([]*table) ([]string, []plot.Series)
+}
 
 // designOrder fixes design -> palette slot (B blue, Sm aqua, Sl yellow,
 // Sh green, C violet, O red, H magenta) in every figure.
@@ -24,46 +35,30 @@ var designOrder = []config.Design{
 	config.DesignSh, config.DesignC, config.DesignO, config.DesignH,
 }
 
-// RenderSVGs writes every renderable figure into dir, returning the file
-// paths written. It reuses the Runner's result cache, so rendering after
-// RunAll costs no extra simulation.
+// RenderSVGs writes every experiment's chart into dir, returning the file
+// paths written. It first simulates the runs the charts need that are not
+// cached yet on the worker pool, so rendering after RunAll simulates
+// nothing.
 func (r *Runner) RenderSVGs(dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	var charted []*experiment
+	for _, e := range experiments {
+		if e.chart != nil {
+			charted = append(charted, e)
+		}
+	}
+	r.planAndExecute(charted...)
 	var written []string
-	for _, fig := range []struct {
-		name  string
-		build func() (*plot.Chart, renderKind)
-	}{
-		{"fig02_tradeoff", r.svgFig2},
-		{"fig06_speedup", r.svgFig6},
-		{"fig07_energy", r.svgFig7},
-		{"fig08_hops", r.svgFig8},
-		{"fig09_loaddist", r.svgFig9},
-		{"fig10_scalability", r.svgFig10},
-		{"fig11_skewed", r.svgFig11},
-		{"fig13_cachekind", r.svgFig13},
-		{"fig14_capacity", r.svgFig14},
-		{"fig15_associativity", r.svgFig15},
-		{"fig17_hybridweight", r.svgFig17},
-		{"fig18_exchange", r.svgFig18},
-	} {
-		chart, kind := fig.build()
-		var svg string
-		var err error
-		switch kind {
-		case renderBar:
-			svg, err = plot.Bar(chart)
-		case renderStacked:
-			svg, err = plot.StackedBar(chart)
-		case renderLine:
-			svg, err = plot.Line(chart)
-		}
+	for _, e := range charted {
+		c := e.chart.head
+		c.Categories, c.Series = e.chart.data(e.build(r))
+		svg, err := e.chart.draw(&c)
 		if err != nil {
-			return written, fmt.Errorf("bench: rendering %s: %w", fig.name, err)
+			return written, fmt.Errorf("bench: rendering %s: %w", e.chart.file, err)
 		}
-		path := filepath.Join(dir, fig.name+".svg")
+		path := filepath.Join(dir, e.chart.file+".svg")
 		if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
 			return written, err
 		}
@@ -72,332 +67,101 @@ func (r *Runner) RenderSVGs(dir string) ([]string, error) {
 	return written, nil
 }
 
-type renderKind int
+// columnSeries reads a chart off a table: the first column's cells are the
+// categories, and each named numeric column (every one, when none is
+// named) is a series.
+func columnSeries(t *table, names ...string) ([]string, []plot.Series) {
+	if len(names) == 0 {
+		for _, c := range t.cols {
+			if c.verb != "" {
+				names = append(names, c.name)
+			}
+		}
+	}
+	cats := make([]string, len(t.rows))
+	for i, row := range t.rows {
+		cats[i] = t.cols[0].text(row[0])
+	}
+	series := make([]plot.Series, len(names))
+	for i, name := range names {
+		j := t.col(name)
+		series[i] = plot.Series{Name: name, Values: make([]float64, len(t.rows))}
+		for k, row := range t.rows {
+			series[i].Values[k] = row[j].num
+		}
+	}
+	return cats, series
+}
 
-const (
-	renderBar renderKind = iota
-	renderStacked
-	renderLine
-)
-
-func (r *Runner) svgFig2() (*plot.Chart, renderKind) {
-	base := r.run("pr", config.DesignB, nil)
-	hops := plot.Series{Name: "inter-stack hops"}
-	busiest := plot.Series{Name: "busiest unit cycles"}
+// rowSeries reads a chart off a wide table: the numeric columns' names are
+// the categories, and each row is a series named by its first cell.
+func rowSeries(t *table) ([]string, []plot.Series) {
 	var cats []string
-	for _, row := range []struct {
-		label string
-		d     config.Design
-	}{{"BASE", config.DesignB}, {"LDM", config.DesignSm}, {"WS", config.DesignSl}} {
-		res := r.run("pr", row.d, nil)
-		cats = append(cats, row.label)
-		hops.Values = append(hops.Values, float64(res.InterHops)/float64(base.InterHops))
-		b := stats.Box(res.Stats.UnitActiveCycles())
-		bb := stats.Box(base.Stats.UnitActiveCycles())
-		busiest.Values = append(busiest.Values, b.Max/bb.Max)
-	}
-	return &plot.Chart{
-		Title:      "Figure 2: the remote-access / load-balance tradeoff (Page Rank)",
-		Subtitle:   "both ratios normalized to BASE = 1",
-		Categories: cats,
-		Series:     []plot.Series{hops, busiest},
-	}, renderBar
-}
-
-func (r *Runner) svgFig6() (*plot.Chart, renderKind) {
-	appsList := appsList()
-	cats := append(append([]string{}, appsList...), "geomean")
-	var series []plot.Series
-	perDesign := map[config.Design][]float64{}
-	for _, app := range appsList {
-		base := r.run(app, config.DesignB, nil)
-		for _, d := range designOrder {
-			var s float64
-			if d == config.DesignH {
-				s = base.Seconds / r.hostSeconds(app)
-			} else {
-				s = float64(base.Makespan) / float64(r.run(app, d, nil).Makespan)
-			}
-			perDesign[d] = append(perDesign[d], s)
+	var cols []int
+	for j, c := range t.cols {
+		if c.verb != "" {
+			cats = append(cats, c.name)
+			cols = append(cols, j)
 		}
 	}
-	for _, d := range designOrder {
-		vals := perDesign[d]
-		vals = append(vals, stats.Geomean(vals))
-		series = append(series, plot.Series{Name: d.String(), Values: vals})
-	}
-	return &plot.Chart{
-		Title:      "Figure 6: overall speedup",
-		Subtitle:   "normalized to design B = 1",
-		YLabel:     "speedup",
-		Categories: cats,
-		Series:     series,
-		Width:      980,
-	}, renderBar
-}
-
-func (r *Runner) svgFig7() (*plot.Chart, renderKind) {
-	// Average normalized breakdown per design across all workloads.
-	comps := []string{"static", "DRAM", "interconnect", "core+SRAM"}
-	designs := []config.Design{config.DesignB, config.DesignSm, config.DesignSl,
-		config.DesignSh, config.DesignC, config.DesignO}
-	sums := make([][]float64, len(comps)) // [comp][design]
-	for i := range sums {
-		sums[i] = make([]float64, len(designs))
-	}
-	apps := appsList()
-	for _, app := range apps {
-		ref := r.run(app, config.DesignB, nil).Energy
-		for di, d := range designs {
-			e := r.run(app, d, nil).Energy.NormalizedTo(ref)
-			sums[0][di] += e.Static
-			sums[1][di] += e.DRAM
-			sums[2][di] += e.Interconnect
-			sums[3][di] += e.CoreSRAM
+	series := make([]plot.Series, len(t.rows))
+	for i, row := range t.rows {
+		series[i] = plot.Series{Name: t.cols[0].text(row[0]), Values: make([]float64, len(cols))}
+		for k, j := range cols {
+			series[i].Values[k] = row[j].num
 		}
 	}
+	return cats, series
+}
+
+// pivot reads a chart off a long table: the distinct cells of column cat
+// are the categories and those of column ser the series, both in order of
+// first appearance, and column val gives each pair's value.
+func pivot(t *table, cat, ser, val string) ([]string, []plot.Series) {
+	ci, si, vi := t.col(cat), t.col(ser), t.col(val)
+	catAt, serAt := map[string]int{}, map[string]int{}
 	var cats []string
-	for _, d := range designs {
-		cats = append(cats, d.String())
-	}
 	var series []plot.Series
-	for ci, comp := range comps {
-		vals := make([]float64, len(designs))
-		for di := range designs {
-			vals[di] = sums[ci][di] / float64(len(apps))
+	for _, row := range t.rows {
+		c, s := t.cols[ci].text(row[ci]), t.cols[si].text(row[si])
+		if _, ok := catAt[c]; !ok {
+			catAt[c] = len(cats)
+			cats = append(cats, c)
 		}
-		series = append(series, plot.Series{Name: comp, Values: vals})
+		if _, ok := serAt[s]; !ok {
+			serAt[s] = len(series)
+			series = append(series, plot.Series{Name: s})
+		}
 	}
-	return &plot.Chart{
-		Title:      "Figure 7: energy breakdown (mean over workloads)",
-		Subtitle:   "normalized to design B = 1",
-		YLabel:     "energy vs B",
-		Categories: cats,
-		Series:     series,
-	}, renderStacked
+	for i := range series {
+		series[i].Values = make([]float64, len(cats))
+	}
+	for _, row := range t.rows {
+		s := serAt[t.cols[si].text(row[si])]
+		series[s].Values[catAt[t.cols[ci].text(row[ci])]] = row[vi].num
+	}
+	return cats, series
 }
 
-func (r *Runner) svgFig8() (*plot.Chart, renderKind) {
-	designs := []config.Design{config.DesignB, config.DesignSm, config.DesignSl,
-		config.DesignSh, config.DesignC, config.DesignO}
-	var series []plot.Series
-	for _, d := range designs {
-		s := plot.Series{Name: d.String()}
-		for _, app := range figureApps {
-			base := r.run(app, config.DesignB, nil)
-			s.Values = append(s.Values,
-				float64(r.run(app, d, nil).InterHops)/float64(base.InterHops))
-		}
-		series = append(series, s)
-	}
-	return &plot.Chart{
-		Title:      "Figure 8: remote accesses (inter-stack hops)",
-		Subtitle:   "normalized to design B = 1",
-		YLabel:     "hops vs B",
-		Categories: figureApps,
-		Series:     series,
-		Width:      860,
-	}, renderBar
-}
-
-func (r *Runner) svgFig9() (*plot.Chart, renderKind) {
-	designs := []config.Design{config.DesignB, config.DesignSm, config.DesignSl,
-		config.DesignSh, config.DesignC, config.DesignO}
-	var series []plot.Series
-	var n int
-	for _, d := range designs {
-		res := r.run("pr", d, nil)
-		cycles := res.Stats.CoreActiveCycles()
-		var sum int64
-		for _, c := range cycles {
-			sum += c
-		}
-		mean := float64(sum) / float64(len(cycles))
-		vals := make([]float64, len(cycles))
-		for i, c := range cycles {
-			vals[i] = float64(c) / mean
-		}
-		n = len(vals)
-		series = append(series, plot.Series{Name: d.String(), Values: vals})
-	}
-	cats := make([]string, n)
-	for i := range cats {
-		cats[i] = fmt.Sprintf("%d", i)
-	}
-	return &plot.Chart{
-		Title:      "Figure 9: active cycles across NDP cores (Page Rank)",
-		Subtitle:   "cores sorted ascending per design; per-design mean = 1",
-		YLabel:     "cycles / mean",
-		Categories: cats,
-		Series:     series,
-		Width:      860,
-	}, renderLine
-}
-
-func (r *Runner) svgFig10() (*plot.Chart, renderKind) {
-	designs := []config.Design{config.DesignB, config.DesignSm, config.DesignSl,
-		config.DesignSh, config.DesignC, config.DesignO}
-	cats := []string{"2x2", "4x4", "8x8"}
-	meshes := []int{2, 4, 8}
-	var series []plot.Series
-	for _, d := range designs {
-		s := plot.Series{Name: d.String()}
-		for _, mesh := range meshes {
-			mesh := mesh
-			mut := func(c *config.Config) { c.MeshX, c.MeshY = mesh, mesh }
-			base := r.run("pr", config.DesignB, mut)
-			s.Values = append(s.Values,
-				float64(base.Makespan)/float64(r.run("pr", d, mut).Makespan))
-		}
-		series = append(series, s)
-	}
-	return &plot.Chart{
-		Title:      "Figure 10: scalability (Page Rank)",
-		Subtitle:   "speedup over design B at each scale",
-		YLabel:     "speedup",
-		Categories: cats,
-		Series:     series,
-	}, renderBar
-}
-
-func (r *Runner) svgFig11() (*plot.Chart, renderKind) {
-	ident := plot.Series{Name: "identical"}
-	skew := plot.Series{Name: "skewed"}
-	for _, app := range figureApps {
-		i := r.run(app, config.DesignO, func(c *config.Config) { c.SkewedMapping = false })
-		s := r.run(app, config.DesignO, nil)
-		ident.Values = append(ident.Values, 1)
-		skew.Values = append(skew.Values, float64(s.InterHops)/float64(i.InterHops))
-	}
-	return &plot.Chart{
-		Title:      "Figure 11: skewed vs identical camp mapping",
-		Subtitle:   "inter-stack hops, identical mapping = 1",
-		YLabel:     "hops",
-		Categories: figureApps,
-		Series:     []plot.Series{ident, skew},
-	}, renderBar
-}
-
-func (r *Runner) svgFig13() (*plot.Chart, renderKind) {
-	kinds := []struct {
-		name string
-		kind config.CacheKind
-	}{
-		{"Traveller", config.CacheTraveller},
-		{"SRAM", config.CacheSRAM},
-		{"DRAM-tags", config.CacheDRAMTags},
-	}
-	var series []plot.Series
-	for _, k := range kinds {
-		k := k
-		s := plot.Series{Name: k.name}
-		for _, app := range figureApps {
-			ref := r.run(app, config.DesignO, nil)
-			res := r.run(app, config.DesignO, func(c *config.Config) { c.CacheKind = k.kind })
-			s.Values = append(s.Values, float64(ref.Makespan)/float64(res.Makespan))
-		}
-		series = append(series, s)
-	}
-	return &plot.Chart{
-		Title:      "Figure 13: cache implementation",
-		Subtitle:   "speedup, Traveller Cache = 1",
-		YLabel:     "speedup",
-		Categories: figureApps,
-		Series:     series,
-	}, renderBar
-}
-
-// sweepLine renders a per-app line chart over sweep points.
-func (r *Runner) sweepLine(title, subtitle, ylabel string, points []string,
-	value func(app string, i int) float64) (*plot.Chart, renderKind) {
-	var series []plot.Series
-	for _, app := range figureApps {
-		s := plot.Series{Name: app}
-		for i := range points {
-			s.Values = append(s.Values, value(app, i))
-		}
-		series = append(series, s)
-	}
-	return &plot.Chart{
-		Title:      title,
-		Subtitle:   subtitle,
-		YLabel:     ylabel,
-		Categories: points,
-		Series:     series,
-	}, renderLine
-}
-
-func (r *Runner) svgFig14() (*plot.Chart, renderKind) {
-	points := make([]string, len(cacheRatios))
-	for i, ratio := range cacheRatios {
-		points[i] = fmt.Sprintf("1/%d", ratio)
-	}
-	return r.sweepLine("Figure 14: Traveller Cache capacity",
-		"inter-stack hops, smallest cache = 1", "hops", points,
-		func(app string, i int) float64 {
-			mut := func(ratio int) func(*config.Config) {
-				return func(c *config.Config) {
-					c.UnitBytes = sweepUnitBytes
-					c.CacheRatio = ratio
-				}
+// designMeans reads Fig. 7's chart off its app x design table: the designs
+// are the categories, and each named component is a series of its mean
+// over the apps, summed in app order and then divided.
+func designMeans(t *table, comps ...string) ([]string, []plot.Series) {
+	var designs []string
+	series := make([]plot.Series, len(comps))
+	for i, comp := range comps {
+		var perApp []plot.Series
+		designs, perApp = pivot(t, "design", "app", comp)
+		means := make([]float64, len(designs))
+		for _, s := range perApp {
+			for k, v := range s.Values {
+				means[k] += v
 			}
-			ref := r.run(app, config.DesignO, mut(cacheRatios[0]))
-			res := r.run(app, config.DesignO, mut(cacheRatios[i]))
-			return float64(res.InterHops) / float64(ref.InterHops)
-		})
-}
-
-func (r *Runner) svgFig15() (*plot.Chart, renderKind) {
-	points := make([]string, len(associativities))
-	for i, ways := range associativities {
-		points[i] = fmt.Sprintf("%d-way", ways)
+		}
+		for k := range means {
+			means[k] /= float64(len(perApp))
+		}
+		series[i] = plot.Series{Name: comp, Values: means}
 	}
-	return r.sweepLine("Figure 15: Traveller Cache associativity",
-		"inter-stack hops, direct-mapped = 1", "hops", points,
-		func(app string, i int) float64 {
-			mut := func(ways int) func(*config.Config) {
-				return func(c *config.Config) {
-					c.UnitBytes = sweepUnitBytes
-					c.CacheRatio = 512
-					c.CacheWays = ways
-				}
-			}
-			ref := r.run(app, config.DesignO, mut(associativities[0]))
-			res := r.run(app, config.DesignO, mut(associativities[i]))
-			return float64(res.InterHops) / float64(ref.InterHops)
-		})
-}
-
-func (r *Runner) svgFig17() (*plot.Chart, renderKind) {
-	points := make([]string, len(hybridAlphas))
-	for i, a := range hybridAlphas {
-		points[i] = fmt.Sprintf("%.0f", a)
-	}
-	return r.sweepLine("Figure 17: hybrid weight B = alpha x Dinter",
-		"speedup over alpha = 0", "speedup", points,
-		func(app string, i int) float64 {
-			mut := func(a float64) func(*config.Config) {
-				return func(c *config.Config) { c.HybridAlpha = a }
-			}
-			ref := r.run(app, config.DesignO, mut(0))
-			res := r.run(app, config.DesignO, mut(hybridAlphas[i]))
-			return float64(ref.Makespan) / float64(res.Makespan)
-		})
-}
-
-func (r *Runner) svgFig18() (*plot.Chart, renderKind) {
-	points := make([]string, len(exchangeIntervals))
-	for i, iv := range exchangeIntervals {
-		points[i] = fmt.Sprintf("%dk", iv/1000)
-	}
-	return r.sweepLine("Figure 18: workload exchange interval",
-		"speedup over the shortest interval", "speedup", points,
-		func(app string, i int) float64 {
-			mut := func(iv int64) func(*config.Config) {
-				return func(c *config.Config) { c.ExchangeInterval = iv }
-			}
-			ref := r.run(app, config.DesignO, mut(exchangeIntervals[0]))
-			res := r.run(app, config.DesignO, mut(exchangeIntervals[i]))
-			return float64(ref.Makespan) / float64(res.Makespan)
-		})
+	return designs, series
 }

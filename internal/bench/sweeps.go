@@ -6,30 +6,27 @@ import (
 	"abndp/internal/config"
 )
 
-// Figure11 compares skewed vs identical camp-location mappings (design O):
+// figure11 compares skewed vs identical camp-location mappings (design O):
 // inter-stack hops normalized to the identical mapping.
-func (r *Runner) Figure11() {
-	r.header("Figure 11: Skewed vs identical camp mapping (hops, identical = 1)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\tidentical\tskewed\n")
+func (r *Runner) figure11() *table {
+	t := newTable("Figure 11: Skewed vs identical camp mapping (hops, identical = 1)",
+		labels("app"), nums("%.3f", "identical", "skewed"))
 	for _, app := range figureApps {
 		ident := r.run(app, config.DesignO, func(c *config.Config) { c.SkewedMapping = false })
 		skew := r.run(app, config.DesignO, nil)
-		fmt.Fprintf(w, "%s\t1.000\t%.3f\n", app,
-			float64(skew.InterHops)/float64(ident.InterHops))
+		t.add(app, 1.0, float64(skew.InterHops)/float64(ident.InterHops))
 	}
-	w.Flush()
+	return t
 }
 
 // campCounts are the Figure 12 sweep values of C.
 var campCounts = []int{1, 3, 7, 15}
 
-// Figure12 sweeps the camp location count C, printing DRAM and
-// interconnect energy normalized to C=1.
-func (r *Runner) Figure12() {
-	r.header("Figure 12: Camp location count C (DRAM + interconnect energy, C=1 = 1)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\tC\tDRAM\tinterconnect\tsum\n")
+// figure12 sweeps the camp location count C: DRAM and interconnect energy
+// normalized to C=1.
+func (r *Runner) figure12() *table {
+	t := newTable("Figure 12: Camp location count C (DRAM + interconnect energy, C=1 = 1)",
+		labels("app"), nums("%.0f", "C"), nums("%.3f", "DRAM", "interconnect", "sum"))
 	for _, app := range figureApps {
 		mut := func(cc int) func(*config.Config) {
 			return func(c *config.Config) { c.CampCount = cc }
@@ -38,22 +35,21 @@ func (r *Runner) Figure12() {
 		refSum := ref.Energy.DRAM + ref.Energy.Interconnect
 		for _, cc := range campCounts {
 			res := r.run(app, config.DesignO, mut(cc))
-			fmt.Fprintf(w, "%s\t%d\t%.3f\t%.3f\t%.3f\n", app, cc,
+			t.add(app, float64(cc),
 				res.Energy.DRAM/refSum,
 				res.Energy.Interconnect/refSum,
 				(res.Energy.DRAM+res.Energy.Interconnect)/refSum)
 		}
 	}
-	w.Flush()
+	return t
 }
 
-// Figure13 compares the Traveller Cache against a pure SRAM data cache and
+// figure13 compares the Traveller Cache against a pure SRAM data cache and
 // a DRAM cache with in-DRAM tags (same capacity): speedup and dynamic DRAM
 // energy normalized to Traveller.
-func (r *Runner) Figure13() {
-	r.header("Figure 13: Cache implementation (normalized to Traveller Cache)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\tkind\tspeedup\tDRAM energy\n")
+func (r *Runner) figure13() *table {
+	t := newTable("Figure 13: Cache implementation (normalized to Traveller Cache)",
+		labels("app", "kind"), nums("%.3f", "speedup", "DRAM energy"))
 	kinds := []struct {
 		label string
 		kind  config.CacheKind
@@ -65,15 +61,13 @@ func (r *Runner) Figure13() {
 	for _, app := range figureApps {
 		ref := r.run(app, config.DesignO, nil)
 		for _, k := range kinds {
-			kk := k.kind
-			res := r.run(app, config.DesignO, func(c *config.Config) { c.CacheKind = kk })
-			dramRef := ref.Energy.DRAM
-			fmt.Fprintf(w, "%s\t%s\t%.3f\t%.3f\n", app, k.label,
+			res := r.run(app, config.DesignO, func(c *config.Config) { c.CacheKind = k.kind })
+			t.add(app, k.label,
 				float64(ref.Makespan)/float64(res.Makespan),
-				res.Energy.DRAM/dramRef)
+				res.Energy.DRAM/ref.Energy.DRAM)
 		}
 	}
-	w.Flush()
+	return t
 }
 
 // cacheRatios are the Figure 14 sweep values (cache = 1/R of local DRAM).
@@ -87,16 +81,15 @@ var cacheRatios = []int{512, 256, 128, 64, 32, 16}
 // within each sweep.
 const sweepUnitBytes = 4 << 20
 
-// Figure14 sweeps the Traveller Cache capacity, printing hops normalized
-// to the smallest cache.
-func (r *Runner) Figure14() {
-	r.header("Figure 14: Traveller Cache capacity (hops, 1/512 = 1)")
-	w := r.tw()
-	fmt.Fprintf(w, "app")
+// figure14 sweeps the Traveller Cache capacity: hops normalized to the
+// smallest cache.
+func (r *Runner) figure14() *table {
+	var points []string
 	for _, ratio := range cacheRatios {
-		fmt.Fprintf(w, "\t1/%d", ratio)
+		points = append(points, fmt.Sprintf("1/%d", ratio))
 	}
-	fmt.Fprintln(w)
+	t := newTable("Figure 14: Traveller Cache capacity (hops, 1/512 = 1)",
+		labels("app"), nums("%.3f", points...))
 	for _, app := range figureApps {
 		mut := func(ratio int) func(*config.Config) {
 			return func(c *config.Config) {
@@ -105,29 +98,28 @@ func (r *Runner) Figure14() {
 			}
 		}
 		ref := r.run(app, config.DesignO, mut(cacheRatios[0]))
-		fmt.Fprintf(w, "%s", app)
+		row := []any{app}
 		for _, ratio := range cacheRatios {
 			res := r.run(app, config.DesignO, mut(ratio))
-			fmt.Fprintf(w, "\t%.3f", float64(res.InterHops)/float64(ref.InterHops))
+			row = append(row, float64(res.InterHops)/float64(ref.InterHops))
 		}
-		fmt.Fprintln(w)
+		t.add(row...)
 	}
-	w.Flush()
+	return t
 }
 
 // associativities are the Figure 15 sweep values.
 var associativities = []int{1, 2, 4, 8, 16}
 
-// Figure15 sweeps the cache associativity, printing hops normalized to
+// figure15 sweeps the cache associativity: hops normalized to
 // direct-mapped.
-func (r *Runner) Figure15() {
-	r.header("Figure 15: Traveller Cache associativity (hops, 1-way = 1)")
-	w := r.tw()
-	fmt.Fprintf(w, "app")
+func (r *Runner) figure15() *table {
+	var points []string
 	for _, ways := range associativities {
-		fmt.Fprintf(w, "\t%d-way", ways)
+		points = append(points, fmt.Sprintf("%d-way", ways))
 	}
-	fmt.Fprintln(w)
+	t := newTable("Figure 15: Traveller Cache associativity (hops, 1-way = 1)",
+		labels("app"), nums("%.3f", points...))
 	for _, app := range figureApps {
 		mut := func(ways int) func(*config.Config) {
 			return func(c *config.Config) {
@@ -137,25 +129,24 @@ func (r *Runner) Figure15() {
 			}
 		}
 		ref := r.run(app, config.DesignO, mut(associativities[0]))
-		fmt.Fprintf(w, "%s", app)
+		row := []any{app}
 		for _, ways := range associativities {
 			res := r.run(app, config.DesignO, mut(ways))
-			fmt.Fprintf(w, "\t%.3f", float64(res.InterHops)/float64(ref.InterHops))
+			row = append(row, float64(res.InterHops)/float64(ref.InterHops))
 		}
-		fmt.Fprintln(w)
+		t.add(row...)
 	}
-	w.Flush()
+	return t
 }
 
 // bypassProbs are the Figure 16 sweep values.
 var bypassProbs = []float64{0, 0.2, 0.4, 0.6, 0.8}
 
-// Figure16 sweeps the probabilistic-insertion bypass probability, printing
-// DRAM and interconnect energy normalized to bypass 0.
-func (r *Runner) Figure16() {
-	r.header("Figure 16: Bypass probability (DRAM + interconnect energy, p=0 = 1)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\tp\tDRAM\tinterconnect\tsum\n")
+// figure16 sweeps the probabilistic-insertion bypass probability: DRAM and
+// interconnect energy normalized to bypass 0.
+func (r *Runner) figure16() *table {
+	t := newTable("Figure 16: Bypass probability (DRAM + interconnect energy, p=0 = 1)",
+		labels("app"), nums("%.1f", "p"), nums("%.3f", "DRAM", "interconnect", "sum"))
 	for _, app := range figureApps {
 		mut := func(p float64) func(*config.Config) {
 			return func(c *config.Config) { c.BypassProb = p }
@@ -164,24 +155,23 @@ func (r *Runner) Figure16() {
 		refSum := ref.Energy.DRAM + ref.Energy.Interconnect
 		for _, p := range bypassProbs {
 			res := r.run(app, config.DesignO, mut(p))
-			fmt.Fprintf(w, "%s\t%.1f\t%.3f\t%.3f\t%.3f\n", app, p,
+			t.add(app, p,
 				res.Energy.DRAM/refSum,
 				res.Energy.Interconnect/refSum,
 				(res.Energy.DRAM+res.Energy.Interconnect)/refSum)
 		}
 	}
-	w.Flush()
+	return t
 }
 
 // hybridAlphas are the Figure 17 sweep values of B = alpha * Dinter.
 var hybridAlphas = []float64{0, 1, 2, 3, 4, 5, 6}
 
-// Figure17 sweeps the hybrid scheduling weight, printing hops and speedup
+// figure17 sweeps the hybrid scheduling weight: hops and speedup
 // normalized to alpha = 0 (pure lowest-distance behavior).
-func (r *Runner) Figure17() {
-	r.header("Figure 17: Hybrid weight B = alpha*Dinter (normalized to alpha=0)")
-	w := r.tw()
-	fmt.Fprintf(w, "app\talpha\thops\tspeedup\n")
+func (r *Runner) figure17() *table {
+	t := newTable("Figure 17: Hybrid weight B = alpha*Dinter (normalized to alpha=0)",
+		labels("app"), nums("%.0f", "alpha"), nums("%.3f", "hops", "speedup"))
 	for _, app := range figureApps {
 		mut := func(a float64) func(*config.Config) {
 			return func(c *config.Config) { c.HybridAlpha = a }
@@ -189,12 +179,12 @@ func (r *Runner) Figure17() {
 		ref := r.run(app, config.DesignO, mut(0))
 		for _, a := range hybridAlphas {
 			res := r.run(app, config.DesignO, mut(a))
-			fmt.Fprintf(w, "%s\t%.0f\t%.3f\t%.3f\n", app, a,
+			t.add(app, a,
 				float64(res.InterHops)/float64(ref.InterHops),
 				float64(ref.Makespan)/float64(res.Makespan))
 		}
 	}
-	w.Flush()
+	return t
 }
 
 // exchangeIntervals are the Figure 18 sweep values in cycles. The paper
@@ -202,27 +192,26 @@ func (r *Runner) Figure17() {
 // same exchanges-per-run ratios for the bench workload sizes.
 var exchangeIntervals = []int64{1250, 2500, 5000, 10000, 20000, 40000}
 
-// Figure18 sweeps the workload exchange interval, printing speedup
-// normalized to the shortest interval.
-func (r *Runner) Figure18() {
-	r.header("Figure 18: Workload exchange interval (speedup, shortest = 1)")
-	w := r.tw()
-	fmt.Fprintf(w, "app")
+// figure18 sweeps the workload exchange interval: speedup normalized to
+// the shortest interval.
+func (r *Runner) figure18() *table {
+	var points []string
 	for _, iv := range exchangeIntervals {
-		fmt.Fprintf(w, "\t%dk", iv/1000)
+		points = append(points, fmt.Sprintf("%dk", iv/1000))
 	}
-	fmt.Fprintln(w)
+	t := newTable("Figure 18: Workload exchange interval (speedup, shortest = 1)",
+		labels("app"), nums("%.3f", points...))
 	for _, app := range figureApps {
 		mut := func(iv int64) func(*config.Config) {
 			return func(c *config.Config) { c.ExchangeInterval = iv }
 		}
 		ref := r.run(app, config.DesignO, mut(exchangeIntervals[0]))
-		fmt.Fprintf(w, "%s", app)
+		row := []any{app}
 		for _, iv := range exchangeIntervals {
 			res := r.run(app, config.DesignO, mut(iv))
-			fmt.Fprintf(w, "\t%.3f", float64(ref.Makespan)/float64(res.Makespan))
+			row = append(row, float64(ref.Makespan)/float64(res.Makespan))
 		}
-		fmt.Fprintln(w)
+		t.add(row...)
 	}
-	w.Flush()
+	return t
 }
