@@ -125,17 +125,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	r.SetCheck(*chk)
 
 	start := time.Now()
-	if *exps == "all" {
+	names := experimentNames(*exps)
+	if names == nil {
 		r.RunAll()
-	} else {
-		for _, e := range strings.Split(*exps, ",") {
-			if err := r.Run(strings.TrimSpace(e)); err != nil {
-				return fail(err)
-			}
+	}
+	for _, e := range names {
+		if err := r.Run(e); err != nil {
+			return fail(err)
 		}
 	}
 	if *svg != "" {
-		files, err := r.RenderSVGs(*svg)
+		files, err := r.RenderSVGs(*svg, names...)
 		if err != nil {
 			return fail(err)
 		}
@@ -201,19 +201,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exit
 }
 
+// experimentNames splits the -exp list; "all" gives nil.
+func experimentNames(exps string) []string {
+	if exps == "all" {
+		return nil
+	}
+	var names []string
+	for _, e := range strings.Split(exps, ",") {
+		names = append(names, strings.TrimSpace(e))
+	}
+	return names
+}
+
 // runRemote renders the requested experiments on a running abndpserve
-// instance instead of simulating locally: the service's warm cache pays
+// instance instead of simulating locally: the service's table memo pays
 // for each run once across every client.
 func runRemote(baseURL, exps string, stdout, stderr io.Writer) int {
-	var names []string
-	if exps == "all" {
+	names := experimentNames(exps)
+	if names == nil {
 		names = append(names, bench.Experiments...)
 		names = append(names, bench.AblationExperiments...)
 		names = append(names, bench.ResilienceExperiments...)
-	} else {
-		for _, e := range strings.Split(exps, ",") {
-			names = append(names, strings.TrimSpace(e))
-		}
 	}
 	c := client.New(baseURL)
 	ctx := context.Background()
@@ -221,7 +229,7 @@ func runRemote(baseURL, exps string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "abndpbench: %s not healthy: %v\n", baseURL, err)
 		return 1
 	} else {
-		fmt.Fprintf(stderr, "abndpbench: rendering %d experiment(s) on %s (%d workers, %d runs cached)\n",
+		fmt.Fprintf(stderr, "abndpbench: rendering %d experiment(s) on %s (%d workers, %d runs executed)\n",
 			len(names), baseURL, h.Workers, h.Runs)
 	}
 	start := time.Now()

@@ -1,6 +1,6 @@
 // Command abndphypo runs a declarative hypothesis campaign: a JSON spec
 // (config grid × seeds × policies × load levels) expands into simulation
-// runs through the bench harness's memoized executor, aggregates each cell
+// runs through the bench harness's crash-guarded executor, aggregates each cell
 // into mean ± 95% CI, extracts the Pareto frontier over the declared
 // metric pair, and writes a FINDINGS report with a confirmed / refuted /
 // inconclusive verdict gated on the declared minimum effect size.

@@ -1,6 +1,7 @@
 // Command abndpserve is the long-running simulation service: an HTTP/JSON
-// front end over the benchmark harness's warm memo cache and worker pool,
-// serving simulation jobs to many concurrent clients with request dedup,
+// front end over the benchmark harness's crash-guarded run seam, serving
+// simulation jobs to many concurrent clients with request dedup by
+// canonical key, a bounded record of finished jobs (the newest 1024),
 // bounded-queue backpressure, and graceful drain on SIGTERM. Every job
 // shares the harness's checkpoint store and workload-input cache, so jobs
 // that vary only late-binding scheduler knobs reuse earlier jobs' inputs

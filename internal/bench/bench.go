@@ -53,11 +53,8 @@ type Runner struct {
 
 	// Crash isolation (guard.go): failed runs are recorded here and resolve
 	// to placeholder results so the rest of the sweep still renders.
-	// failByKey indexes failures by cache key (first failure wins) so
-	// result consumers can tell a cached sentinel from real data.
 	failMu      sync.Mutex
 	failures    []RunFailure
-	failByKey   map[string]int
 	runDeadline time.Duration
 	deadlineSet bool
 	simHook     func(runSpec) // test hook, called before each guarded run
@@ -81,18 +78,9 @@ type Runner struct {
 	// late-binding knobs share placement work.
 	store *ckpt.Store
 
-	// runs counts executed simulations (memo misses). runStats holds each
-	// executed run's wall-clock and engine event count, keyed by cache key,
-	// for EngineTotals; workers write it under statsMu.
-	runs     atomic.Int64
-	statsMu  sync.Mutex
-	runStats map[string]runStat
-}
-
-// runStat is one executed simulation's host-side cost.
-type runStat struct {
-	seconds float64
-	events  int64
+	// runs counts executed simulations; events and nanos sum the engine
+	// events and host wall clock of the timing runs, for EngineTotals.
+	runs, events, nanos atomic.Int64
 }
 
 // NewRunner builds a Runner writing its tables to w, using the Table 1
@@ -218,8 +206,8 @@ func (r *Runner) run(app string, d config.Design, mut func(*config.Config)) *ndp
 }
 
 // runCfg resolves one fully specified run: during planning it records the
-// spec and returns a placeholder; otherwise it simulates through the
-// singleflight memo cache (or returns the memoized result).
+// spec and returns a placeholder; otherwise it resolves the run through
+// the memo.
 func (r *Runner) runCfg(spec runSpec) *ndp.Result {
 	k := key(spec.app, spec.d, spec.cfg, spec.p)
 	if r.planning {
@@ -228,9 +216,15 @@ func (r *Runner) runCfg(spec runSpec) *ndp.Result {
 		}
 		return planResult
 	}
+	return r.memoRun(k, spec)
+}
+
+// memoRun resolves one run through the singleflight memo: the first
+// caller of a key simulates it, and every later one shares its result.
+func (r *Runner) memoRun(k string, spec runSpec) *ndp.Result {
 	return r.cache.do(k, func() *ndp.Result {
-		r.runs.Add(1)
-		return r.safeSimulate(k, spec)
+		out, _ := r.safeSimulate(k, spec)
+		return out.res
 	})
 }
 
@@ -251,7 +245,7 @@ func (r *Runner) newSystem(spec runSpec) *ndp.System {
 // goroutines: every System (and its RNGs, stats, and engine) is private
 // to the call, and the shared checkpoint shard is concurrency-safe by
 // design.
-func (r *Runner) simulate(k string, spec runSpec, h *halter) *ndp.Result {
+func (r *Runner) simulate(spec runSpec, h *halter) *ndp.Result {
 	a, err := apps.New(spec.app, spec.p)
 	if err != nil {
 		panic(err)
@@ -259,20 +253,15 @@ func (r *Runner) simulate(k string, spec runSpec, h *halter) *ndp.Result {
 	start := time.Now()
 	sys := h.add(r.newSystem(spec))
 	res := sys.Run(a)
-	r.noteRunStat(k, time.Since(start).Seconds(), res.Events)
+	r.noteRun(start, res)
 	return res
 }
 
-// noteRunStat records one executed run's wall clock and event count.
-func (r *Runner) noteRunStat(k string, seconds float64, events int64) {
-	r.statsMu.Lock()
-	if r.runStats == nil {
-		r.runStats = make(map[string]runStat)
-	}
-	if _, dup := r.runStats[k]; !dup {
-		r.runStats[k] = runStat{seconds: seconds, events: events}
-	}
-	r.statsMu.Unlock()
+// noteRun adds one executed run's engine events and wall clock since
+// start to EngineTotals.
+func (r *Runner) noteRun(start time.Time, res *ndp.Result) {
+	r.events.Add(res.Events)
+	r.nanos.Add(int64(time.Since(start)))
 }
 
 // functional characterizes a workload once for the host model.
@@ -285,10 +274,12 @@ func (r *Runner) functional(app string) *ndp.FunctionalResult {
 		}
 		return planFunctional
 	}
-	return r.fcach.do(k, func() *ndp.FunctionalResult {
-		r.runs.Add(1)
-		return r.safeFunctional(k, funcSpec{app: app, p: p})
-	})
+	return r.memoFunctional(k, funcSpec{app: app, p: p})
+}
+
+// memoFunctional is memoRun for functional characterizations.
+func (r *Runner) memoFunctional(k string, spec funcSpec) *ndp.FunctionalResult {
+	return r.fcach.do(k, func() *ndp.FunctionalResult { return r.safeFunctional(k, spec) })
 }
 
 // planResult is what run returns while planning: every metric the

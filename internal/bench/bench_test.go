@@ -274,29 +274,54 @@ func TestRenderSVGsQuick(t *testing.T) {
 	}
 }
 
-// RenderSVGs on its own plans the charts' runs and simulates them on the
-// worker pool: every run it executes is one of the planned ones, so none
-// is simulated inline while the charts are built.
+// RenderSVGs draws the charts of the experiments it is given (every chart
+// when none is named) and plans their runs first, simulating them on the
+// worker pool: every run executed is a planned one, so none is simulated
+// inline while the charts are built, and charts drawn after their
+// experiments' tables simulate nothing more.
 func TestRenderSVGsPlansItsRuns(t *testing.T) {
-	r, _ := quickRunner()
-	r.SetWorkers(2)
-	var progress bytes.Buffer
-	r.SetProgress(&progress)
-	if _, err := r.RenderSVGs(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	var planned, workers int
-	for _, line := range strings.Split(progress.String(), "\n") {
-		if strings.HasPrefix(line, "simulating ") {
-			if _, err := fmt.Sscanf(line, "simulating %d runs on %d workers", &planned, &workers); err != nil {
-				t.Fatalf("bad plan line %q: %v", line, err)
+	for _, tc := range []struct {
+		name   string
+		tables []string // rendered before the charts
+		charts []string
+		files  int
+	}{
+		{name: "all", files: 12},
+		{name: "fig6", charts: []string{"fig6"}, files: 1},
+		{name: "fig6 after its table", tables: []string{"fig6"}, charts: []string{"fig6"}, files: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, _ := quickRunner()
+			r.SetWorkers(2)
+			var progress bytes.Buffer
+			r.SetProgress(&progress)
+			for _, name := range tc.tables {
+				if err := r.Run(name); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}
-	if planned == 0 || workers != 2 {
-		t.Fatalf("RenderSVGs showed no plan on 2 workers; progress:\n%s", progress.String())
-	}
-	if n := r.RunsExecuted(); n != int64(planned) {
-		t.Fatalf("RenderSVGs executed %d runs, %d of them planned", n, planned)
+			files, err := r.RenderSVGs(t.TempDir(), tc.charts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(files) != tc.files {
+				t.Fatalf("rendered %d figures, want %d", len(files), tc.files)
+			}
+			var plans, planned, workers int
+			for _, line := range strings.Split(progress.String(), "\n") {
+				if strings.HasPrefix(line, "simulating ") {
+					plans++
+					if _, err := fmt.Sscanf(line, "simulating %d runs on %d workers", &planned, &workers); err != nil {
+						t.Fatalf("bad plan line %q: %v", line, err)
+					}
+				}
+			}
+			if plans != 1 || workers != 2 {
+				t.Fatalf("want one plan on 2 workers; progress:\n%s", progress.String())
+			}
+			if n := r.RunsExecuted(); n != int64(planned) {
+				t.Fatalf("executed %d runs, %d of them planned", n, planned)
+			}
+		})
 	}
 }

@@ -36,20 +36,6 @@ func (r *Runner) CheckViolations() []CheckViolation {
 	return append([]CheckViolation(nil), r.checkViolations...)
 }
 
-// CheckViolationsFor returns the violations recorded for one cache key (a
-// copy), so the serving layer can report a job's own audit verdict.
-func (r *Runner) CheckViolationsFor(key string) []CheckViolation {
-	r.checkMu.Lock()
-	defer r.checkMu.Unlock()
-	var out []CheckViolation
-	for _, v := range r.checkViolations {
-		if v.Key == key {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // CheckCounts returns how many runs were audited and how many invariant
 // evaluations they performed.
 func (r *Runner) CheckCounts() (runs, evals int64) {
@@ -76,8 +62,9 @@ func (r *Runner) recordCheckViolations(k string, vs []check.Violation) {
 // so the meta.determinism hash comparison doubles as the store-versus-golden
 // parity assertion CI relies on. Like simulate it is safe on worker
 // goroutines — both Systems are private to the call, and the shared
-// violation list is mutex-protected. Both Systems register with h.
-func (r *Runner) checkedSimulate(k string, spec runSpec, h *halter) *ndp.Result {
+// violation list is mutex-protected. Both Systems register with h. The
+// outcome carries this run's own violation count.
+func (r *Runner) checkedSimulate(k string, spec runSpec, h *halter) simulated {
 	newApp := func() ndp.App {
 		a, err := apps.New(spec.app, spec.p)
 		if err != nil {
@@ -90,7 +77,7 @@ func (r *Runner) checkedSimulate(k string, spec runSpec, h *halter) *ndp.Result 
 	sys.SetChecker(c)
 	start := time.Now()
 	res := sys.Run(newApp())
-	r.noteRunStat(k, time.Since(start).Seconds(), res.Events)
+	r.noteRun(start, res)
 	plain := h.add(ndp.NewSystem(spec.cfg, spec.d)).Run(newApp())
 
 	atomic.AddInt64(&r.checkedRuns, 1)
@@ -101,5 +88,5 @@ func (r *Runner) checkedSimulate(k string, spec runSpec, h *halter) *ndp.Result 
 			Detail: fmt.Sprintf("audited run hash %016x != plain rerun hash %016x", ha, hb)})
 	}
 	r.recordCheckViolations(k, vs)
-	return res
+	return simulated{res: res, violations: len(vs)}
 }

@@ -164,7 +164,7 @@ func (r *Runner) Run(name string) error { return r.RenderTo(r.out, name) }
 // RenderTo is Run printing into w instead of the Runner's construction-time
 // writer. It must not overlap itself, Run, or RunAll on the same Runner
 // (the serving layer serializes renders); it may overlap RunOne calls,
-// which share the memo cache but never touch the planning state.
+// which touch neither the memo nor the planning state.
 func (r *Runner) RenderTo(w io.Writer, name string) error {
 	e, err := lookup(name)
 	if err != nil {

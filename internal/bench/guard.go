@@ -47,12 +47,6 @@ func (r *Runner) effectiveDeadline() time.Duration {
 // reports it on the progress stream.
 func (r *Runner) recordFailure(f RunFailure) {
 	r.failMu.Lock()
-	if r.failByKey == nil {
-		r.failByKey = make(map[string]int)
-	}
-	if _, dup := r.failByKey[f.Key]; !dup {
-		r.failByKey[f.Key] = len(r.failures)
-	}
 	r.failures = append(r.failures, f)
 	r.failMu.Unlock()
 	r.progressf("  FAILED %s: %s\n", f.Key, f.Err)
@@ -63,20 +57,6 @@ func (r *Runner) Failures() []RunFailure {
 	r.failMu.Lock()
 	defer r.failMu.Unlock()
 	return append([]RunFailure(nil), r.failures...)
-}
-
-// FailureFor returns the recorded failure for one cache key. Callers that
-// share a memoized result (RunOne, the serving layer) use it to tell a
-// real result from the failure placeholder a crashed or hung run resolves
-// to — a cached sentinel must surface as a failed job, never as data.
-func (r *Runner) FailureFor(key string) (RunFailure, bool) {
-	r.failMu.Lock()
-	defer r.failMu.Unlock()
-	i, ok := r.failByKey[key]
-	if !ok {
-		return RunFailure{}, false
-	}
-	return r.failures[i], true
 }
 
 // guardOutcome carries a guarded call's result across its goroutine.
@@ -118,17 +98,18 @@ func (h *halter) halt() {
 	}
 }
 
-// runGuarded executes fn with crash isolation: fn runs on its own
-// goroutine, a panic becomes a recorded RunFailure instead of unwinding the
-// worker, and a run exceeding the deadline is abandoned and recorded as
-// hung. fn registers the Systems it builds with its halter, and an
-// abandoned run's Systems are halted: each stops at its next event and its
-// goroutine exits, so it does not keep a core. Input generation (an app's
-// Setup) runs before the first event and is not interrupted. On failure
-// the sentinel is returned and cached, so every later lookup of the same
-// key sees the same failed placeholder and the sweep's remaining rows
-// render unchanged.
-func runGuarded[V any](r *Runner, f RunFailure, sentinel V, fn func(*halter) V) V {
+// runGuarded executes fn with crash isolation and counts it as one
+// executed simulation: fn runs on its own goroutine, a panic becomes a
+// recorded RunFailure instead of unwinding the worker, and a run exceeding
+// the deadline is abandoned and recorded as hung. fn registers the Systems
+// it builds with its halter, and an abandoned run's Systems are halted:
+// each stops at its next event and its goroutine exits, so it does not
+// keep a core. Input generation (an app's Setup) runs before the first
+// event and is not interrupted. On failure the sentinel is returned with
+// the recorded failure, so a sweep's remaining rows render unchanged and
+// a single-run caller can report the failure.
+func runGuarded[V any](r *Runner, f RunFailure, sentinel V, fn func(*halter) V) (V, *RunFailure) {
+	r.runs.Add(1)
 	ch := make(chan guardOutcome[V], 1) // buffered: a timed-out run's late send must not leak its goroutine
 	h := &halter{}
 	go func() {
@@ -140,53 +121,52 @@ func runGuarded[V any](r *Runner, f RunFailure, sentinel V, fn func(*halter) V) 
 		ch <- guardOutcome[V]{val: fn(h)}
 	}()
 
+	var expired <-chan time.Time // nil, so never ready, without a deadline
 	deadline := r.effectiveDeadline()
-	if deadline <= 0 {
-		o := <-ch
-		if !o.panicked {
-			return o.val
-		}
-		f.Err, f.Stack = o.msg, o.stack
-		r.recordFailure(f)
-		return sentinel
+	if deadline > 0 {
+		timer := time.NewTimer(deadline)
+		defer timer.Stop()
+		expired = timer.C
 	}
-
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
 	select {
 	case o := <-ch:
 		if !o.panicked {
-			return o.val
+			return o.val, nil
 		}
 		f.Err, f.Stack = o.msg, o.stack
-		r.recordFailure(f)
-		return sentinel
-	case <-timer.C:
+	case <-expired:
 		h.halt()
 		f.Err, f.Hung = fmt.Sprintf("exceeded the %s per-run deadline", deadline), true
-		r.recordFailure(f)
-		return sentinel
 	}
+	r.recordFailure(f)
+	return sentinel, &f
 }
 
-// safeSimulate is simulate with crash isolation; it is the only simulate
-// entry point once results flow through the memo caches.
-func (r *Runner) safeSimulate(k string, spec runSpec) *ndp.Result {
+// simulated is a guarded timing run's outcome: its result, and how many
+// invariant violations its audit recorded (0 when it ran unaudited).
+type simulated struct {
+	res        *ndp.Result
+	violations int
+}
+
+// safeSimulate is simulate with crash isolation; every timing simulation
+// runs through it. A failed run resolves to failedResult.
+func (r *Runner) safeSimulate(k string, spec runSpec) (simulated, *RunFailure) {
 	return runGuarded(r, RunFailure{Key: k, App: spec.app, Design: spec.d.String()},
-		failedResult, func(h *halter) *ndp.Result {
+		simulated{res: failedResult}, func(h *halter) simulated {
 			if r.simHook != nil {
 				r.simHook(spec)
 			}
 			if r.checkRuns || spec.check {
 				return r.checkedSimulate(k, spec, h)
 			}
-			return r.simulate(k, spec, h)
+			return simulated{res: r.simulate(spec, h)}
 		})
 }
 
 // safeFunctional is the functional characterization with crash isolation.
 func (r *Runner) safeFunctional(k string, spec funcSpec) *ndp.FunctionalResult {
-	return runGuarded(r, RunFailure{Key: k, App: spec.app},
+	res, _ := runGuarded(r, RunFailure{Key: k, App: spec.app},
 		failedFunctional, func(*halter) *ndp.FunctionalResult {
 			if r.simHook != nil {
 				r.simHook(runSpec{app: spec.app, p: spec.p})
@@ -197,6 +177,7 @@ func (r *Runner) safeFunctional(k string, spec funcSpec) *ndp.FunctionalResult {
 			}
 			return ndp.RunFunctional(r.base, a)
 		})
+	return res
 }
 
 // failedResult is the placeholder a crashed or hung run resolves to: shaped

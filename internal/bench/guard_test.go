@@ -202,7 +202,7 @@ func TestDeadlineHaltsAbandonedRun(t *testing.T) {
 	spec := runSpec{app: "pr", d: config.DesignO, cfg: r.base, p: apps.Params{Scale: 14, Seed: 42}}
 	k := key(spec.app, spec.d, spec.cfg, spec.p)
 	start := time.Now()
-	r.simulate(k, spec, &halter{})
+	r.simulate(spec, &halter{})
 	bound := min(time.Second, time.Since(start)/4)
 	for _, checked := range []bool{false, true} {
 		r := NewRunner(io.Discard)
@@ -212,7 +212,7 @@ func TestDeadlineHaltsAbandonedRun(t *testing.T) {
 		r.simHook = func(runSpec) { // runs on the guarded goroutine
 			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("halttest", tag)))
 		}
-		if res := r.safeSimulate(k, spec); res != failedResult {
+		if out, _ := r.safeSimulate(k, spec); out.res != failedResult {
 			t.Fatalf("check %v: the run finished inside 20 ms; the test needs a longer one", checked)
 		}
 		if fails := r.Failures(); len(fails) != 1 || !fails[0].Hung {

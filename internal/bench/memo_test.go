@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"abndp/internal/config"
+	"abndp/internal/ndp"
 )
 
 // TestMemoPanicDoesNotPoison: a computation that panics must not pin the
@@ -87,33 +88,9 @@ func TestMemoPanicWakesWaiters(t *testing.T) {
 	}
 }
 
-// TestMemoCtxAbandonsWait: a context-bounded waiter must detach promptly
-// while the computation continues for the leader.
-func TestMemoCtxAbandonsWait(t *testing.T) {
-	m := newMemo[int]()
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	go m.do("k", func() int { close(entered); <-release; return 1 })
-	<-entered
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if _, ok := m.doCtx(ctx, "k", func() int { return 2 }); ok {
-		t.Fatal("expired wait reported a value")
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("ctx-bounded wait did not abandon promptly")
-	}
-	close(release)
-	if v, ok := m.doCtx(context.Background(), "k", func() int { return 3 }); !ok || v != 1 {
-		t.Fatalf("completed value = (%d, %v), want (1, true)", v, ok)
-	}
-}
-
 // TestRunOnePanicSurfacesFailure: concurrent RunOne callers on one key
-// whose simulation panics must all return the recorded RunFailure as a
-// *RunError — exactly one simulation attempt, no waiter left blocked, no
+// whose simulation panics must all return their recorded RunFailure as a
+// *RunError — one simulation attempt each, none left blocked, no
 // placeholder passed off as data.
 func TestRunOnePanicSurfacesFailure(t *testing.T) {
 	r, _ := quickRunner()
@@ -159,56 +136,38 @@ func TestRunOnePanicSurfacesFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := attempts.Load(); n != 1 {
-		t.Fatalf("%d simulation attempts, want 1 (singleflight)", n)
+	if n := attempts.Load(); n != callers {
+		t.Fatalf("%d simulation attempts, want %d (one per call)", n, callers)
 	}
-	if f, ok := r.FailureFor(spec.Key()); !ok || !strings.Contains(f.Err, "injected service panic") {
-		t.Fatalf("FailureFor = (%+v, %v), want the recorded panic", f, ok)
+	if fails := r.Failures(); len(fails) != callers {
+		t.Fatalf("%d failures recorded, want %d", len(fails), callers)
 	}
 }
 
-// TestRunOneDeduplicates: N concurrent identical RunOne calls cost one
-// simulation and share the same result pointer.
-func TestRunOneDeduplicates(t *testing.T) {
+// TestRunOneRunsEveryCall: RunOne does not memoize. Two calls on one spec
+// simulate twice, to equal hashes, and EngineTotals counts both runs.
+func TestRunOneRunsEveryCall(t *testing.T) {
 	r, _ := quickRunner()
-	gate := make(chan struct{})
-	r.SetSimHook(func(app, design string) { <-gate })
-	spec := Spec{App: "pr", Design: config.DesignB, Config: r.base, Params: r.DefaultParams("pr")}
-
-	const callers = 8
-	results := make(chan any, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := r.RunOne(context.Background(), spec, false)
-			if err != nil {
-				results <- err
-				return
-			}
-			results <- res
-		}()
+	spec := Spec{App: "pr", Design: config.DesignO, Config: r.base, Params: r.DefaultParams("pr")}
+	a, err := r.RunOne(context.Background(), spec, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-	close(results)
-	var firstRes any
-	for v := range results {
-		if err, isErr := v.(error); isErr {
-			t.Fatal(err)
-		}
-		if firstRes == nil {
-			firstRes = v
-			continue
-		}
-		if v != firstRes {
-			t.Fatal("concurrent identical RunOne calls returned different results")
-		}
+	b, err := r.RunOne(context.Background(), spec, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := r.RunsExecuted(); n != 1 {
-		t.Fatalf("%d simulations executed, want 1", n)
+	if a == b {
+		t.Fatal("the second call returned the first call's result")
+	}
+	if ha, hb := ndp.ResultHash(a), ndp.ResultHash(b); ha != hb {
+		t.Fatalf("hashes differ across runs of one spec: %016x vs %016x", ha, hb)
+	}
+	if n := r.RunsExecuted(); n != 2 {
+		t.Fatalf("%d simulations executed, want 2", n)
+	}
+	if events, secs := r.EngineTotals(); events != a.Events+b.Events || secs <= 0 {
+		t.Fatalf("EngineTotals = (%d events, %g s), want %d events and some time", events, secs, a.Events+b.Events)
 	}
 }
 

@@ -1,14 +1,12 @@
 package bench
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"abndp/internal/apps"
 	"abndp/internal/config"
-	"abndp/internal/ndp"
 	"abndp/internal/obs"
 )
 
@@ -21,11 +19,10 @@ var (
 
 // runSpec fully identifies one timing simulation. check requests the
 // invariant audit for this one run even when the Runner-wide check mode is
-// off (the serving layer's per-run -check); it is not part of the cache
-// key, so a checked request for an already-memoized key reuses the result.
-// obsv, when non-nil, is installed on the run's System (the serving
-// layer's per-request Perfetto traces); observability is read-only, so it
-// is not part of the cache key either.
+// off, and obsv, when non-nil, is installed on the run's System (the
+// serving layer's per-request Perfetto traces; observability is
+// read-only). Neither is part of the cache key: only RunOne sets them, and
+// RunOne does not memoize.
 type runSpec struct {
 	app   string
 	d     config.Design
@@ -42,14 +39,14 @@ type funcSpec struct {
 }
 
 // memo is a concurrency-safe, singleflight memoization cache: concurrent
-// do calls for the same key run fn exactly once and share the result.
+// do calls for the same key run fn exactly once and share the result. The
+// experiment tables and their plans resolve runs through it; the serving
+// seam (RunOne) does not.
 //
 // Entries complete by closing their done channel, not via sync.Once: a
 // computation that panics removes its entry before the panic unwinds, so
 // waiters recompute instead of silently sharing the zero value a poisoned
-// Once would have pinned under the key forever, and context-aware callers
-// (the serving layer's per-job deadlines) can abandon a wait without
-// abandoning the computation.
+// Once would have pinned under the key forever.
 type memo[V any] struct {
 	mu sync.Mutex
 	m  map[string]*memoEntry[V]
@@ -72,16 +69,6 @@ func newMemo[V any]() *memo[V] {
 // concurrent do for the same key blocks until the first computation
 // finishes, then shares its value.
 func (c *memo[V]) do(key string, fn func() V) V {
-	v, _ := c.doCtx(context.Background(), key, fn)
-	return v
-}
-
-// doCtx is do with a context-bounded wait: when another caller is already
-// computing key, the wait aborts once ctx is done (returning ok=false and
-// the zero value) while the computation itself continues for the callers
-// still attached. The leading caller runs fn to completion regardless of
-// ctx — bounding the computation is the crash guard's job (guard.go).
-func (c *memo[V]) doCtx(ctx context.Context, key string, fn func() V) (v V, ok bool) {
 	for {
 		c.mu.Lock()
 		e := c.m[key]
@@ -89,16 +76,12 @@ func (c *memo[V]) doCtx(ctx context.Context, key string, fn func() V) (v V, ok b
 			e = &memoEntry[V]{done: make(chan struct{})}
 			c.m[key] = e
 			c.mu.Unlock()
-			return c.lead(e, key, fn), true
+			return c.lead(e, key, fn)
 		}
 		c.mu.Unlock()
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return v, false
-		}
+		<-e.done
 		if e.valid {
-			return e.val, true
+			return e.val
 		}
 		// The leader died in fn without a value (and removed the entry on
 		// its way out); retry, becoming the new leader if still vacant.
@@ -170,12 +153,7 @@ func (r *Runner) executePlan(planned map[string]runSpec, plannedF map[string]fun
 	sort.Strings(keys)
 	for _, k := range keys {
 		k, spec := k, planned[k]
-		jobs = append(jobs, func() {
-			r.cache.do(k, func() *ndp.Result {
-				r.runs.Add(1)
-				return r.safeSimulate(k, spec)
-			})
-		})
+		jobs = append(jobs, func() { r.memoRun(k, spec) })
 	}
 	fkeys := make([]string, 0, len(plannedF))
 	for k := range plannedF {
@@ -186,12 +164,7 @@ func (r *Runner) executePlan(planned map[string]runSpec, plannedF map[string]fun
 	sort.Strings(fkeys)
 	for _, k := range fkeys {
 		k, spec := k, plannedF[k]
-		jobs = append(jobs, func() {
-			r.fcach.do(k, func() *ndp.FunctionalResult {
-				r.runs.Add(1)
-				return r.safeFunctional(k, spec)
-			})
-		})
+		jobs = append(jobs, func() { r.memoFunctional(k, spec) })
 	}
 	if len(jobs) == 0 {
 		return

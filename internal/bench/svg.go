@@ -35,19 +35,31 @@ var designOrder = []config.Design{
 	config.DesignSh, config.DesignC, config.DesignO, config.DesignH,
 }
 
-// RenderSVGs writes every experiment's chart into dir, returning the file
-// paths written. It first simulates the runs the charts need that are not
-// cached yet on the worker pool, so rendering after RunAll simulates
-// nothing.
-func (r *Runner) RenderSVGs(dir string) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+// RenderSVGs writes the charts of the named experiments into dir (of
+// every experiment when none is named; one without a chart writes
+// nothing), returning the file paths written. It first simulates the runs
+// those charts need that are not cached yet on the worker pool, so
+// rendering after the same experiments' tables simulates nothing.
+func (r *Runner) RenderSVGs(dir string, names ...string) ([]string, error) {
+	selected := experiments
+	if len(names) > 0 {
+		selected = nil
+		for _, name := range names {
+			e, err := lookup(name)
+			if err != nil {
+				return nil, err
+			}
+			selected = append(selected, e)
+		}
 	}
 	var charted []*experiment
-	for _, e := range experiments {
+	for _, e := range selected {
 		if e.chart != nil {
 			charted = append(charted, e)
 		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
 	}
 	r.planAndExecute(charted...)
 	var written []string

@@ -5,9 +5,9 @@
 //
 // The design dogfoods the paper's thesis. ABNDP routes a task to the unit
 // that holds its data unless that unit's load makes another one cheaper;
-// the fleet routes a submission to the backend whose memo and checkpoint
-// caches are warm for its canonical key unless that backend is unhealthy
-// or has no free worker:
+// the fleet routes a submission to the backend whose job table and
+// checkpoint store are warm for its canonical key unless that backend is
+// unhealthy or has no free worker:
 //
 //   - consistent-hash routing on serve.RouteKey — identical submissions
 //     from different clients land on one backend and join one job, so

@@ -623,8 +623,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		c.writeError(w, err)
 		return
 	}
-	// A synchronously-terminal dispatch (memo-warm backend) becomes the
-	// job's terminal status like a polled one.
+	// A synchronously-terminal dispatch (a backend that still holds the
+	// key's finished job) becomes the job's terminal status like a polled
+	// one.
 	if isTerminal(st.Status) {
 		if st, err = c.finish(j, b, st); err != nil {
 			c.writeError(w, err)

@@ -12,9 +12,9 @@ import (
 // properties matter to the fleet:
 //
 //   - stability: adding or removing one backend moves only the keys that
-//     hashed into its arcs, so the rest of the fleet keeps its warm memo
-//     and checkpoint caches (the CODA co-location argument applied to our
-//     own serving tier);
+//     hashed into its arcs, so the rest of the fleet keeps its warm job
+//     tables and checkpoint stores (the CODA co-location argument applied
+//     to our own serving tier);
 //   - deterministic fallback order: walking the circle from the key's
 //     point yields the same backend sequence for every proxy instance, so
 //     failover re-dispatch lands on the same secondary everywhere.

@@ -14,9 +14,10 @@ import (
 )
 
 // Executor is the slice of the bench harness a campaign needs: the
-// memoized, crash-guarded single-run seam plus the quick-aware workload
-// defaults. *bench.Runner satisfies it; tests substitute synthetic
-// executors to exercise aggregation without simulating.
+// crash-guarded single-run seam, which simulates on every call, plus the
+// quick-aware workload defaults. *bench.Runner satisfies it; tests
+// substitute synthetic executors to exercise aggregation without
+// simulating.
 type Executor interface {
 	RunOne(ctx context.Context, s bench.Spec, checked bool) (*ndp.Result, error)
 	DefaultParams(app string) apps.Params

@@ -3,7 +3,7 @@
 // experimental arms (design + config overrides, optionally swept over a
 // parameter grid), seed lists for multi-seed statistics, and load levels;
 // the campaign expands the spec into fully-specified runs, executes them
-// through the bench harness's memoized plan/execute seam, aggregates each
+// through the bench harness's crash-guarded single-run seam, aggregates each
 // cell into mean ± confidence interval, extracts the Pareto frontier over
 // a chosen metric pair, and renders a FINDINGS report whose verdict —
 // confirmed, refuted, or inconclusive — is gated on a declared minimum

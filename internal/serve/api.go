@@ -16,12 +16,11 @@ import (
 const MaxRequestBytes = 1 << 20
 
 // RunRequest is the POST /v1/runs body: one fully specified simulation
-// job. Omitted params take the benchmark sizing for the workload (quick
-// sizing when the server runs -quick), so the canonical cache keys line up
-// with the ones the experiment sweeps warm. Omitted config fields take the
-// Table 1 defaults — the same values as abndpsim's flag defaults, so a
-// job's ResultHash is byte-identical to a standalone abndpsim run of the
-// same spec.
+// job. Omitted params take the sizing the experiment tables use for the
+// workload (quick sizing when the server runs -quick). Omitted config
+// fields take the Table 1 defaults — the same values as abndpsim's flag
+// defaults, so a job's ResultHash is byte-identical to a standalone
+// abndpsim run of the same spec.
 type RunRequest struct {
 	App    string      `json:"app"`
 	Design string      `json:"design"`
@@ -29,8 +28,9 @@ type RunRequest struct {
 	Config *ConfigSpec `json:"config,omitempty"`
 
 	// Check audits this job's simulation (runtime invariants plus the
-	// dual-run determinism hash, roughly doubling its cost). A key that is
-	// already cached reuses the memoized result unaudited.
+	// dual-run determinism hash, roughly doubling its cost). A submission
+	// that joins the server's job for its key gets that job as it ran,
+	// audited or not.
 	Check bool `json:"check,omitempty"`
 }
 
@@ -161,9 +161,9 @@ type Health struct {
 	Completed int64 `json:"jobs_completed"`
 	Failed    int64 `json:"jobs_failed"`
 
-	// Runs counts simulations actually executed (memo cache misses): the
-	// gap between jobs_completed and runs is the work the warm cache and
-	// dedup saved.
+	// Runs counts simulations executed: one per job run (jobs_completed
+	// plus jobs_failed) and those experiment renders needed. A submission
+	// that joins a job (jobs_deduped) costs none.
 	Runs int64 `json:"runs_executed"`
 
 	// Latency is the end-to-end request-latency distribution (seconds,

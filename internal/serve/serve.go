@@ -1,12 +1,15 @@
 // Package serve is the long-running simulation service behind
-// cmd/abndpserve: an HTTP/JSON front end over the bench harness's warm
-// singleflight memo cache, worker pool, and crash guard.
+// cmd/abndpserve: an HTTP/JSON front end over the bench harness's
+// crash-guarded single-run seam (bench.Runner.RunOne).
 //
 // A service process amortizes what the batch CLIs pay per invocation —
-// process startup, input generation, and cold result caches — across many
-// clients. Identical concurrent submissions deduplicate onto one
-// simulation via the canonical (app, design, config, params) cache keys;
-// completed results are served from memory for the life of the process.
+// process startup, input generation, and placement cost vectors — across
+// many clients. Submissions deduplicate by canonical (app, design, config,
+// params) key onto one job, in flight or finished, so a key runs once
+// while the server keeps its job. A finished job keeps only what its
+// status renders (summary, hash, error, timestamps), and the server keeps
+// the newest keepFinished of them: a poll of an older one is a 404, and a
+// resubmission of its key runs again, with the same hash.
 //
 // Concurrency and flow control:
 //
@@ -14,7 +17,7 @@
 //     the queue capacity are rejected with 429 and a Retry-After header
 //     rather than buffered without bound;
 //   - a fixed worker pool (GOMAXPROCS-wide by default) executes jobs
-//     through bench.Runner.RunOne, so every simulation stays
+//     through bench.Runner.RunOneObserved, so every simulation stays
 //     single-goroutine and deterministic;
 //   - per-job deadlines ride on the harness's crash-isolation guard: a
 //     panicking or deadline-exceeding run becomes a failed job carrying
@@ -30,6 +33,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -112,9 +116,11 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job // by ID
 	byKey    map[string]*job // dedup: canonical cache key -> job
+	finished []*job          // finished jobs, oldest first
+	keep     int             // keepFinished; tests lower it
 	nextID   int64
 	draining bool
-	queue    chan *job
+	queue    chan *task
 
 	// ready gates /readyz: false until the worker pool is up, false again
 	// once draining. Liveness (/healthz answering at all) and readiness
@@ -130,26 +136,41 @@ type Server struct {
 	submitted, deduped, rejected, completed, failed atomic.Int64
 }
 
-// job is one tracked simulation. Mutable fields are guarded by Server.mu;
-// done closes when the job reaches a terminal state.
+// keepFinished bounds the finished jobs a Server keeps for polls and
+// dedup; beyond it the oldest finished job is evicted. In-flight jobs are
+// never evicted. It is no smaller than the fleet proxy's default JobCap,
+// so a key the proxy has evicted is still answered by the backend that
+// ran it.
+const keepFinished = 1024
+
+// job is one tracked simulation: what its status renders. Mutable fields
+// are guarded by Server.mu; done closes when the job reaches a terminal
+// state. A finished job keeps its summary, not its result.
 type job struct {
-	id    string
-	reqID string // the originating request's ID (dedup joins keep their own)
-	spec  bench.Spec
-	key   string
-	check bool
-	done  chan struct{}
-	trace *obs.ReqTrace // request-scoped spans, anchored at submit
+	id          string
+	reqID       string // the originating request's ID (dedup joins keep their own)
+	key         string
+	app, design string
+	done        chan struct{}
 
 	state              string
 	submitted, started time.Time
 	finished           time.Time
-	res                *ndp.Result
+	sum                *RunSummary
 	hash               uint64
 	errMsg             string
 	hung               bool
 	violations         int
 	traceFile          string
+}
+
+// task is a queued job plus what only its run needs. The job record does
+// not hold these, so a finished job keeps none of them.
+type task struct {
+	j     *job
+	spec  bench.Spec
+	check bool
+	trace *obs.ReqTrace // request-scoped spans, anchored at submit
 }
 
 // Process-wide service counters on /debug/vars and /metrics. Registered
@@ -172,7 +193,7 @@ var (
 	histQueueWait = obs.PublishedHist("serve_queue_wait_seconds",
 		"Time a job waited in the bounded queue, submit to run start.", 1e-6)
 	histRun = obs.PublishedHist("serve_run_seconds",
-		"Job execution time in the worker pool (memo hits return in microseconds; cold simulations in seconds).", 1e-6)
+		"Job execution time in the worker pool.", 1e-6)
 	histRequest = obs.PublishedHist("serve_request_seconds",
 		"End-to-end job latency, submit to terminal state.", 1e-6)
 	histRender = obs.PublishedHist("serve_render_seconds",
@@ -207,7 +228,8 @@ func New(cfg Config) *Server {
 		log:    logger,
 		jobs:   make(map[string]*job),
 		byKey:  make(map[string]*job),
-		queue:  make(chan *job, cfg.QueueSize),
+		keep:   keepFinished,
+		queue:  make(chan *task, cfg.QueueSize),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -265,26 +287,26 @@ func (s *Server) Runner() *bench.Runner { return s.runner }
 // worker executes queued jobs until the queue closes on drain.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		s.execute(j)
+	for t := range s.queue {
+		s.execute(t)
 	}
 }
 
-// execute runs one job through the warm memo cache and crash guard.
-func (s *Server) execute(j *job) {
+// execute runs one job under the crash guard and records its outcome.
+func (s *Server) execute(t *task) {
+	j := t.j
 	s.mu.Lock()
 	j.state = StateRunning
 	j.started = time.Now()
 	s.mu.Unlock()
 	histQueueWait.Observe(j.started.Sub(j.submitted).Microseconds())
 	s.log.Info("run start", "request_id", j.reqID, "job", j.id,
-		"app", j.spec.App, "design", j.spec.Design.String(),
+		"app", j.app, "design", j.design,
 		"queue_wait", j.started.Sub(j.submitted))
 
 	// Per-job Perfetto trace: the engine's task spans and counter tracks
-	// land here if (and only if) this job leads the memo computation; the
-	// serve-tier request spans are appended after the run, so both tiers
-	// share one timeline keyed by the request ID.
+	// land here; the serve-tier request spans are appended after the run,
+	// so both tiers share one timeline keyed by the request ID.
 	var (
 		tf *os.File
 		tr *obs.Tracer
@@ -296,25 +318,19 @@ func (s *Server) execute(j *job) {
 		if err != nil {
 			s.log.Warn("trace file create failed", "request_id", j.reqID, "path", path, "err", err)
 		} else {
-			tf, tr = f, obs.NewTracer(f, j.spec.Config.CoreGHz)
+			tf, tr = f, obs.NewTracer(f, t.spec.Config.CoreGHz)
 			o = &obs.Observer{Trace: tr, SampleInterval: 1024}
 		}
 	}
 
-	// Background suffices as the wait context: the computation — whether
-	// this job leads it or joins a leader for the same key — is bounded by
-	// the crash guard's per-run deadline, which releases every waiter with
-	// the recorded failure when it fires.
-	res, err := s.runner.RunOneObserved(context.Background(), j.spec, j.check, o)
-	vs := len(s.runner.CheckViolationsFor(j.key))
+	// The crash guard's per-run deadline bounds the run.
+	res, violations, err := s.runner.RunOneObserved(context.Background(), t.spec, t.check, o)
 	finished := time.Now()
 	histRun.Observe(finished.Sub(j.started).Microseconds())
 	histRequest.Observe(finished.Sub(j.submitted).Microseconds())
 
-	hung := false
-	if re, ok := err.(*bench.RunError); ok {
-		hung = re.Failure.Hung
-	}
+	var re *bench.RunError
+	hung := errors.As(err, &re) && re.Failure.Hung
 	traceFile := ""
 	if tr != nil {
 		if hung {
@@ -323,9 +339,9 @@ func (s *Server) execute(j *job) {
 			// handle and drop the trace rather than corrupt it.
 			s.log.Warn("abandoning trace of hung run", "request_id", j.reqID, "job", j.id)
 		} else {
-			j.trace.Span("queue wait", j.submitted, j.started)
-			j.trace.Span("run", j.started, finished, "key", j.key)
-			j.trace.WriteTo(tr)
+			t.trace.Span("queue wait", j.submitted, j.started)
+			t.trace.Span("run", j.started, finished, "key", j.key)
+			t.trace.WriteTo(tr)
 			if cerr := tr.Close(); cerr != nil {
 				s.log.Warn("trace close failed", "request_id", j.reqID, "err", cerr)
 			} else {
@@ -337,20 +353,31 @@ func (s *Server) execute(j *job) {
 
 	s.mu.Lock()
 	j.finished = finished
-	j.violations = vs
+	j.violations = violations
 	j.traceFile = traceFile
-	switch {
-	case err != nil:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		if re, ok := err.(*bench.RunError); ok {
-			j.hung = re.Failure.Hung
-			j.res = res // the marked placeholder, for completeness
+	if err != nil {
+		j.state, j.errMsg, j.hung = StateFailed, err.Error(), hung
+	} else {
+		j.state, j.hash = StateDone, ndp.ResultHash(res)
+		j.sum = &RunSummary{
+			Makespan:      res.Makespan,
+			Seconds:       res.Seconds,
+			Tasks:         res.Tasks,
+			Steps:         res.Steps,
+			InterHops:     res.InterHops,
+			EnergyUJ:      res.Energy.Total() / 1e6,
+			Imbalance:     res.Stats.ImbalanceRatio(),
+			CacheHitRate:  res.Stats.CacheHitRate(),
+			Unrecoverable: res.Unrecoverable,
 		}
-	default:
-		j.state = StateDone
-		j.res = res
-		j.hash = ndp.ResultHash(res)
+	}
+	s.finished = append(s.finished, j)
+	if len(s.finished) > s.keep {
+		old := s.finished[0]
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+		delete(s.jobs, old.id)
+		delete(s.byKey, old.key)
 	}
 	s.mu.Unlock()
 	close(j.done)
@@ -370,9 +397,9 @@ func (s *Server) execute(j *job) {
 	}
 }
 
-// handleSubmit admits one job: dedup against in-flight and completed jobs
-// by canonical cache key, then a non-blocking enqueue with explicit 429
-// backpressure when the bounded queue is full.
+// handleSubmit admits one job: dedup against in-flight and kept finished
+// jobs by canonical cache key, then a non-blocking enqueue with explicit
+// 429 backpressure when the bounded queue is full.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
@@ -416,17 +443,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	j := &job{
 		reqID:     rid,
-		spec:      spec,
 		key:       key,
-		check:     req.Check,
+		app:       spec.App,
+		design:    spec.Design.String(),
 		done:      make(chan struct{}),
 		state:     StateQueued,
 		submitted: now,
-		trace:     obs.NewReqTrace(rid),
 	}
-	j.trace.Span("submit", now, now, "app", spec.App, "design", spec.Design.String())
+	t := &task{j: j, spec: spec, check: req.Check, trace: obs.NewReqTrace(rid)}
+	t.trace.Span("submit", now, now, "app", j.app, "design", j.design)
 	select {
-	case s.queue <- j:
+	case s.queue <- t:
 	default:
 		s.mu.Unlock()
 		s.rejected.Add(1)
@@ -445,7 +472,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, st)
 	s.log.Info("submit accepted", "request_id", rid, "job", j.id,
-		"app", spec.App, "design", spec.Design.String(), "key", key)
+		"app", j.app, "design", j.design, "key", key)
 }
 
 // handleRun reports one job. ?wait=DURATION blocks until the job reaches
@@ -617,8 +644,8 @@ func (s *Server) statusLocked(j *job) *RunStatus {
 		Backend:         s.cfg.ID,
 		Status:          j.state,
 		TraceFile:       j.traceFile,
-		App:             j.spec.App,
-		Design:          j.spec.Design.String(),
+		App:             j.app,
+		Design:          j.design,
 		Error:           j.errMsg,
 		Hung:            j.hung,
 		CheckViolations: j.violations,
@@ -628,18 +655,7 @@ func (s *Server) statusLocked(j *job) *RunStatus {
 	}
 	if j.state == StateDone {
 		st.ResultHash = fmt.Sprintf("%016x", j.hash)
-		res := j.res
-		st.Result = &RunSummary{
-			Makespan:      res.Makespan,
-			Seconds:       res.Seconds,
-			Tasks:         res.Tasks,
-			Steps:         res.Steps,
-			InterHops:     res.InterHops,
-			EnergyUJ:      res.Energy.Total() / 1e6,
-			Imbalance:     res.Stats.ImbalanceRatio(),
-			CacheHitRate:  res.Stats.CacheHitRate(),
-			Unrecoverable: res.Unrecoverable,
-		}
+		st.Result = j.sum
 	}
 	return st
 }
