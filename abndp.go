@@ -216,9 +216,13 @@ type ObsMetrics = obs.Metrics
 // when the run finishes to terminate the JSON document and flush.
 func NewTracer(w io.Writer, coreGHz float64) *Tracer { return obs.NewTracer(w, coreGHz) }
 
-// StartDebugServer serves expvar and net/http/pprof on addr (e.g.
-// ":6060") in the background, returning the bound address.
-func StartDebugServer(addr string) (string, error) { return obs.StartDebugServer(addr) }
+// StartDebugServer serves net/http/pprof on addr (e.g. ":6060") in the
+// background, returning the bound address. A bare run has no metric
+// series of its own, so /metrics shows only the go_* runtime gauges and
+// /debug/vars an empty object.
+func StartDebugServer(addr string) (string, error) {
+	return obs.StartDebugServer(addr, obs.NewRegistry())
+}
 
 // RunAppObserved is RunApp with the observability subsystem installed:
 // o.Trace receives the Perfetto trace, o.Metrics (when non-nil) ends up in

@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jobs   = fs.Int("j", 0, "worker goroutines for simulation runs (0 = GOMAXPROCS, 1 = one run at a time)")
 		bjson  = fs.String("benchjson", "", "write the harness counters (runs, engine events, cache counters, failures, audit outcome, memory footprint) to this JSON file")
 		prog   = fs.Bool("progress", false, "report per-experiment and per-run progress to stderr")
-		srv    = fs.String("pprof", "", "serve pprof+expvar+Prometheus /metrics debug HTTP on this address (e.g. :6060)")
+		srv    = fs.String("pprof", "", "serve pprof and the run counters (/metrics, /debug/vars) over debug HTTP on this address (e.g. :6060)")
 		cpup   = fs.String("cpuprofile", "", "write a CPU profile of the harness to this file")
 		memp   = fs.String("memprofile", "", "write a heap profile (taken at exit) to this file")
 		rdl    = fs.Duration("rundeadline", 0, "per-run wall-clock deadline; a run past it is recorded as hung and skipped (0 = the 10m default, negative disables)")
@@ -94,8 +94,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	r := bench.NewRunner(stdout)
+	r.SetQuick(*quick)
+	if *prog {
+		r.SetProgress(stderr)
+	}
+	r.SetWorkers(*jobs)
+	if *rdl != 0 {
+		r.SetRunDeadline(*rdl)
+	}
+	r.SetCheck(*chk)
+
 	if *srv != "" {
-		addr, err := obs.StartDebugServer(*srv)
+		addr, err := obs.StartDebugServer(*srv, r.Registry())
 		if err != nil {
 			return fail(err)
 		}
@@ -112,17 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-
-	r := bench.NewRunner(stdout)
-	r.SetQuick(*quick)
-	if *prog {
-		r.SetProgress(stderr)
-	}
-	r.SetWorkers(*jobs)
-	if *rdl != 0 {
-		r.SetRunDeadline(*rdl)
-	}
-	r.SetCheck(*chk)
 
 	start := time.Now()
 	names := experimentNames(*exps)

@@ -149,8 +149,8 @@ func run(args []string, stderr io.Writer) int {
 
 	r := srv.Runner()
 	events, _ := r.EngineTotals()
-	logger.Info("drained", "runs", r.RunsExecuted(), "failures", len(r.Failures()),
-		"events_total", events)
+	logger.Info("drained", "runs", r.RunsExecuted(),
+		"failures", r.Registry().Counter("serve_jobs_failed").Value(), "events_total", events)
 	if err := <-serveErr; err != nil && err != http.ErrServerClosed {
 		return fail(err)
 	}

@@ -64,7 +64,7 @@ func run() error {
 		perfetto = flag.String("perfetto", "", "write a Perfetto/Chrome trace-event JSON trace to this file")
 		metricsF = flag.String("metrics", "", "write phase-resolved observability metrics as CSV to this file")
 		sample   = flag.Int64("sample-interval", 1024, "counter-sampling interval in cycles for -perfetto")
-		pprofSrv = flag.String("pprof", "", "serve pprof+expvar+Prometheus /metrics debug HTTP on this address (e.g. :6060)")
+		pprofSrv = flag.String("pprof", "", "serve pprof and the go_* runtime gauges (/metrics) over debug HTTP on this address (e.g. :6060)")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	)

@@ -34,6 +34,7 @@ import (
 	"abndp/internal/config"
 	"abndp/internal/host"
 	"abndp/internal/ndp"
+	"abndp/internal/obs"
 	"abndp/internal/stats"
 )
 
@@ -81,6 +82,11 @@ type Runner struct {
 	// runs counts executed simulations; events and nanos sum the engine
 	// events and host wall clock of the timing runs, for EngineTotals.
 	runs, events, nanos atomic.Int64
+
+	// reg holds the worker pool's live progress: runsPlanned and runsDone
+	// are its bench_runs_planned and bench_runs_done counters.
+	reg                   *obs.Registry
+	runsPlanned, runsDone *obs.Counter
 }
 
 // NewRunner builds a Runner writing its tables to w, using the Table 1
@@ -95,12 +101,16 @@ type Runner struct {
 // parity tests.
 func NewRunner(w io.Writer) *Runner {
 	apps.EnableInputCache(true)
+	reg := obs.NewRegistry()
 	return &Runner{
-		out:   w,
-		base:  config.Default(),
-		cache: newMemo[*ndp.Result](),
-		fcach: newMemo[*ndp.FunctionalResult](),
-		store: ckpt.NewStore(0),
+		out:         w,
+		base:        config.Default(),
+		cache:       newMemo[*ndp.Result](),
+		fcach:       newMemo[*ndp.FunctionalResult](),
+		store:       ckpt.NewStore(0),
+		reg:         reg,
+		runsPlanned: reg.Counter("bench_runs_planned"),
+		runsDone:    reg.Counter("bench_runs_done"),
 	}
 }
 
@@ -109,6 +119,12 @@ func (r *Runner) SetQuick(q bool) { r.quick = q }
 
 // Store returns the Runner's checkpoint store.
 func (r *Runner) Store() *ckpt.Store { return r.store }
+
+// Registry returns the Runner's metric registry, which holds the worker
+// pool's bench_runs_planned and bench_runs_done counters. A serve.Server
+// adds its own series to its Runner's registry; abndpbench's -pprof debug
+// server renders it.
+func (r *Runner) Registry() *obs.Registry { return r.reg }
 
 // SetWorkers fixes the worker-pool size for simulation runs: 1 executes
 // every run inline and serially (the pre-parallel behavior), 0 restores
@@ -220,10 +236,12 @@ func (r *Runner) runCfg(spec runSpec) *ndp.Result {
 }
 
 // memoRun resolves one run through the singleflight memo: the first
-// caller of a key simulates it, and every later one shares its result.
+// caller of a key simulates it, and every later one shares its result. A
+// failed run is recorded (Failures) and resolves to the placeholder.
 func (r *Runner) memoRun(k string, spec runSpec) *ndp.Result {
 	return r.cache.do(k, func() *ndp.Result {
-		out, _ := r.safeSimulate(k, spec)
+		out, f := r.safeSimulate(k, spec)
+		r.recordFailure(f)
 		return out.res
 	})
 }

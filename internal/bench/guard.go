@@ -43,16 +43,22 @@ func (r *Runner) effectiveDeadline() time.Duration {
 	return defaultRunDeadline
 }
 
-// recordFailure appends one failure under the Runner's failure lock and
-// reports it on the progress stream.
-func (r *Runner) recordFailure(f RunFailure) {
+// recordFailure appends a failed table run to Failures under the Runner's
+// failure lock and reports it on the progress stream; a nil f (the run
+// succeeded) records nothing. Only the experiment tables record: RunOne
+// hands its failure to its caller.
+func (r *Runner) recordFailure(f *RunFailure) {
+	if f == nil {
+		return
+	}
 	r.failMu.Lock()
-	r.failures = append(r.failures, f)
+	r.failures = append(r.failures, *f)
 	r.failMu.Unlock()
 	r.progressf("  FAILED %s: %s\n", f.Key, f.Err)
 }
 
-// Failures returns the failures recorded so far (a copy; safe to keep).
+// Failures returns the failures the experiment tables recorded so far (a
+// copy; safe to keep).
 func (r *Runner) Failures() []RunFailure {
 	r.failMu.Lock()
 	defer r.failMu.Unlock()
@@ -100,14 +106,14 @@ func (h *halter) halt() {
 
 // runGuarded executes fn with crash isolation and counts it as one
 // executed simulation: fn runs on its own goroutine, a panic becomes a
-// recorded RunFailure instead of unwinding the worker, and a run exceeding
-// the deadline is abandoned and recorded as hung. fn registers the Systems
-// it builds with its halter, and an abandoned run's Systems are halted:
-// each stops at its next event and its goroutine exits, so it does not
-// keep a core. Input generation (an app's Setup) runs before the first
-// event and is not interrupted. On failure the sentinel is returned with
-// the recorded failure, so a sweep's remaining rows render unchanged and
-// a single-run caller can report the failure.
+// RunFailure instead of unwinding the worker, and a run exceeding the
+// deadline is abandoned as hung. fn registers the Systems it builds with
+// its halter, and an abandoned run's Systems are halted: each stops at its
+// next event and its goroutine exits, so it does not keep a core. Input
+// generation (an app's Setup) runs before the first event and is not
+// interrupted. On failure the sentinel is returned with the failure, which
+// runGuarded does not record: a sweep records it (recordFailure) and
+// renders its remaining rows unchanged, and a single-run caller reports it.
 func runGuarded[V any](r *Runner, f RunFailure, sentinel V, fn func(*halter) V) (V, *RunFailure) {
 	r.runs.Add(1)
 	ch := make(chan guardOutcome[V], 1) // buffered: a timed-out run's late send must not leak its goroutine
@@ -138,7 +144,6 @@ func runGuarded[V any](r *Runner, f RunFailure, sentinel V, fn func(*halter) V) 
 		h.halt()
 		f.Err, f.Hung = fmt.Sprintf("exceeded the %s per-run deadline", deadline), true
 	}
-	r.recordFailure(f)
 	return sentinel, &f
 }
 
@@ -165,8 +170,9 @@ func (r *Runner) safeSimulate(k string, spec runSpec) (simulated, *RunFailure) {
 }
 
 // safeFunctional is the functional characterization with crash isolation.
+// A failed run is recorded and resolves to failedFunctional.
 func (r *Runner) safeFunctional(k string, spec funcSpec) *ndp.FunctionalResult {
-	res, _ := runGuarded(r, RunFailure{Key: k, App: spec.app},
+	res, f := runGuarded(r, RunFailure{Key: k, App: spec.app},
 		failedFunctional, func(*halter) *ndp.FunctionalResult {
 			if r.simHook != nil {
 				r.simHook(runSpec{app: spec.app, p: spec.p})
@@ -177,6 +183,7 @@ func (r *Runner) safeFunctional(k string, spec funcSpec) *ndp.FunctionalResult {
 			}
 			return ndp.RunFunctional(r.base, a)
 		})
+	r.recordFailure(f)
 	return res
 }
 

@@ -10,13 +10,6 @@ import (
 	"abndp/internal/obs"
 )
 
-// Expvar gauges for the -pprof debug endpoint: how much of the planned run
-// set the worker pool has finished, live.
-var (
-	expRunsPlanned = obs.Published("bench_runs_planned")
-	expRunsDone    = obs.Published("bench_runs_done")
-)
-
 // runSpec fully identifies one timing simulation. check requests the
 // invariant audit for this one run even when the Runner-wide check mode is
 // off, and obsv, when non-nil, is installed on the run's System (the
@@ -169,7 +162,7 @@ func (r *Runner) executePlan(planned map[string]runSpec, plannedF map[string]fun
 	if len(jobs) == 0 {
 		return
 	}
-	expRunsPlanned.Add(int64(len(jobs)))
+	r.runsPlanned.Add(int64(len(jobs)))
 	r.progressf("simulating %d runs on %d workers\n", len(jobs), r.Workers())
 	var done atomic.Int64
 
@@ -185,7 +178,7 @@ func (r *Runner) executePlan(planned map[string]runSpec, plannedF map[string]fun
 			defer wg.Done()
 			for j := range queue {
 				j()
-				expRunsDone.Add(1)
+				r.runsDone.Add(1)
 				if d := done.Add(1); r.progress != nil && (d%8 == 0 || d == int64(len(jobs))) {
 					r.progressf("  sim %d/%d\n", d, len(jobs))
 				}

@@ -37,9 +37,9 @@ func (s Spec) Key() string { return key(s.App, s.Design, s.Config, s.Params) }
 // app (quick-aware), which a service request that omits params gets.
 func (r *Runner) DefaultParams(app string) apps.Params { return r.params(app) }
 
-// RunError surfaces a guarded run's recorded failure as an error: the run
-// panicked or exceeded the per-run deadline, and the result returned with
-// it is the failure placeholder, not data.
+// RunError surfaces a guarded run's failure as an error: the run panicked
+// or exceeded the per-run deadline, and the result returned with it is the
+// failure placeholder, not data.
 type RunError struct{ Failure RunFailure }
 
 func (e *RunError) Error() string {
@@ -62,7 +62,8 @@ func (e *RunError) Error() string {
 //
 // A run that panicked or hit the deadline returns the failure placeholder
 // alongside a *RunError, so callers never mistake the sentinel for a real
-// result.
+// result. The Runner keeps no record of it: Failures lists only the
+// experiment tables' failures.
 func (r *Runner) RunOne(ctx context.Context, s Spec, checked bool) (*ndp.Result, error) {
 	res, _, err := r.RunOneObserved(ctx, s, checked, nil)
 	return res, err

@@ -50,9 +50,12 @@ type Backend struct {
 	meanRunSeconds                float64
 	completed                     int64
 
-	// h is the request-latency histogram labeled with id, resolved on
-	// first use and again after a probe changes id.
-	h *obs.SyncHist
+	// The backend's series in the proxy's registry reg: its breaker and
+	// probe counters, and h, the request-latency histogram labeled with id,
+	// resolved on first use and again after a probe changes id.
+	reg                          *obs.Registry
+	opens, probes, probeFailures *obs.Counter
+	h                            *obs.SyncHist
 
 	// inflight counts this proxy's jobs on the backend that are not yet
 	// terminal: a pjob adds one when a dispatch leaves it queued or running
@@ -60,7 +63,9 @@ type Backend struct {
 	inflight atomic.Int64
 }
 
-func newBackend(rawURL string, failThreshold int, halfOpenAfter time.Duration) (*Backend, error) {
+// newBackend returns the backend at rawURL, counting its probes and
+// breaker openings in reg's fleet_* series.
+func newBackend(rawURL string, failThreshold int, halfOpenAfter time.Duration, reg *obs.Registry) (*Backend, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("fleet: backend URL %q must be absolute (http://host:port)", rawURL)
@@ -71,6 +76,10 @@ func newBackend(rawURL string, failThreshold int, halfOpenAfter time.Duration) (
 		halfOpenAfter: halfOpenAfter,
 		id:            u.Host,
 		state:         BreakerClosed,
+		reg:           reg,
+		opens:         reg.Counter("fleet_breaker_opens_total"),
+		probes:        reg.Counter("fleet_probes_total"),
+		probeFailures: reg.Counter("fleet_probe_failures_total"),
 	}, nil
 }
 
@@ -82,15 +91,15 @@ func (b *Backend) ID() string {
 	return b.id
 }
 
-// hist returns the backend's labeled request-latency histogram on
-// /metrics. The label follows the discovered ID: a probe that changes the
-// ID drops the cached histogram, and the next call registers the new
-// label (registration is permanent per label value).
+// hist returns the backend's labeled request-latency histogram on the
+// proxy's /metrics. The label follows the discovered ID: a probe that
+// changes the ID drops the cached histogram, and the next call registers
+// the new label (a series stays registered once created).
 func (b *Backend) hist() *obs.SyncHist {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.h == nil {
-		b.h = obs.PublishedHistLabel("fleet_backend_request_seconds",
+		b.h = b.reg.Hist("fleet_backend_request_seconds",
 			"Latency of requests the proxy forwarded to this backend.", 1e-6,
 			"backend", b.id)
 	}
@@ -132,7 +141,7 @@ func (b *Backend) Fail(reason string) {
 	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.fails >= b.failThreshold) {
 		b.state = BreakerOpen
 		b.openedAt = time.Now()
-		fleetBreakerOpens.Add(1)
+		b.opens.Add(1)
 	}
 }
 
@@ -150,14 +159,14 @@ func (b *Backend) OK() {
 // is a live process refusing new work: it clears the failure count (the
 // process answers) but marks the backend unroutable.
 func (b *Backend) Probe(ctx context.Context, hc *http.Client) error {
-	fleetProbes.Add(1)
+	b.probes.Add(1)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/readyz", nil)
 	if err != nil {
 		return err
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		fleetProbeFailures.Add(1)
+		b.probeFailures.Add(1)
 		b.Fail(err.Error())
 		b.mu.Lock()
 		b.ready = false
@@ -169,7 +178,7 @@ func (b *Backend) Probe(ctx context.Context, hc *http.Client) error {
 	if derr := json.NewDecoder(resp.Body).Decode(&rd); derr != nil ||
 		(resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable) {
 		err := fmt.Errorf("readyz: HTTP %d (decode err %v)", resp.StatusCode, derr)
-		fleetProbeFailures.Add(1)
+		b.probeFailures.Add(1)
 		b.Fail(err.Error())
 		b.mu.Lock()
 		b.ready = false

@@ -81,7 +81,7 @@ func TestOneDispatchAtATime(t *testing.T) {
 	b1, b2 := newStub(t, "b1"), newStub(t, "b2")
 	script(b1)
 	script(b2)
-	_, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
+	c, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
 	t.Cleanup(func() { unblock(1); unblock(2) }) // before the stubs close: a held POST would wedge them
 
 	hc := &http.Client{Timeout: 10 * time.Second}
@@ -113,9 +113,8 @@ func TestOneDispatchAtATime(t *testing.T) {
 	subs := make(chan answer, 2)
 	go func() { subs <- call(http.MethodPost, "/v1/runs", spec(1)) }()
 	waitFor(t, "the first POST to reach a backend", func() bool { return takes[1].Load() >= 1 })
-	deduped := fleetDeduped.Value()
 	go func() { subs <- call(http.MethodPost, "/v1/runs", spec(1)) }()
-	waitFor(t, "the duplicate to join the job", func() bool { return fleetDeduped.Value() > deduped })
+	waitFor(t, "the duplicate to join the job", func() bool { return c.deduped.Value() == 1 })
 	settle()
 	if n := takes[1].Load(); n != 1 {
 		t.Fatalf("a duplicate submission during the first dispatch posted the job again: %d POSTs", n)
@@ -136,7 +135,6 @@ func TestOneDispatchAtATime(t *testing.T) {
 	if sub.err != nil {
 		t.Fatal(sub.err)
 	}
-	failovers := fleetFailovers.Value()
 	polls := make(chan answer, 2)
 	for range 2 {
 		go func() { polls <- call(http.MethodGet, "/v1/runs/"+sub.st.ID+"?wait=5s", "") }()
@@ -156,8 +154,8 @@ func TestOneDispatchAtATime(t *testing.T) {
 			t.Fatalf("a poll answered %+v, want done after one failover away from %s", s.st, sub.st.Backend)
 		}
 	}
-	if got := fleetFailovers.Value() - failovers; got != 1 {
-		t.Fatalf("fleet_failovers_total delta = %d, want 1", got)
+	if got := c.failovers.Value(); got != 1 {
+		t.Fatalf("fleet_failovers_total = %d, want 1", got)
 	}
 }
 
@@ -216,7 +214,7 @@ func TestDispatchEndsWithOwner(t *testing.T) {
 	h := &blockFirstDispatched{inGap: make(chan struct{}), release: make(chan struct{})}
 	cfg := fastCfg(b1.srv.URL, b2.srv.URL)
 	cfg.Logger = slog.New(h)
-	_, ts := newTestCoord(t, cfg)
+	c, ts := newTestCoord(t, cfg)
 	var releaseOnce, postOnce sync.Once
 	releaseGap := func() { releaseOnce.Do(func() { close(h.release) }) }
 	releasePost := func() { postOnce.Do(func() { close(firstPost) }) }
@@ -242,9 +240,8 @@ func TestDispatchEndsWithOwner(t *testing.T) {
 	subs := make(chan error, 2)
 	go func() { subs <- do(http.MethodPost, "/v1/runs", spec) }()
 	waitFor(t, "the first POST to reach a backend", func() bool { return posts.Load() >= 1 })
-	deduped := fleetDeduped.Value()
 	go func() { subs <- do(http.MethodPost, "/v1/runs", spec) }()
-	waitFor(t, "the duplicate to join the job", func() bool { return fleetDeduped.Value() > deduped })
+	waitFor(t, "the duplicate to join the job", func() bool { return c.deduped.Value() == 1 })
 	time.Sleep(50 * time.Millisecond) // the duplicate waits for the first dispatch
 	releasePost()
 	select {
@@ -323,9 +320,8 @@ func TestUnplacedJobEndsItsJoiners(t *testing.T) {
 	subs := make(chan answer, 2)
 	go func() { subs <- post() }()
 	waitFor(t, "the first POST to reach the backend", func() bool { return posts.Load() >= 1 })
-	deduped := fleetDeduped.Value()
 	go func() { subs <- post() }()
-	waitFor(t, "the duplicate to join the job", func() bool { return fleetDeduped.Value() > deduped })
+	waitFor(t, "the duplicate to join the job", func() bool { return c.deduped.Value() == 1 })
 	time.Sleep(50 * time.Millisecond) // the duplicate waits for the first dispatch
 	release()
 	for range 2 {

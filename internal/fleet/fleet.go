@@ -118,23 +118,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Fleet-wide counters on /debug/vars and the proxy's /metrics.
-var (
-	fleetSubmitted      = obs.Published("fleet_jobs_submitted")
-	fleetDeduped        = obs.Published("fleet_jobs_deduped")
-	fleetRejected       = obs.Published("fleet_jobs_rejected")
-	fleetDispatches     = obs.Published("fleet_dispatches_total")
-	fleetRetryRounds    = obs.Published("fleet_dispatch_retry_rounds_total")
-	fleetFailovers      = obs.Published("fleet_failovers_total")
-	fleetPoisoned       = obs.Published("fleet_jobs_poisoned_total")
-	fleetHashMismatches = obs.Published("fleet_hash_mismatches_total")
-	fleetBreakerOpens   = obs.Published("fleet_breaker_opens_total")
-	fleetProbes         = obs.Published("fleet_probes_total")
-	fleetProbeFailures  = obs.Published("fleet_probe_failures_total")
-	fleetJobEvictions   = obs.Published("fleet_job_evictions_total")
-	fleetLoadReroutes   = obs.Published("fleet_load_reroutes_total")
-)
-
 // Coordinator fronts the backend fleet. Create with New, mount Handler,
 // and Close on shutdown.
 type Coordinator struct {
@@ -146,7 +129,11 @@ type Coordinator struct {
 	log      *slog.Logger
 	mux      *http.ServeMux
 
-	coordCounters // per-coordinator /healthz counters
+	// The proxy's fleet_* counters, looked up once in New in the registry
+	// its /metrics serves; /healthz reads them too. Each Backend keeps its
+	// probe and breaker counters and its latency histogram there.
+	submitted, deduped, rejected, dispatches, retryRounds, failovers,
+	poisoned, mismatches, evictions, reroutes *obs.Counter
 
 	mu       sync.Mutex
 	jobs     map[string]*pjob        // by fleet job ID
@@ -168,19 +155,30 @@ func New(cfg Config) (*Coordinator, error) {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	reg := obs.NewRegistry()
 	c := &Coordinator{
-		cfg:      cfg,
-		hc:       &http.Client{},
-		probeHC:  &http.Client{Timeout: cfg.ProbeTimeout},
-		log:      logger,
-		jobs:     make(map[string]*pjob),
-		byKey:    make(map[string]*pjob),
-		termLRU:  list.New(),
-		termElem: make(map[*pjob]*list.Element),
+		cfg:         cfg,
+		hc:          &http.Client{},
+		probeHC:     &http.Client{Timeout: cfg.ProbeTimeout},
+		log:         logger,
+		submitted:   reg.Counter("fleet_jobs_submitted"),
+		deduped:     reg.Counter("fleet_jobs_deduped"),
+		rejected:    reg.Counter("fleet_jobs_rejected"),
+		dispatches:  reg.Counter("fleet_dispatches_total"),
+		retryRounds: reg.Counter("fleet_dispatch_retry_rounds_total"),
+		failovers:   reg.Counter("fleet_failovers_total"),
+		poisoned:    reg.Counter("fleet_jobs_poisoned_total"),
+		mismatches:  reg.Counter("fleet_hash_mismatches_total"),
+		evictions:   reg.Counter("fleet_job_evictions_total"),
+		reroutes:    reg.Counter("fleet_load_reroutes_total"),
+		jobs:        make(map[string]*pjob),
+		byKey:       make(map[string]*pjob),
+		termLRU:     list.New(),
+		termElem:    make(map[*pjob]*list.Element),
 	}
 	urls := make([]string, 0, len(cfg.Backends))
 	for _, raw := range cfg.Backends {
-		b, err := newBackend(raw, cfg.FailThreshold, cfg.HalfOpenAfter)
+		b, err := newBackend(raw, cfg.FailThreshold, cfg.HalfOpenAfter, reg)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +198,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("GET /v1/runs/{id}", c.handleRun)
 	c.mux.HandleFunc("GET /v1/experiments/{name}", c.handleExperiment)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.Handle("GET /metrics", obs.PromHandler())
+	c.mux.Handle("GET /metrics", reg.Handler())
 	return c, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"abndp/client"
+	"abndp/internal/obs"
 	"abndp/internal/serve"
 )
 
@@ -146,7 +148,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // the cool-down, instant re-open on a half-open failure, closed on
 // success.
 func TestBreakerLifecycle(t *testing.T) {
-	b, err := newBackend("http://127.0.0.1:1", 3, 50*time.Millisecond)
+	b, err := newBackend("http://127.0.0.1:1", 3, 50*time.Millisecond, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +301,6 @@ func TestFailoverHashMismatch(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(serve.RunStatus{ID: "run-b2", Status: serve.StateDone, ResultHash: "2222", Backend: "b2"})
 	}
 
-	before := fleetHashMismatches.Value()
 	c, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
 	var once sync.Once
 	unblock := func() { once.Do(func() { close(release) }) }
@@ -355,8 +356,8 @@ func TestFailoverHashMismatch(t *testing.T) {
 	if a.code != http.StatusBadGateway || !strings.Contains(a.body, "integrity") {
 		t.Fatalf("b1's late done: status %d (%s), want 502 naming the integrity violation", a.code, a.body)
 	}
-	if got := fleetHashMismatches.Value() - before; got != 1 {
-		t.Fatalf("fleet_hash_mismatches_total delta = %d, want 1", got)
+	if got := c.mismatches.Value(); got != 1 {
+		t.Fatalf("fleet_hash_mismatches_total = %d, want 1", got)
 	}
 }
 
@@ -381,8 +382,7 @@ func TestRejectionMovesToRingSuccessor(t *testing.T) {
 		}
 	}
 
-	roundsBefore := fleetRetryRounds.Value()
-	_, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
+	c, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
 	start := time.Now()
 	st, resp := proxyPost(t, ts, `{"app":"pr","design":"O"}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -394,8 +394,8 @@ func TestRejectionMovesToRingSuccessor(t *testing.T) {
 	if b1.submits.Load() != 1 || b2.submits.Load() != 1 {
 		t.Fatalf("submits b1=%d b2=%d, want one each", b1.submits.Load(), b2.submits.Load())
 	}
-	if got := fleetRetryRounds.Value() - roundsBefore; got != 0 {
-		t.Fatalf("fleet_dispatch_retry_rounds_total delta = %d, want 0", got)
+	if got := c.retryRounds.Value(); got != 0 {
+		t.Fatalf("fleet_dispatch_retry_rounds_total = %d, want 0", got)
 	}
 	if elapsed := time.Since(start); elapsed >= time.Second {
 		t.Fatalf("dispatch took %v; the successor should answer without waiting out Retry-After", elapsed)
@@ -437,7 +437,6 @@ func TestClientHangupIsNotOwnerDeath(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
-	failoversBefore := fleetFailovers.Value()
 	st, resp := proxyPost(t, ts, `{"app":"pr","design":"O"}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d (%s)", resp.StatusCode, st.Error)
@@ -470,8 +469,8 @@ func TestClientHangupIsNotOwnerDeath(t *testing.T) {
 	}
 	waitFor(t, "the last hung-up poll to finish", func() bool { return handled.Load() == 4 })
 
-	if got := fleetFailovers.Value() - failoversBefore; got != 0 {
-		t.Errorf("fleet_failovers_total delta = %d after 3 hang-ups, want 0", got)
+	if got := c.failovers.Value(); got != 0 {
+		t.Errorf("fleet_failovers_total = %d after 3 hang-ups, want 0", got)
 	}
 	if got := owner.submits.Load(); got != 1 {
 		t.Errorf("owner saw %d submits, want 1", got)
@@ -509,8 +508,7 @@ func TestFailoverBudgetPoisonsJob(t *testing.T) {
 		}
 	}
 
-	poisonedBefore := fleetPoisoned.Value()
-	_, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
+	c, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
 	st, resp := proxyPost(t, ts, `{"app":"pr","design":"O"}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d (%s)", resp.StatusCode, st.Error)
@@ -543,8 +541,8 @@ func TestFailoverBudgetPoisonsJob(t *testing.T) {
 	if got := b1.submits.Load() + b2.submits.Load(); got != 2 {
 		t.Fatalf("backends saw %d submits, want 2", got)
 	}
-	if got := fleetPoisoned.Value() - poisonedBefore; got != 1 {
-		t.Fatalf("fleet_jobs_poisoned_total delta = %d, want 1", got)
+	if got := c.poisoned.Value(); got != 1 {
+		t.Fatalf("fleet_jobs_poisoned_total = %d, want 1", got)
 	}
 
 	again := poll()
@@ -554,8 +552,8 @@ func TestFailoverBudgetPoisonsJob(t *testing.T) {
 	if got := b1.submits.Load() + b2.submits.Load(); got != 2 {
 		t.Fatalf("a later poll re-dispatched the poisoned job: %d submits, want 2", got)
 	}
-	if got := fleetPoisoned.Value() - poisonedBefore; got != 1 {
-		t.Fatalf("fleet_jobs_poisoned_total delta = %d after a later poll, want 1", got)
+	if got := c.poisoned.Value(); got != 1 {
+		t.Fatalf("fleet_jobs_poisoned_total = %d after a later poll, want 1", got)
 	}
 }
 
@@ -592,6 +590,92 @@ func TestFleetHealthz(t *testing.T) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode == http.StatusServiceUnavailable
 	})
+}
+
+// scrapeCounters reads the unlabelled series of the proxy's /metrics.
+func scrapeCounters(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		if out[name], err = strconv.ParseFloat(val, 64); err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+	}
+	return out
+}
+
+// TestTwoCoordinatorsReportTheirOwn builds two Coordinators over the same
+// two backends. Each runs one job, and the first backend poll of the whole
+// test answers that the run is lost, so the first Coordinator's job fails
+// over once. Each proxy's /metrics and /healthz count only its own job and
+// failovers, and neither lists a serve_* or bench_* family.
+func TestTwoCoordinatorsReportTheirOwn(t *testing.T) {
+	var lost atomic.Bool
+	lost.Store(true)
+	stub := func(id string) *stubBackend {
+		s := symmetricStub(t, id, "feed")
+		done := s.getFn
+		s.getFn = func(w http.ResponseWriter, r *http.Request) {
+			if lost.CompareAndSwap(true, false) {
+				http.Error(w, "no such run", http.StatusNotFound)
+				return
+			}
+			done(w, r)
+		}
+		return s
+	}
+	b1, b2 := stub("b1"), stub("b2")
+	first, firstTS := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
+	second, secondTS := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
+	for i, ts := range []*httptest.Server{firstTS, secondTS} {
+		st, resp := proxyPost(t, ts, `{"app":"pr","design":"O"}`)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("coordinator %d: submit status %d (%s)", i, resp.StatusCode, st.Error)
+		}
+		if fin, _ := proxyGet(t, ts, st.ID, "?wait=5s"); fin.Status != serve.StateDone || fin.Failovers != 1-i {
+			t.Fatalf("coordinator %d: %+v, want done after %d failovers", i, fin, 1-i)
+		}
+	}
+	for i, c := range []struct {
+		coord *Coordinator
+		ts    *httptest.Server
+	}{{first, firstTS}, {second, secondTS}} {
+		m := scrapeCounters(t, c.ts)
+		if got, want := m["fleet_failovers_total"], float64(1-i); got != want || c.coord.failovers.Value() != int64(want) {
+			t.Errorf("coordinator %d: fleet_failovers_total %v on /metrics, %d counted, want %v", i, got, c.coord.failovers.Value(), want)
+		}
+		if got := m["fleet_jobs_submitted"]; got != 1 {
+			t.Errorf("coordinator %d: fleet_jobs_submitted = %v, want 1", i, got)
+		}
+		for name := range m {
+			if !strings.HasPrefix(name, "fleet_") && !strings.HasPrefix(name, "go_") {
+				t.Errorf("coordinator %d: /metrics lists %s", i, name)
+			}
+		}
+		var h FleetHealth
+		resp, err := http.Get(c.ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil || h.Failovers != int64(1-i) || h.Submitted != 1 {
+			t.Errorf("coordinator %d: /healthz %+v (%v), want 1 submitted job and %d failovers", i, h, err, 1-i)
+		}
+	}
 }
 
 // TestRouteKeyAffinity checks fleet-wide dedup end to end: two identical

@@ -77,7 +77,6 @@ func TestFullRingOwnerSkipped(t *testing.T) {
 
 	owner, successor := c.Backends()[0], c.Backends()[1]
 	specs := specsOwnedBy(t, c, owner, `{"app":"pr","design":"O","params":{"seed":%d}}`, 3)
-	reroutes := fleetLoadReroutes.Value()
 
 	first, resp := proxyPost(t, ts, specs[0])
 	if resp.StatusCode != http.StatusAccepted || first.Backend != owner.ID() {
@@ -102,16 +101,16 @@ func TestFullRingOwnerSkipped(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted || second.Backend != successor.ID() {
 		t.Fatalf("second job with the same ring owner: status %d on %q, want 202 on the successor %s (%s)", resp.StatusCode, second.Backend, successor.ID(), second.Error)
 	}
-	if got := fleetLoadReroutes.Value() - reroutes; got != 1 {
-		t.Fatalf("fleet_load_reroutes_total delta = %d after skipping a full owner, want 1", got)
+	if got := c.reroutes.Value(); got != 1 {
+		t.Fatalf("fleet_load_reroutes_total = %d after skipping a full owner, want 1", got)
 	}
 
 	third, resp := proxyPost(t, ts, specs[2])
 	if resp.StatusCode != http.StatusAccepted || third.Backend != owner.ID() {
 		t.Fatalf("third job with every backend full: status %d on %q, want 202 on its ring owner %s (%s)", resp.StatusCode, third.Backend, owner.ID(), third.Error)
 	}
-	if got := fleetLoadReroutes.Value() - reroutes; got != 1 {
-		t.Fatalf("fleet_load_reroutes_total delta = %d after a fallback to the ring owner, want still 1", got)
+	if got := c.reroutes.Value(); got != 1 {
+		t.Fatalf("fleet_load_reroutes_total = %d after a fallback to the ring owner, want still 1", got)
 	}
 	if o, s := owner.inflight.Load(), successor.inflight.Load(); o != 2 || s != 1 {
 		t.Fatalf("in-flight counts: owner %d, successor %d, want 2 and 1", o, s)
@@ -194,7 +193,6 @@ func TestInFlightCountReleased(t *testing.T) {
 	b1, b2 := scriptedStub(t, "b1", &takes), scriptedStub(t, "b2", &takes)
 	c, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
 
-	failovers, poisoned, deduped := fleetFailovers.Value(), fleetPoisoned.Value(), fleetDeduped.Value()
 	hc := &http.Client{Timeout: 10 * time.Second}
 	post := func(seed int) (*serve.RunStatus, error) {
 		body := fmt.Sprintf(`{"app":"pr","design":"O","params":{"seed":%d}}`, seed)
@@ -287,17 +285,17 @@ func TestInFlightCountReleased(t *testing.T) {
 			t.Errorf("%s: %d jobs counted in flight once every job is terminal, want 0", b.ID(), n)
 		}
 	}
-	if got := fleetDeduped.Value() - deduped; got != 3*dups {
-		t.Errorf("fleet_jobs_deduped delta = %d, want %d", got, 3*dups)
+	if got := c.deduped.Value(); got != 3*dups {
+		t.Errorf("fleet_jobs_deduped = %d, want %d", got, 3*dups)
 	}
-	if got := fleetPoisoned.Value() - poisoned; got != perKind {
-		t.Errorf("fleet_jobs_poisoned_total delta = %d, want %d", got, perKind)
+	if got := c.poisoned.Value(); got != perKind {
+		t.Errorf("fleet_jobs_poisoned_total = %d, want %d", got, perKind)
 	}
 	// Two deaths per poisoned job and one per fail-over job: one dispatch
 	// of a job runs at a time, so a job with two submitters has one owner
 	// at a time as well.
-	if got, want := fleetFailovers.Value()-failovers, int64(2*perKind+perKind); got != want {
-		t.Errorf("fleet_failovers_total delta = %d, want %d", got, want)
+	if got, want := c.failovers.Value(), int64(2*perKind+perKind); got != want {
+		t.Errorf("fleet_failovers_total = %d, want %d", got, want)
 	}
 	// Each job reached the backends once per owner: the poisoned and
 	// fail-over jobs twice, the rest once.
@@ -382,12 +380,13 @@ func TestBackendHistFollowsID(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(serve.Ready{Status: "ready", BackendID: id.Load().(string), Workers: 1})
 	}))
 	t.Cleanup(srv.Close)
-	b, err := newBackend(srv.URL, 3, time.Second)
+	reg := obs.NewRegistry()
+	b, err := newBackend(srv.URL, 3, time.Second, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	labeled := func(id string) *obs.SyncHist {
-		return obs.PublishedHistLabel("fleet_backend_request_seconds",
+		return reg.Hist("fleet_backend_request_seconds",
 			"Latency of requests the proxy forwarded to this backend.", 1e-6, "backend", id)
 	}
 	probe := func() {

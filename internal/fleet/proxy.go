@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"abndp/internal/serve"
@@ -322,7 +321,7 @@ func (c *Coordinator) dispatch(ctx context.Context, j *pjob, exclude *Backend) (
 	var hint time.Duration
 	for round := 0; round < c.cfg.MaxAttempts; round++ {
 		if round > 0 {
-			fleetRetryRounds.Add(1)
+			c.retryRounds.Add(1)
 			if err := c.cfg.Retry.Sleep(ctx, round-1, hint); err != nil {
 				return nil, nil, &proxyError{code: http.StatusServiceUnavailable, msg: err.Error()}
 			}
@@ -360,9 +359,9 @@ func (c *Coordinator) dispatch(ctx context.Context, j *pjob, exclude *Backend) (
 				continue
 			}
 			b.OK()
-			fleetDispatches.Add(1)
+			c.dispatches.Add(1)
 			if b != first {
-				fleetLoadReroutes.Add(1) // first was full
+				c.reroutes.Add(1) // first was full
 			}
 			j.setOwner(b, st.ID, isTerminal(st.Status))
 			c.log.Info("dispatched", "job", j.id, "key", j.key, "backend", b.ID(),
@@ -374,7 +373,7 @@ func (c *Coordinator) dispatch(ctx context.Context, j *pjob, exclude *Backend) (
 			break
 		}
 	}
-	fleetRejected.Add(1)
+	c.rejected.Add(1)
 	if hint <= 0 {
 		hint = time.Second
 	}
@@ -469,11 +468,10 @@ func (c *Coordinator) failover(ctx context.Context, j *pjob, owner *Backend, cau
 	if !dropped {
 		return nil, nil // a concurrent poll already failed over or finished the job; reuse its work
 	}
-	fleetFailovers.Add(1)
-	c.failoversN.Add(1)
+	c.failovers.Add(1)
 	c.log.Warn("failover", "job", j.id, "key", j.key, "dead", owner.ID(), "cause", cause.Error())
 	if poisoned != nil {
-		fleetPoisoned.Add(1)
+		c.poisoned.Add(1)
 		c.log.Error("job poisoned", "job", j.id, "key", j.key, "err", poisoned.Error)
 		c.markTerminal(j)
 		return poisoned, nil
@@ -515,8 +513,7 @@ func (c *Coordinator) finish(j *pjob, b *Backend, st *serve.RunStatus) (*serve.R
 		return st, nil
 	}
 	if prev.Status == serve.StateDone && st.Status == serve.StateDone && st.ResultHash != prev.ResultHash {
-		fleetHashMismatches.Add(1)
-		c.mismatchN.Add(1)
+		c.mismatches.Add(1)
 		c.log.Error("fleet integrity violation", "job", j.id, "key", j.key,
 			"backend", b.ID(), "hash", st.ResultHash, "recorded", prev.ResultHash)
 		return nil, &proxyError{
@@ -555,7 +552,7 @@ func (c *Coordinator) markTerminal(j *pjob) {
 		if c.byKey[old.key] == old {
 			delete(c.byKey, old.key)
 		}
-		fleetJobEvictions.Add(1)
+		c.evictions.Add(1)
 	}
 }
 
@@ -586,14 +583,12 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := serve.RouteKey(&req)
-	fleetSubmitted.Add(1)
-	c.submittedN.Add(1)
+	c.submitted.Add(1)
 
 	c.mu.Lock()
 	if j := c.byKey[key]; j != nil {
 		c.mu.Unlock()
-		fleetDeduped.Add(1)
-		c.dedupedN.Add(1)
+		c.deduped.Add(1)
 		st, err := c.await(r.Context(), j, 0)
 		if err != nil {
 			c.writeError(w, err)
@@ -717,10 +712,10 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	h := FleetHealth{
 		Status:         "unavailable",
-		Submitted:      c.submittedN.Load(),
-		Deduped:        c.dedupedN.Load(),
-		Failovers:      c.failoversN.Load(),
-		HashMismatches: c.mismatchN.Load(),
+		Submitted:      c.submitted.Value(),
+		Deduped:        c.deduped.Value(),
+		Failovers:      c.failovers.Value(),
+		HashMismatches: c.mismatches.Value(),
 	}
 	for _, b := range c.backends {
 		if b.Admitted(now) {
@@ -768,10 +763,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-// Per-coordinator counters for /healthz (the fleet_* expvars are
-// process-global and shared across Coordinators in tests).
-type coordCounters struct {
-	submittedN, dedupedN, failoversN, mismatchN atomic.Int64
 }

@@ -43,8 +43,7 @@ func symmetricStub(t *testing.T, id, hash string) *stubBackend {
 func TestOwnerDeathLeavesFinishedJob(t *testing.T) {
 	b1 := symmetricStub(t, "b1", "feed")
 	b2 := symmetricStub(t, "b2", "feed")
-	failoversBefore := fleetFailovers.Value()
-	_, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
+	c, ts := newTestCoord(t, fastCfg(b1.srv.URL, b2.srv.URL))
 
 	const spec = `{"app":"pr","design":"O"}`
 	st, resp := proxyPost(t, ts, spec)
@@ -82,8 +81,8 @@ func TestOwnerDeathLeavesFinishedJob(t *testing.T) {
 	if got := survivor.calls.Load() - survivorCalls; got != 0 {
 		t.Fatalf("survivor received %d requests besides probes, want 0", got)
 	}
-	if got := fleetFailovers.Value() - failoversBefore; got != 0 {
-		t.Fatalf("fleet_failovers_total delta = %d, want 0", got)
+	if got := c.failovers.Value(); got != 0 {
+		t.Fatalf("fleet_failovers_total = %d, want 0", got)
 	}
 }
 
@@ -154,7 +153,6 @@ func TestTerminalJobMapsBounded(t *testing.T) {
 	cfg.JobCap = cap
 	c, ts := newTestCoord(t, cfg)
 
-	evictionsBefore := fleetJobEvictions.Value()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -179,8 +177,8 @@ func TestTerminalJobMapsBounded(t *testing.T) {
 			t.Errorf("%s grew to %d, want <= %d", name, n, cap)
 		}
 	}
-	if got := fleetJobEvictions.Value() - evictionsBefore; got < 40-cap {
-		t.Errorf("fleet_job_evictions_total delta = %d, want >= %d", got, 40-cap)
+	if got := c.evictions.Value(); got < 40-cap {
+		t.Errorf("fleet_job_evictions_total = %d, want >= %d", got, 40-cap)
 	}
 }
 

@@ -1,70 +1,31 @@
 package obs
 
 import (
-	"expvar"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux
-	"sync"
+	"net/http/pprof"
 )
 
-// metricsOnce guards the one-time /metrics registration on the default
-// mux: StartDebugServer may be called more than once in a process (tests),
-// and DefaultServeMux panics on duplicate patterns.
-var metricsOnce sync.Once
-
-// StartDebugServer serves the Go debug endpoints — /debug/pprof (CPU,
-// heap, goroutine, block profiles), /debug/vars (expvar counters,
-// including the harness progress counters published via Published), and
-// /metrics (the same counters plus the registered latency histograms in
-// Prometheus text format) — on addr in a background goroutine. It returns
-// the bound address, so ":0" picks a free port. The server lives for the
+// StartDebugServer serves a command's debug endpoints on addr in a
+// background goroutine: /debug/pprof (CPU, heap, goroutine, block
+// profiles), and reg's series as Prometheus text on /metrics (followed by
+// the go_* runtime gauges) and as flat JSON on /debug/vars. It returns the
+// bound address, so ":0" picks a free port. The server lives for the
 // remainder of the process; simulation commands are short-lived, so there
 // is no shutdown surface.
-func StartDebugServer(addr string) (string, error) {
+func StartDebugServer(addr string, reg *Registry) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	metricsOnce.Do(func() {
-		http.Handle("/metrics", PromHandler())
-	})
-	go func() {
-		// pprof, expvar, and /metrics all register on http.DefaultServeMux.
-		_ = http.Serve(ln, nil)
-	}()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/debug/vars", reg.JSONHandler())
+	go func() { _ = http.Serve(ln, mux) }()
 	return ln.Addr().String(), nil
-}
-
-// expvarMu serializes Published against itself: expvar.NewInt panics on
-// duplicate names, and two goroutines may race the Get-then-New window.
-var expvarMu sync.Mutex
-
-// Published returns the process-wide expvar counter with the given name,
-// registering it on first use. Use it for live progress counters that the
-// /debug/vars endpoint should expose (e.g. the bench harness's completed
-// simulation runs).
-func Published(name string) *expvar.Int {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if v := expvar.Get(name); v != nil {
-		if i, ok := v.(*expvar.Int); ok {
-			return i
-		}
-	}
-	return expvar.NewInt(name)
-}
-
-// PublishedFunc registers a computed expvar gauge (e.g. the serving
-// layer's live queue depth) under name. expvar registration is
-// process-global and permanent, so on a duplicate name the first
-// registration wins and later calls are no-ops — re-creating a Server in
-// tests must not panic the expvar registry.
-func PublishedFunc(name string, f func() any) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(f))
 }

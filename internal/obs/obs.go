@@ -1,7 +1,8 @@
 // Package obs is the simulator-wide observability subsystem: a structured
 // span/instant/counter tracer with a Chrome trace-event (Perfetto) JSON
-// exporter, phase-resolved metric histograms and interval snapshots, and a
-// live expvar + pprof debug HTTP endpoint.
+// exporter, phase-resolved metric histograms and interval snapshots,
+// per-instance metric registries rendered as Prometheus text and flat
+// JSON, and a pprof debug HTTP endpoint.
 //
 // Design rule: observability is zero-cost when off. The NDP runtime holds a
 // single *Observer pointer that is nil in the default configuration; every

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"regexp"
 	"strconv"
@@ -17,7 +18,7 @@ var (
 )
 
 // parseExposition validates text as Prometheus exposition format (the
-// subset WritePrometheus emits): every line is a # HELP, # TYPE, or
+// subset Registry.WritePrometheus emits): every line is a # HELP, # TYPE, or
 // series line; every series name matches its preceding TYPE family; every
 // value parses as a float. It returns the series it saw.
 func parseExposition(t *testing.T, text string) map[string]float64 {
@@ -85,20 +86,20 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 }
 
 func TestWritePrometheusExposition(t *testing.T) {
-	c := Published("prom_test_counter")
-	c.Add(7)
-	PublishedFunc("prom_test_gauge", func() any { return 42 })
-	h := PublishedHist("prom_test_seconds", "Test latency histogram.", 1e-6)
+	r := NewRegistry()
+	r.Counter("prom_test_counter").Add(7)
+	r.Gauge("prom_test_gauge", func() float64 { return 42 })
+	h := r.Hist("prom_test_seconds", "Test latency histogram.", 1e-6)
 	for _, us := range []int64{10, 100, 1000, 150000, 2_000_000} {
 		h.Observe(us)
 	}
 
 	var buf bytes.Buffer
-	WritePrometheus(&buf)
+	r.WritePrometheus(&buf)
 	series := parseExposition(t, buf.String())
 
-	if got := series["prom_test_counter"]; got < 7 {
-		t.Errorf("prom_test_counter = %v, want >= 7", got)
+	if got := series["prom_test_counter"]; got != 7 {
+		t.Errorf("prom_test_counter = %v, want 7", got)
 	}
 	if got := series["prom_test_gauge"]; got != 42 {
 		t.Errorf("prom_test_gauge = %v, want 42", got)
@@ -127,27 +128,33 @@ func TestWritePrometheusExposition(t *testing.T) {
 		}
 		prev = cur
 	}
-	// Runtime gauges ride along.
-	if _, ok := series["go_goroutines"]; !ok {
-		t.Error("missing go_goroutines gauge")
+	// Only the registry's series and the runtime gauges, which follow them.
+	var families []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, name)
+		}
 	}
-	// The raw expvar JSON blobs must not leak into the exposition.
-	if strings.Contains(buf.String(), "cmdline") || strings.Contains(buf.String(), `"memstats"`) {
-		t.Error("exposition leaks raw cmdline/memstats expvars")
+	want := []string{"prom_test_counter counter", "prom_test_gauge gauge", "prom_test_seconds histogram",
+		"go_goroutines gauge", "go_memstats_alloc_bytes gauge", "go_memstats_num_gc gauge",
+		"go_memstats_sys_bytes gauge", "go_memstats_total_alloc_bytes gauge"}
+	if strings.Join(families, "; ") != strings.Join(want, "; ") {
+		t.Errorf("families = %q, want %q", families, want)
 	}
 }
 
-// TestPublishedHistLabel checks the labeled-family exposition the fleet
+// TestRegistryHistLabel checks the labeled-family exposition the fleet
 // uses for per-backend latency: two backends' series render under one
 // HELP/TYPE block, each line carrying its backend label, and both parse
 // as valid exposition.
-func TestPublishedHistLabel(t *testing.T) {
-	b1 := PublishedHistLabel("prom_test_labeled_seconds", "Per-backend test latency.", 1e-6, "backend", "b1")
-	b2 := PublishedHistLabel("prom_test_labeled_seconds", "Per-backend test latency.", 1e-6, "backend", "b2")
+func TestRegistryHistLabel(t *testing.T) {
+	r := NewRegistry()
+	b1 := r.Hist("prom_test_labeled_seconds", "Per-backend test latency.", 1e-6, "backend", "b1")
+	b2 := r.Hist("prom_test_labeled_seconds", "Per-backend test latency.", 1e-6, "backend", "b2")
 	if b1 == b2 {
 		t.Fatal("distinct label values share one histogram")
 	}
-	if again := PublishedHistLabel("prom_test_labeled_seconds", "", 1, "backend", "b1"); again != b1 {
+	if again := r.Hist("prom_test_labeled_seconds", "", 1, "backend", "b1"); again != b1 {
 		t.Fatal("re-registration of one labeled series returned a new histogram")
 	}
 	b1.Observe(1000)
@@ -155,7 +162,7 @@ func TestPublishedHistLabel(t *testing.T) {
 	b2.Observe(500)
 
 	var buf bytes.Buffer
-	WritePrometheus(&buf)
+	r.WritePrometheus(&buf)
 	series := parseExposition(t, buf.String())
 
 	if got := series[`prom_test_labeled_seconds_count{backend="b1"}`]; got != 2 {
@@ -175,6 +182,18 @@ func TestPublishedHistLabel(t *testing.T) {
 	if n := strings.Count(buf.String(), "# TYPE prom_test_labeled_seconds histogram"); n != 1 {
 		t.Errorf("family TYPE emitted %d times, want 1", n)
 	}
+
+	buf.Reset()
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var vars map[string]float64
+	if err := json.Unmarshal(buf.Bytes(), &vars); err != nil {
+		t.Fatal(err)
+	}
+	if got := vars[`prom_test_labeled_seconds_count{backend="b1"}`]; got != 2 {
+		t.Errorf("JSON b1 count = %v, want 2 (%v)", got, vars)
+	}
 }
 
 func TestEscapeLabel(t *testing.T) {
@@ -184,7 +203,7 @@ func TestEscapeLabel(t *testing.T) {
 }
 
 func TestSyncHistQuantileScale(t *testing.T) {
-	h := PublishedHist("prom_test_scale_seconds", "", 1e-6)
+	h := NewRegistry().Hist("prom_test_scale_seconds", "", 1e-6)
 	for i := 0; i < 1000; i++ {
 		h.Observe(1_000_000) // 1s in microseconds
 	}
@@ -194,16 +213,41 @@ func TestSyncHistQuantileScale(t *testing.T) {
 	}
 }
 
-func TestPublishedHistIdempotent(t *testing.T) {
-	a := PublishedHist("prom_test_idem", "first", 1)
-	b := PublishedHist("prom_test_idem", "second", 2)
-	if a != b {
-		t.Fatal("PublishedHist returned distinct histograms for one name")
+// TestRegistryGetOrCreate: each getter returns the series first
+// registered under a name (a gauge keeps its first function), one registry
+// does not see another's series, and one name cannot hold two types.
+func TestRegistryGetOrCreate(t *testing.T) {
+	r := NewRegistry()
+	if a, b := r.Hist("prom_test_idem", "first", 1), r.Hist("prom_test_idem", "second", 2); a != b {
+		t.Fatal("Hist returned distinct histograms for one name")
 	}
+	if r.Counter("prom_test_ctr") != r.Counter("prom_test_ctr") {
+		t.Fatal("Counter returned distinct counters for one name")
+	}
+	r.Gauge("prom_test_gauge", func() float64 { return 1 })
+	r.Gauge("prom_test_gauge", func() float64 { return 2 })
+	r.Counter("prom_test_ctr").Add(5)
+	other := NewRegistry()
+	if other.Counter("prom_test_ctr").Value() != 0 {
+		t.Fatal("a new registry shares another's counter")
+	}
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	series := parseExposition(t, buf.String())
+	if series["prom_test_gauge"] != 1 || series["prom_test_ctr"] != 5 {
+		t.Errorf("gauge = %v, counter = %v; want 1 and 5", series["prom_test_gauge"], series["prom_test_ctr"])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("registering a counter name as a gauge did not panic")
+		}
+	}()
+	r.Gauge("prom_test_ctr", func() float64 { return 0 })
 }
 
 func TestSyncHistConcurrent(t *testing.T) {
-	h := PublishedHist("prom_test_concurrent", "", 1)
+	r := NewRegistry()
+	h := r.Hist("prom_test_concurrent", "", 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -217,7 +261,7 @@ func TestSyncHistConcurrent(t *testing.T) {
 	// Concurrent scrapes while observing.
 	for i := 0; i < 10; i++ {
 		var buf bytes.Buffer
-		WritePrometheus(&buf)
+		r.WritePrometheus(&buf)
 	}
 	wg.Wait()
 	if got := h.Snapshot().Count; got != 8000 {

@@ -34,7 +34,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -133,7 +132,11 @@ type Server struct {
 	wg       sync.WaitGroup // worker pool
 	renderMu sync.Mutex     // serializes experiment renders
 
-	submitted, deduped, rejected, completed, failed atomic.Int64
+	// The server's series in its Runner's registry, looked up once in New:
+	// /metrics and /debug/vars render them, /healthz, /readyz and
+	// Retry-After read them.
+	submitted, deduped, rejected, completed, failed *obs.Counter
+	queueWait, runTime, request, render             *obs.SyncHist
 }
 
 // keepFinished bounds the finished jobs a Server keeps for polls and
@@ -173,34 +176,13 @@ type task struct {
 	trace *obs.ReqTrace // request-scoped spans, anchored at submit
 }
 
-// Process-wide service counters on /debug/vars and /metrics. Registered
-// once; multiple Server instances (tests) accumulate into the same
-// counters.
-var (
-	expSubmitted = obs.Published("serve_jobs_submitted")
-	expDeduped   = obs.Published("serve_jobs_deduped")
-	expRejected  = obs.Published("serve_jobs_rejected")
-	expCompleted = obs.Published("serve_jobs_completed")
-	expFailed    = obs.Published("serve_jobs_failed")
-)
-
-// Request-lifecycle latency histograms, exposed on /metrics in Prometheus
-// text format. Samples are microseconds; the 1e-6 scale renders seconds.
-// p50/p95/p99 are recoverable from the log-spaced buckets — server-side
-// via histogram_quantile, in-process via obs.SyncHist.Quantile (the
+// New builds a Server and starts its worker pool. The server's metrics
+// live in its own Runner's registry, beside the Runner's bench_runs_*
+// counters, so two servers in one process each report only their own.
+// The latency histograms take microsecond samples and render seconds;
+// p50/p95/p99 are recoverable from their log-spaced buckets, server-side
+// via histogram_quantile and in-process via obs.SyncHist.Quantile (the
 // /healthz latency block).
-var (
-	histQueueWait = obs.PublishedHist("serve_queue_wait_seconds",
-		"Time a job waited in the bounded queue, submit to run start.", 1e-6)
-	histRun = obs.PublishedHist("serve_run_seconds",
-		"Job execution time in the worker pool.", 1e-6)
-	histRequest = obs.PublishedHist("serve_request_seconds",
-		"End-to-end job latency, submit to terminal state.", 1e-6)
-	histRender = obs.PublishedHist("serve_render_seconds",
-		"Experiment table/figure render time (GET /v1/experiments).", 1e-6)
-)
-
-// New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 64
@@ -221,15 +203,28 @@ func New(cfg Config) *Server {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	reg := r.Registry()
 	s := &Server{
-		cfg:    cfg,
-		base:   base,
-		runner: r,
-		log:    logger,
-		jobs:   make(map[string]*job),
-		byKey:  make(map[string]*job),
-		keep:   keepFinished,
-		queue:  make(chan *task, cfg.QueueSize),
+		cfg:       cfg,
+		base:      base,
+		runner:    r,
+		log:       logger,
+		jobs:      make(map[string]*job),
+		byKey:     make(map[string]*job),
+		keep:      keepFinished,
+		queue:     make(chan *task, cfg.QueueSize),
+		submitted: reg.Counter("serve_jobs_submitted"),
+		deduped:   reg.Counter("serve_jobs_deduped"),
+		rejected:  reg.Counter("serve_jobs_rejected"),
+		completed: reg.Counter("serve_jobs_completed"),
+		failed:    reg.Counter("serve_jobs_failed"),
+		queueWait: reg.Hist("serve_queue_wait_seconds",
+			"Time a job waited in the bounded queue, submit to run start.", 1e-6),
+		runTime: reg.Hist("serve_run_seconds", "Job execution time in the worker pool.", 1e-6),
+		request: reg.Hist("serve_request_seconds",
+			"End-to-end job latency, submit to terminal state.", 1e-6),
+		render: reg.Hist("serve_render_seconds",
+			"Experiment table/figure render time (GET /v1/experiments).", 1e-6),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -237,27 +232,27 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/experiments/{name}", s.handleExperiment)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.Handle("GET /debug/vars", expvar.Handler())
-	s.mux.Handle("GET /metrics", obs.PromHandler())
-	obs.PublishedFunc("serve_queue_depth", func() any { return len(s.queue) })
-	obs.PublishedFunc("serve_events_total", func() any {
+	s.mux.Handle("GET /debug/vars", reg.JSONHandler())
+	s.mux.Handle("GET /metrics", reg.Handler())
+	reg.Gauge("serve_queue_depth", func() float64 { return float64(len(s.queue)) })
+	reg.Gauge("serve_events_total", func() float64 {
 		ev, _ := r.EngineTotals()
-		return ev
+		return float64(ev)
 	})
-	obs.PublishedFunc("serve_events_per_sec", func() any {
+	reg.Gauge("serve_events_per_sec", func() float64 {
 		ev, sec := r.EngineTotals()
 		if sec <= 0 {
-			return 0.0
+			return 0
 		}
 		return float64(ev) / sec
 	})
 	st := r.Store()
-	obs.PublishedFunc("serve_ckpt_hits", func() any { return st.Stats().Hits })
-	obs.PublishedFunc("serve_ckpt_misses", func() any { return st.Stats().Misses })
-	obs.PublishedFunc("serve_ckpt_bytes", func() any { return st.Stats().Bytes })
-	obs.PublishedFunc("serve_ckpt_shards", func() any { return st.Stats().Shards })
-	obs.PublishedFunc("serve_ckpt_entries", func() any { return st.Stats().Entries })
-	obs.PublishedFunc("serve_ckpt_evictions", func() any { return st.Stats().Evictions })
+	reg.Gauge("serve_ckpt_hits", func() float64 { return float64(st.Stats().Hits) })
+	reg.Gauge("serve_ckpt_misses", func() float64 { return float64(st.Stats().Misses) })
+	reg.Gauge("serve_ckpt_bytes", func() float64 { return float64(st.Stats().Bytes) })
+	reg.Gauge("serve_ckpt_shards", func() float64 { return float64(st.Stats().Shards) })
+	reg.Gauge("serve_ckpt_entries", func() float64 { return float64(st.Stats().Entries) })
+	reg.Gauge("serve_ckpt_evictions", func() float64 { return float64(st.Stats().Evictions) })
 
 	workers := r.Workers()
 	s.wg.Add(workers)
@@ -299,7 +294,7 @@ func (s *Server) execute(t *task) {
 	j.state = StateRunning
 	j.started = time.Now()
 	s.mu.Unlock()
-	histQueueWait.Observe(j.started.Sub(j.submitted).Microseconds())
+	s.queueWait.Observe(j.started.Sub(j.submitted).Microseconds())
 	s.log.Info("run start", "request_id", j.reqID, "job", j.id,
 		"app", j.app, "design", j.design,
 		"queue_wait", j.started.Sub(j.submitted))
@@ -326,8 +321,8 @@ func (s *Server) execute(t *task) {
 	// The crash guard's per-run deadline bounds the run.
 	res, violations, err := s.runner.RunOneObserved(context.Background(), t.spec, t.check, o)
 	finished := time.Now()
-	histRun.Observe(finished.Sub(j.started).Microseconds())
-	histRequest.Observe(finished.Sub(j.submitted).Microseconds())
+	s.runTime.Observe(finished.Sub(j.started).Microseconds())
+	s.request.Observe(finished.Sub(j.submitted).Microseconds())
 
 	var re *bench.RunError
 	hung := errors.As(err, &re) && re.Failure.Hung
@@ -384,13 +379,11 @@ func (s *Server) execute(t *task) {
 
 	if err != nil {
 		s.failed.Add(1)
-		expFailed.Add(1)
 		s.log.Error("run failed", "request_id", j.reqID, "job", j.id,
 			"err", err.Error(), "hung", hung,
 			"elapsed", finished.Sub(j.started))
 	} else {
 		s.completed.Add(1)
-		expCompleted.Add(1)
 		s.log.Info("run done", "request_id", j.reqID, "job", j.id,
 			"hash", fmt.Sprintf("%016x", j.hash),
 			"elapsed", finished.Sub(j.started), "trace", traceFile)
@@ -428,12 +421,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.submitted.Add(1)
-	expSubmitted.Add(1)
 	if existing := s.byKey[key]; existing != nil {
 		st := s.statusLocked(existing)
 		s.mu.Unlock()
 		s.deduped.Add(1)
-		expDeduped.Add(1)
 		st.Dedup = true
 		writeJSON(w, http.StatusOK, st)
 		s.log.Info("submit dedup", "request_id", rid, "job", st.ID,
@@ -457,7 +448,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.mu.Unlock()
 		s.rejected.Add(1)
-		expRejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
 		httpError(w, http.StatusTooManyRequests, "job queue full (%d pending); retry later", cap(s.queue))
 		s.log.Warn("submit rejected", "request_id", rid, "reason", "queue full",
@@ -516,7 +506,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	err := s.runner.RenderTo(&buf, name)
 	s.renderMu.Unlock()
-	histRender.ObserveSince(t0)
+	s.render.ObserveSince(t0)
 	s.log.Info("render", "experiment", name, "elapsed", time.Since(t0), "err", errStr(err))
 	if err != nil {
 		if strings.Contains(err.Error(), "unknown experiment") {
@@ -530,22 +520,22 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// retryAfterSecs computes the Retry-After hint for a rejected submission
-// from the queued backlog and the pool's observed service rate: the time
-// for the current backlog to clear through the workers, using the mean
-// run time from the serve_run_seconds histogram. Before the first run
-// completes (no rate observation yet) it falls back to 1s; the result is
-// clamped to [1, 60] so a pathological backlog never tells clients to go
-// away for hours.
-// meanRunSeconds is the observed mean job execution time in seconds
-// (zero until a run completes) — the fleet's service-rate routing factor.
-func meanRunSeconds() float64 {
-	h := histRun.Snapshot()
+// meanRunSeconds is the server's observed mean job execution time in
+// seconds (zero until a run completes), from its serve_run_seconds
+// histogram.
+func (s *Server) meanRunSeconds() float64 {
+	h := s.runTime.Snapshot()
 	return h.Mean() * 1e-6 // samples are microseconds
 }
 
+// retryAfterSecs computes the Retry-After hint for a rejected submission
+// from the queued backlog and the pool's observed service rate: the time
+// for the current backlog to clear through the workers at the mean run
+// time. Before the first run completes (no rate observation yet) it falls
+// back to 1s; the result is clamped to [1, 60] so a pathological backlog
+// never tells clients to go away for hours.
 func (s *Server) retryAfterSecs() int {
-	return retryAfterFrom(meanRunSeconds(), len(s.queue)+1, s.runner.Workers())
+	return retryAfterFrom(s.meanRunSeconds(), len(s.queue)+1, s.runner.Workers())
 }
 
 // retryAfterFrom is the pure Retry-After computation: backlog jobs draining
@@ -585,8 +575,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		Workers:        s.runner.Workers(),
 		QueueDepth:     len(s.queue),
 		QueueCap:       cap(s.queue),
-		MeanRunSeconds: meanRunSeconds(),
-		Completed:      s.completed.Load(),
+		MeanRunSeconds: s.meanRunSeconds(),
+		Completed:      s.completed.Value(),
 	}
 	code := http.StatusOK
 	switch {
@@ -612,19 +602,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Workers:    s.runner.Workers(),
 		QueueDepth: len(s.queue),
 		QueueCap:   cap(s.queue),
-		Submitted:  s.submitted.Load(),
-		Deduped:    s.deduped.Load(),
-		Rejected:   s.rejected.Load(),
-		Completed:  s.completed.Load(),
-		Failed:     s.failed.Load(),
+		Submitted:  s.submitted.Value(),
+		Deduped:    s.deduped.Value(),
+		Rejected:   s.rejected.Value(),
+		Completed:  s.completed.Value(),
+		Failed:     s.failed.Value(),
 		Runs:       s.runner.RunsExecuted(),
 	}
-	if snap := histRequest.Snapshot(); snap.Count > 0 {
+	if snap := s.request.Snapshot(); snap.Count > 0 {
 		h.Latency = &LatencySummary{
 			Count: snap.Count,
-			P50:   histRequest.Quantile(0.50),
-			P95:   histRequest.Quantile(0.95),
-			P99:   histRequest.Quantile(0.99),
+			P50:   s.request.Quantile(0.50),
+			P95:   s.request.Quantile(0.95),
+			P99:   s.request.Quantile(0.99),
 		}
 	}
 	code := http.StatusOK

@@ -6,7 +6,9 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -214,5 +216,99 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, series) {
 			t.Errorf("/metrics missing %q", series)
 		}
+	}
+}
+
+// fetchJSON decodes the JSON body of GET path on ts into v.
+func fetchJSON(t *testing.T, ts *httptest.Server, path string, v any) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+}
+
+// scrape reads the unlabelled series of ts's /metrics.
+func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		out[name] = v
+	}
+	return out
+}
+
+// TestTwoServersReportTheirOwn builds two Servers in one process and runs
+// one job on the second only. Each server's /metrics, /debug/vars and
+// /readyz report its own jobs, engine events and checkpoint store: the
+// first reads zero and no mean run time, and the second reads its Runner's
+// and store's own counts.
+func TestTwoServersReportTheirOwn(t *testing.T) {
+	_, idleTS := newTestServer(t, Config{})
+	busy, busyTS := newTestServer(t, Config{})
+	st, _ := post(t, busyTS, `{"app":"pr","design":"O"}`)
+	if st = await(t, busyTS, st.ID); st.Status != StateDone {
+		t.Fatalf("job finished %q (%s)", st.Status, st.Error)
+	}
+
+	idle := scrape(t, idleTS)
+	for _, name := range []string{"serve_jobs_submitted", "serve_jobs_completed", "serve_run_seconds_count", "serve_events_total", "bench_runs_done"} {
+		if v, ok := idle[name]; !ok || v != 0 {
+			t.Errorf("idle server: %s = %v (present %v), want 0", name, v, ok)
+		}
+	}
+	var idleVars map[string]float64
+	fetchJSON(t, idleTS, "/debug/vars", &idleVars)
+	if v, ok := idleVars["serve_jobs_completed"]; !ok || v != 0 {
+		t.Errorf("idle server /debug/vars: serve_jobs_completed = %v (present %v), want 0", v, ok)
+	}
+	var rd map[string]any
+	fetchJSON(t, idleTS, "/readyz", &rd)
+	if v, ok := rd["mean_run_seconds"]; ok {
+		t.Errorf("idle server /readyz carries mean_run_seconds %v", v)
+	}
+
+	got := scrape(t, busyTS)
+	events, _ := busy.Runner().EngineTotals()
+	stats := busy.Runner().Store().Stats()
+	if events == 0 || stats.Misses == 0 {
+		t.Fatalf("the job left %d engine events and %d store misses; the test needs a run that uses both", events, stats.Misses)
+	}
+	for name, want := range map[string]float64{
+		"serve_jobs_submitted":    1,
+		"serve_jobs_completed":    1,
+		"serve_run_seconds_count": 1,
+		"serve_events_total":      float64(events),
+		"serve_ckpt_misses":       float64(stats.Misses),
+	} {
+		if got[name] != want {
+			t.Errorf("busy server: %s = %v, want %v", name, got[name], want)
+		}
+	}
+	var busyVars map[string]float64
+	fetchJSON(t, busyTS, "/debug/vars", &busyVars)
+	if busyVars["serve_jobs_submitted"] != 1 || busyVars["serve_events_total"] != float64(events) {
+		t.Errorf("busy server /debug/vars = %v, want 1 submitted job and %d events", busyVars, events)
 	}
 }
